@@ -117,7 +117,7 @@ from .theta import (
     unit_phase,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import geometry, groebner, modsym, presentation
@@ -267,9 +269,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A negative number in exponent form, such as -9.5e-05.
+_NEGATIVE_EXPONENT_FORM = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
+def _plain_negatives(argv: list[str]) -> list[str]:
+    """Write negative numbers in exponent form as plain decimals.
+
+    argparse takes a token that starts with '-' for an option flag unless it
+    is a plain negative decimal.  The plain form is exact, so the value
+    parsed from it is unchanged.
+    """
+    return [
+        format(Decimal(arg), "f") if _NEGATIVE_EXPONENT_FORM.fullmatch(arg) else arg
+        for arg in argv
+    ]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_plain_negatives(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(parser, args)
     except RMTorusError as exc:

@@ -34,7 +34,8 @@ from .errors import (
     NotSL2,
     RankDeficient,
 )
-from .theta import SeriesControl, theta_constant
+from .precision import working_dps
+from .theta import SeriesControl, theta_constant, theta_constants
 
 __all__ = [
     "QuadraticSurd",
@@ -526,11 +527,9 @@ def block_M(
     lam = lambda_matrix(rm)
     base = q_mu(rm, mu)
     chars = []
-    entries = []
     tau_c = complex(tau)
     for i in range(1, t + 1):
         row_chars = []
-        row_vals = []
         for j in range(1, c + 1):
             char = (base + lam.entries[i - 1][j - 1]) % 1
             # Exact cross-check against the structure-constant labelling with
@@ -542,9 +541,15 @@ def block_M(
                     f"block characteristic mismatch at (mu={mu}, i={i}, j={j})"
                 )
             row_chars.append(char)
-            row_vals.append(theta_constant(char, l * tau_c, ctl, dps))
         chars.append(tuple(row_chars))
-        entries.append(tuple(row_vals))
+    if dps is None:
+        dps = working_dps()
+    flat = theta_constants(
+        [(ch, 0) for row in chars for ch in row], [l * tau_c], dps, ctl
+    )[0]
+    if dps is None:
+        flat = [complex(x) for x in flat]
+    entries = [tuple(flat[(i - 1) * c : i * c]) for i in range(1, t + 1)]
     array = np.array([[complex(x) for x in row] for row in entries], dtype=complex)
     singular = np.linalg.svd(array, compute_uv=False)
     rank = int(np.sum(singular > RANK_CUTOFF * singular[0]))

@@ -286,7 +286,6 @@ def linear_basis(st: GroebnerState, n: int) -> list[Word]:
             f"state completed to degree {st.completed_degree}; "
             f"call complete_to_degree({n}) first"
         )
-    leads = st.leads()
     basis = []
     for word in itertools.product(range(1, st.n_generators + 1), repeat=n):
         if _find_reducer(word, st.system) is None:

@@ -16,7 +16,9 @@ Four layers, bottom up:
   at its apex and pulling both halves to vertical rays; evaluation near the
   real axis goes through an exact transformation chain (integer words in the
   generators acting on characteristics) so the series always runs at a
-  comfortable height.
+  comfortable height.  A quadrature panel is evaluated at all its nodes in
+  one batched theta-constant call and one stacked determinant; a single
+  point is first reduced to the fundamental domain.
 
 The final consumer is :func:`averaged_relations`, which integrates every
 modular-normalized presentation coefficient over the limiting symbol of the
@@ -25,7 +27,7 @@ fixed surd, producing a presentation-shaped object independent of tau.
 
 from __future__ import annotations
 
-import cmath
+import contextlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -46,7 +48,7 @@ from .errors import (
     RationalInput,
 )
 from .presentation import Relation, RelationTerm
-from .theta import _unit_phase_mp, unit_phase
+from .theta import _unit_phase_mp, theta_constants, unit_phase
 
 __all__ = [
     "Cusp",
@@ -432,7 +434,7 @@ class IntegralResult:
 
 def _gk15_vec(f, a: float, b: float):
     center, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = np.array([f(center + half * x) for x in _XGK])
+    vals = f(center + half * _XGK)
     k15 = half * np.tensordot(_WGK, vals, axes=(0, 0))
     g7 = half * np.tensordot(_WG, vals[1::2], axes=(0, 0))
     return k15, float(np.max(np.abs(k15 - g7))), 15
@@ -488,30 +490,6 @@ def _sl2_word(a: int, b: int, c: int, d: int) -> list[tuple]:
     return steps
 
 
-def _theta_series_fast(r: float, s: float, tau: complex) -> complex:
-    """Vectorized double-precision theta constant; tau safely high."""
-    nmax = int(math.sqrt(40.0 / (math.pi * tau.imag))) + 4
-    n0 = -round(r)
-    n = np.arange(n0 - nmax, n0 + nmax + 1, dtype=float)
-    frac = n + r
-    return complex(np.sum(np.exp(1j * math.pi * (frac * frac * tau + 2.0 * frac * s))))
-
-
-def _theta_series_mp(r: Fraction, s: Fraction, tau) -> mp.mpc:
-    """Centred theta constant at the ambient mpmath precision."""
-    digits = mp.mp.dps + 3
-    im = mp.im(tau)
-    nmax = int(mp.sqrt(digits * mp.log(10) / (mp.pi * im))) + 4
-    rm = mp.mpf(r.numerator) / r.denominator
-    sm = mp.mpf(s.numerator) / s.denominator
-    n0 = -round(r)
-    total = mp.mpc(0)
-    for n in range(n0 - nmax, n0 + nmax + 1):
-        frac = n + rm
-        total += mp.expjpi(frac * frac * tau + 2 * frac * sm)
-    return total
-
-
 class _Chain:
     """theta[r, s](0, gamma w) as exact-phase multiples of theta at w itself.
 
@@ -538,49 +516,54 @@ class _Chain:
                     r, s = -r, -s
             exact.append((const % 2, r, s))
         self.exact = exact
-        self.compiled = [(unit_phase(c), float(r), float(s)) for c, r, s in exact]
+        self.targets = [(r, s) for _, r, s in exact]
+        self.phases = np.array([unit_phase(c) for c, _, _ in exact], dtype=complex)
 
-    def root(self, w: complex) -> complex:
-        """Product of sqrt factors collected by the S steps, evaluated at w."""
-        points = []
-        u = w
+    def root(self, u, sqrt):
+        """Product of sqrt factors collected by the S steps, evaluated at u = w.
+
+        ``u`` is an array of complex doubles (with numpy's sqrt) or a single
+        mpmath number (with mpmath's).
+        """
+        root = 1
         for step in reversed(self.steps):
-            points.append(u)
             if step[0] == "T":
                 u = u + step[1]
             elif step[0] == "S":
-                u = -1.0 / u
-        root = complex(1.0)
-        for step, point in zip(reversed(self.steps), points):
-            if step[0] == "S":
-                root *= cmath.sqrt(point)
+                root = root * sqrt(u)
+                u = -1 / u
         return root
 
-    def eval_all(self, w: complex) -> np.ndarray:
-        root = self.root(w)
-        out = np.empty(len(self.compiled), dtype=complex)
-        for idx, (mult, r, s) in enumerate(self.compiled):
-            out[idx] = mult * root * _theta_series_fast(r, s, w)
-        return out
+    def eval_all(self, ws, dps: int | None = None) -> np.ndarray:
+        """One row per point w, one column per characteristic, in one kernel call.
 
-    def eval_all_mp(self, w) -> list:
-        """Arbitrary-precision evaluation at the ambient mpmath precision."""
-        points = []
-        u = mp.mpc(w)
-        for step in reversed(self.steps):
-            points.append(u)
-            if step[0] == "T":
-                u = u + step[1]
-            elif step[0] == "S":
-                u = -1 / u
-        root = mp.mpc(1)
-        for step, point in zip(reversed(self.steps), points):
-            if step[0] == "S":
-                root *= mp.sqrt(point)
-        return [
-            _unit_phase_mp(c) * root * _theta_series_mp(r, s, mp.mpc(w))
-            for c, r, s in self.exact
-        ]
+        Complex doubles, or with ``dps`` mpmath numbers at the ambient
+        precision.
+        """
+        thetas = theta_constants(self.targets, ws, dps)
+        if dps is None:
+            roots = self.root(np.asarray(ws, dtype=complex), np.sqrt)
+            return self.phases * np.reshape(roots, (-1, 1)) * thetas
+        phases = [_unit_phase_mp(c) for c, _, _ in self.exact]
+        roots = [self.root(w, mp.sqrt) for w in ws]
+        return np.array([[p * root for p in phases] for root in roots], dtype=object) * thetas
+
+
+def _reduce(w):
+    """Split w = gamma v with gamma in SL2(Z) and v in the fundamental domain.
+
+    ``gamma`` is an exact integer matrix; ``v`` is computed in the arithmetic
+    of ``w`` (complex double or mpmath) and has Im v >= sqrt(3)/2.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        n = round(float(w.real))
+        w = w - n
+        b, d = a * n + b, c * n + d  # gamma T^n
+        if abs(w) >= 1:
+            return (a, b, c, d), w
+        w = -1 / w
+        a, b, c, d = b, -a, d, -c  # gamma S
 
 
 def _cusp_matrix(cusp: Cusp) -> tuple[int, int, int, int]:
@@ -635,6 +618,45 @@ class _PulledLevelPoint:
 # ---------------------------------------------------------------------------
 
 
+def _working_precision(dps: int | None):
+    """mpmath context with guard digits for ``dps``; none for complex double."""
+    return contextlib.nullcontext() if dps is None else mp.workdps(dps + 10)
+
+
+class _LevelThetas:
+    """theta[r, s](0, l tau) for fixed characteristics, as a function of tau.
+
+    ``pulled`` evaluates at tau = A(sigma) for a cusp's matrix A through the
+    exact chain of the level-point splitting, cached per cusp; ``at``
+    evaluates at one tau after reducing l tau to the fundamental domain, so
+    the series runs at Im >= sqrt(3)/2 however low tau is.  Both return one
+    row per point and one column per characteristic; with ``dps`` the caller
+    sets the mpmath working precision.
+    """
+
+    def __init__(self, level: int, chars) -> None:
+        self.level = level
+        self.chars = list(chars)
+        self._cache: dict[Cusp, tuple[_PulledLevelPoint, _Chain]] = {}
+
+    def pulled(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
+        hit = self._cache.get(cusp)
+        if hit is None:
+            split = _PulledLevelPoint(self.level, cusp)
+            hit = self._cache[cusp] = (split, _Chain(split.gamma1, self.chars))
+        split, chain = hit
+        if dps is None:
+            return chain.eval_all(split.w(np.asarray(sigmas, dtype=complex)))
+        return chain.eval_all([split.w(mp.mpc(s)) for s in sigmas], dps)
+
+    def at(self, tau, dps: int | None = None) -> np.ndarray:
+        point = complex(tau) if dps is None else mp.mpc(tau)
+        if not point.imag > 0:
+            raise DomainError(f"point {tau} is not in the upper half-plane")
+        gamma, w = _reduce(self.level * point)
+        return _Chain(gamma, self.chars).eval_all([w], dps)
+
+
 class ThetaProductHandle:
     """Product of theta constants theta[r_i](0, l tau) at the level point."""
 
@@ -645,25 +667,15 @@ class ThetaProductHandle:
         self.chars = tuple(Fraction(r) for r in chars)
         if not self.chars:
             raise DomainError("need at least one characteristic")
-        self._cache: dict[Cusp, tuple[_PulledLevelPoint, _Chain]] = {}
+        self._thetas = _LevelThetas(level, [(r, Fraction(0)) for r in self.chars])
 
-    def _pulled(self, cusp: Cusp):
-        hit = self._cache.get(cusp)
-        if hit is None:
-            split = _PulledLevelPoint(self.level, cusp)
-            chain = _Chain(split.gamma1, [(r, Fraction(0)) for r in self.chars])
-            hit = (split, chain)
-            self._cache[cusp] = hit
-        return hit
-
-    def pulled_value(self, cusp: Cusp, sigma: complex) -> complex:
-        """f(A(sigma)) for the cusp's matrix A, via the exact chain."""
-        split, chain = self._pulled(cusp)
-        return complex(np.prod(chain.eval_all(split.w(sigma))))
+    def pulled_value(self, cusp: Cusp, sigmas) -> np.ndarray:
+        """f(A(sigma)) for the cusp's matrix A at each sigma, via the exact chain."""
+        return np.prod(self._thetas.pulled(cusp, sigmas), axis=1)
 
     def value(self, tau: complex) -> complex:
-        """Direct evaluation at a point of comfortable height."""
-        return self.pulled_value(Cusp(1, 0), complex(tau))
+        """f(tau), evaluated after reducing l tau to the fundamental domain."""
+        return complex(np.prod(self._thetas.at(tau)[0]))
 
 
 class CoefficientHandle:
@@ -684,7 +696,7 @@ class CoefficientHandle:
         slot: int,
         patch_theta0: bool | None = None,
     ) -> None:
-        t, c = rm.trace, rm.degree
+        t = rm.trace
         pivots = tuple(int(x) for x in pivots)
         if len(pivots) != t or sorted(pivots) != list(pivots):
             raise DomainError(f"pivots must be {t} increasing columns, got {pivots}")
@@ -697,49 +709,15 @@ class CoefficientHandle:
         self.pivots = pivots
         self.free_col = free_col
         self.slot = slot
-        if patch_theta0 is None:
-            patch_theta0 = rm.trace % 2 == 1
-        self.patch_theta0 = patch_theta0
-        self._chars = _block_chars(rm, mu)
-        self._cache: dict[Cusp, tuple[_PulledLevelPoint, _Chain]] = {}
+        self._vector = _RelationVector(rm, mu, pivots, free_col, (slot,), patch_theta0)
+        self.patch_theta0 = self._vector.patch_theta0
 
-    def _pulled(self, cusp: Cusp):
-        hit = self._cache.get(cusp)
-        if hit is None:
-            split = _PulledLevelPoint(self.rm.level, cusp)
-            chars = [(r, Fraction(0)) for row in self._chars for r in row]
-            if self.patch_theta0:
-                chars.append((Fraction(0), Fraction(0)))
-            chain = _Chain(split.gamma1, chars)
-            hit = (split, chain)
-            self._cache[cusp] = hit
-        return hit
-
-    def pulled_value(self, cusp: Cusp, sigma: complex, dps: int | None = None):
-        split, chain = self._pulled(cusp)
-        t, c = self.rm.trace, self.rm.degree
-        if dps is None:
-            flat = chain.eval_all(split.w(sigma))
-            block = flat[: t * c].reshape(t, c)
-            value = _cramer_coefficient(block, self.pivots, self.free_col, self.slot)
-            if self.patch_theta0:
-                value *= flat[t * c]
-            return value
-        with mp.workdps(dps + 10):
-            sig = mp.mpc(sigma)
-            w = (split.delta * sig + split.off) / split.eps
-            flat = chain.eval_all_mp(w)
-            block = [flat[i * c : (i + 1) * c] for i in range(t)]
-            value = _cramer_coefficient_mp(
-                block, self.pivots, self.free_col, self.slot
-            )
-            if self.patch_theta0:
-                value *= flat[t * c]
-            return value
+    def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
+        """The coefficient at A(sigma) for the cusp's matrix A, at each sigma."""
+        return self._vector.pulled_value(cusp, sigmas, dps)[:, 0]
 
     def value(self, tau, dps: int | None = None):
-        pt = tau if dps is not None else complex(tau)
-        return self.pulled_value(Cusp(1, 0), pt, dps=dps)
+        return self._vector.value(tau, dps)[0]
 
 
 def _block_chars(rm: RMData, mu: int):
@@ -754,27 +732,6 @@ def _block_chars(rm: RMData, mu: int):
             row.append((base + lam) % 1)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _cramer_coefficient(block: np.ndarray, pivots, free_col: int, slot: int) -> complex:
-    cols = [p - 1 for p in pivots]
-    if slot == free_col:
-        return -complex(np.linalg.det(block[:, cols]))
-    replaced = list(cols)
-    replaced[pivots.index(slot)] = free_col - 1
-    return complex(np.linalg.det(block[:, replaced]))
-
-
-def _cramer_coefficient_mp(block, pivots, free_col: int, slot: int):
-    from .presentation import _det_lu
-
-    cols = [p - 1 for p in pivots]
-    if slot != free_col:
-        cols = list(cols)
-        cols[pivots.index(slot)] = free_col - 1
-    rows = [[row[j] for j in cols] for row in block]
-    det = _det_lu(rows, True)
-    return -det if slot == free_col else det
 
 
 def coefficient_handles(
@@ -819,9 +776,7 @@ def relation_values(
     q = free[k - 1]
     support = sorted((*pivots, q))
     vector = _RelationVector(rm, mu, pivots, q, support)
-    pt = tau if dps is not None else complex(tau)
-    vals = vector.pulled_value(Cusp(1, 0), pt, dps=dps)
-    return dict(zip(support, vals))
+    return dict(zip(support, vector.value(tau, dps)))
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +794,8 @@ def is_cusp_numeric(f, cusps) -> bool:
     """
     for cusp in cusps:
         cusp = _as_cusp(cusp)
-        mags = [abs(f.pulled_value(cusp, complex(0.0, T))) for T in _DECAY_HEIGHTS]
+        heights = [complex(0.0, T) for T in _DECAY_HEIGHTS]
+        mags = [abs(v) for v in f.pulled_value(cusp, heights)]
         if all(m == 0.0 for m in mags):
             continue
         logs = [math.log(m) if m > 0 else math.log(1e-300) for m in mags]
@@ -853,15 +809,15 @@ def is_cusp_numeric(f, cusps) -> bool:
     return True
 
 
-def _weight_factor(tau: complex, weights, as_sum: bool) -> complex:
+def _weight_factor(tau, weights, as_sum: bool):
     if weights is None:
-        return complex(1.0)
+        return 1.0
     ns, ms = weights
     if as_sum:
-        return complex(sum(n * tau + m for n, m in zip(ns, ms)))
-    out = complex(1.0)
+        return sum(n * tau + m for n, m in zip(ns, ms))
+    out = 1.0
     for n, m in zip(ns, ms):
-        out *= n * tau + m
+        out = out * (n * tau + m)
     return out
 
 
@@ -874,10 +830,8 @@ class _Stack:
     def __len__(self) -> int:
         return len(self.forms)
 
-    def pulled_value(self, cusp: Cusp, sigma: complex) -> np.ndarray:
-        return np.array(
-            [f.pulled_value(cusp, sigma) for f in self.forms], dtype=complex
-        )
+    def pulled_value(self, cusp: Cusp, sigmas) -> np.ndarray:
+        return np.stack([f.pulled_value(cusp, sigmas) for f in self.forms], axis=1)
 
 
 def _half_integral_vec(
@@ -894,18 +848,22 @@ def _half_integral_vec(
     sigma0 = (d * point - b) / (-c * point + a)
     x0, t0 = sigma0.real, sigma0.imag
 
-    def integrand(u: float) -> np.ndarray:
-        if u >= 1.0 - 1e-9:
-            return np.zeros(size, dtype=complex)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(u), size), dtype=complex)
+        live = u < 1.0 - 1e-9
+        if not live.any():
+            return out
+        u = u[live]
         t = t0 + u / (1.0 - u)
         jac = 1.0 / (1.0 - u) ** 2
-        sigma = complex(x0, t)
+        sigma = x0 + 1j * t
         dtau = 1.0 / (c * sigma + d) ** 2
         tau = None
         if weights is not None:
             tau = (a * sigma + b) / (c * sigma + d)
         factor = 1j * dtau * jac * _weight_factor(tau, weights, weight_as_sum)
-        return vector.pulled_value(cusp, sigma) * factor
+        out[live] = vector.pulled_value(cusp, sigma) * factor[:, None]
+        return out
 
     return _adaptive_vec(integrand, 0.0, 1.0, quad)
 
@@ -985,58 +943,70 @@ class AveragedPresentation:
 
 
 class _RelationVector:
-    """All support coefficients of one (mu, k) relation as a vector form."""
+    """Support coefficients of one (mu, k) relation as a vector form.
 
-    def __init__(self, rm: RMData, mu: int, pivots, free_col: int, slots) -> None:
+    The coefficient on slot j is the Cramer determinant described at
+    :class:`CoefficientHandle`, times theta[0](0, l tau) when
+    ``patch_theta0`` (default: a+d odd).  Values come one row per point, one
+    column per slot; a whole quadrature panel takes one kernel call and one
+    stacked determinant.
+    """
+
+    def __init__(
+        self, rm: RMData, mu: int, pivots, free_col: int, slots, patch_theta0=None
+    ) -> None:
         self.rm = rm
         self.mu = mu
         self.pivots = tuple(pivots)
         self.free_col = free_col
         self.slots = tuple(slots)
-        self.patch_theta0 = rm.trace % 2 == 1
-        self._chars = _block_chars(rm, mu)
-        self._cache: dict[Cusp, tuple[_PulledLevelPoint, _Chain]] = {}
+        if patch_theta0 is None:
+            patch_theta0 = rm.trace % 2 == 1
+        self.patch_theta0 = patch_theta0
+        chars = [(r, Fraction(0)) for row in _block_chars(rm, mu) for r in row]
+        if patch_theta0:
+            chars.append((Fraction(0), Fraction(0)))
+        self._thetas = _LevelThetas(rm.level, chars)
+        pivot_cols = [p - 1 for p in self.pivots]
+        self._columns = []
+        for j in self.slots:
+            cols = list(pivot_cols)
+            if j != free_col:
+                cols[self.pivots.index(j)] = free_col - 1
+            self._columns.append(cols)
+        self._signs = np.array([-1 if j == free_col else 1 for j in self.slots])
 
-    def _pulled(self, cusp: Cusp):
-        hit = self._cache.get(cusp)
-        if hit is None:
-            split = _PulledLevelPoint(self.rm.level, cusp)
-            chars = [(r, Fraction(0)) for row in self._chars for r in row]
-            if self.patch_theta0:
-                chars.append((Fraction(0), Fraction(0)))
-            chain = _Chain(split.gamma1, chars)
-            hit = (split, chain)
-            self._cache[cusp] = hit
-        return hit
+    def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
+        with _working_precision(dps):
+            return self._coefficients(self._thetas.pulled(cusp, sigmas, dps), dps)
 
-    def pulled_value(self, cusp: Cusp, sigma, dps: int | None = None):
-        split, chain = self._pulled(cusp)
+    def value(self, tau, dps: int | None = None) -> np.ndarray:
+        with _working_precision(dps):
+            return self._coefficients(self._thetas.at(tau, dps), dps)[0]
+
+    def _coefficients(self, thetas: np.ndarray, dps: int | None) -> np.ndarray:
+        from .presentation import _det_lu
+
         t, c = self.rm.trace, self.rm.degree
+        blocks = thetas[:, : t * c].reshape(-1, t, c)
         if dps is None:
-            flat = chain.eval_all(split.w(sigma))
-            block = flat[: t * c].reshape(t, c)
+            # (points, rows, slots, cols) -> (points, slots, rows, cols)
+            minors = np.moveaxis(blocks[:, :, self._columns], 2, 1)
+            values = self._signs * np.linalg.det(minors)
+        else:
             values = np.array(
                 [
-                    _cramer_coefficient(block, self.pivots, self.free_col, j)
-                    for j in self.slots
+                    [
+                        sign * _det_lu([list(row[cols]) for row in block], True)
+                        for cols, sign in zip(self._columns, self._signs)
+                    ]
+                    for block in blocks
                 ],
-                dtype=complex,
+                dtype=object,
             )
-            if self.patch_theta0:
-                values *= flat[t * c]
-            return values
-        with mp.workdps(dps + 10):
-            sig = mp.mpc(sigma)
-            w = (split.delta * sig + split.off) / split.eps
-            flat = chain.eval_all_mp(w)
-            block = [flat[i * c : (i + 1) * c] for i in range(t)]
-            values = [
-                _cramer_coefficient_mp(block, self.pivots, self.free_col, j)
-                for j in self.slots
-            ]
-            if self.patch_theta0:
-                values = [v * flat[t * c] for v in values]
-            return values
+        if self.patch_theta0:
+            values = values * thetas[:, t * c :]
+        return values
 
 
 #: Reference points at which identically-zero coefficient functions are detected.
@@ -1077,9 +1047,7 @@ def averaged_relations(
         for k, q in enumerate(free, start=1):
             support = sorted((*pivots, q))
             vector = _RelationVector(rm, mu, pivots, q, support)
-            probes = np.array(
-                [vector.pulled_value(Cusp(1, 0), p) for p in _ZERO_PROBES]
-            )
+            probes = vector.pulled_value(Cusp(1, 0), _ZERO_PROBES)
             top = float(np.max(np.abs(probes)))
             live = [
                 i

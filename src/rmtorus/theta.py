@@ -6,11 +6,13 @@ Evaluates
         exp(pi i (n + r)^2 tau  +  2 pi i (n + r)(z + s))
 
 for rational characteristics ``(r, s)`` by symmetric truncation with an a
-priori tail bound, together with the structural operations built on it:
-constants at ``z = 0``, the phase-adjusted variant whose values generate the
-coefficient field, the normalized eighth-root-of-unity multiplier of the
-theta-constant functional equation, zero-location residuals, and limiting
-constant Fourier terms.
+priori tail bound.  Constants at ``z = 0`` come from one batched kernel,
+:func:`theta_constants`, which sums every characteristic at every point at
+once by the q-power recurrence; ``z != 0`` keeps a plain term-by-term sum.
+The structural operations are built on them: the phase-adjusted variant
+whose values generate the coefficient field, the normalized
+eighth-root-of-unity multiplier of the theta-constant functional equation,
+zero-location residuals, and limiting constant Fourier terms.
 
 Useful identities (all covered by the test suite):
 
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from .errors import DegenerateProbe, DomainError, NonConvergence
 from .precision import working_dps
@@ -46,6 +49,7 @@ __all__ = [
     "SeriesControl",
     "theta",
     "theta_constant",
+    "theta_constants",
     "algebraic_theta",
     "kappa",
     "theta_zero_check",
@@ -65,7 +69,7 @@ RationalLike = int | Fraction
 def _as_fraction(x: RationalLike, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise DomainError(f"{what} must be an integer or Fraction, got {x!r}")
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def unit_phase(x: Fraction) -> complex:
@@ -156,22 +160,152 @@ def _coerce_tau(tau: complex | UpperHalfPoint) -> complex:
     return UpperHalfPoint(complex(tau)).value
 
 
-def _series_double(
-    r: float, s: float, z: complex, tau: complex, tol: float, max_terms: int
-) -> complex:
-    """Symmetric truncated sum centred at n0 = -round(r) with tail bound."""
-    n0 = -round(r)
-    im_tau = tau.imag
-    im_zs = z.imag  # s is real, so Im(z + s) = Im(z)
+def _check_height(im_min: float) -> None:
+    if not (im_min >= IM_GUARD):
+        raise DomainError(f"Im(tau) = {im_min} is below the evaluation guard {IM_GUARD}")
 
-    def term(n: int) -> complex:
-        m = n + r
-        return cmath.exp(1j * math.pi * (m * m * tau + 2.0 * m * (z + s)))
+
+def _log_tolerance(ctl: SeriesControl, dps: int | None) -> float:
+    """log of the series tolerance: ctl.tolerance, and 10^-dps in mpmath."""
+    if dps is None:
+        return math.log(ctl.tolerance)
+    return min(math.log(ctl.tolerance), -dps * math.log(10.0))
+
+
+def _ring_count(im_min: float, log_tol: float, max_terms: int) -> int:
+    """Rings K the a priori tail bound needs at height Im(tau) >= im_min.
+
+    Ring k holds the terms n + r = rho + k and rho - k with |rho| <= 1/2, each
+    of magnitude at most f(k) = exp(-pi Im(tau) (k - 1/2)^2).  Once the
+    ring-to-ring ratio exp(-2 pi Im(tau) k) is below 1/2, the whole tail past
+    ring K is bounded by 4 f(K + 1); K is the first ring where both hold with
+    4 f(K + 1) below the tolerance.
+    """
+    a = math.pi * im_min
+    rings = max(
+        1,
+        math.floor(math.log(2.0) / (2.0 * a)) + 1,
+        math.floor(math.sqrt((math.log(4.0) - log_tol) / a) - 0.5) + 1,
+    )
+    if 2 * rings + 1 > max_terms:
+        raise NonConvergence(
+            f"theta series did not reach tolerance {math.exp(log_tol):.3g} "
+            f"within {max_terms} terms"
+        )
+    return rings
+
+
+def _sum_rings(rho, s, tau, rings: int, expjpi):
+    """Sum of exp(pi i (m^2 tau + 2 m s)) over m = rho - rings, ..., rho + rings.
+
+    ``rho`` and ``s`` are arrays over characteristics and ``tau`` a column
+    over points, of complex doubles or of mpmath numbers alike.  Three
+    exponentials per entry seed the q-power recurrence
+    T(m +- 1) = T(m) exp(pi i ((1 +- 2m) tau +- 2s)), whose ratios step by
+    q^2 = exp(2 pi i tau).
+    """
+    start = expjpi(rho * rho * tau + 2 * rho * s)
+    up = expjpi((1 + 2 * rho) * tau + 2 * s)
+    down = expjpi((1 - 2 * rho) * tau - 2 * s)
+    q2 = expjpi(2 * tau)
+    total = above = below = start
+    for _ in range(rings):
+        above = above * up
+        below = below * down
+        total = total + above + below
+        up = up * q2
+        down = down * q2
+    return total
+
+
+def _char_pair(ch) -> tuple[Fraction, Fraction]:
+    if isinstance(ch, RationalChar):
+        return ch.r, ch.s
+    r, s = ch
+    return _as_fraction(r, "characteristic r"), _as_fraction(s, "characteristic s")
+
+
+def _centred(r: Fraction) -> tuple[int, int]:
+    """r minus its nearest integer, as (numerator, denominator) in [-1/2, 1/2]."""
+    num, den = r.numerator, r.denominator
+    return num - (2 * num + den) // (2 * den) * den, den
+
+
+def theta_constants(
+    chars,
+    taus,
+    dps: int | None = None,
+    ctl: SeriesControl | None = None,
+):
+    """theta[r, s](0, tau) for every characteristic at every point, in one sum.
+
+    ``chars`` holds :class:`RationalChar` values or exact ``(r, s)`` pairs and
+    ``taus`` points of the upper half-plane with Im(tau) >= 1e-8.  Returns an
+    array of shape (len(taus), len(chars)): complex doubles when ``dps`` is
+    None (the environment default is not consulted here), otherwise mpmath
+    numbers from a sum at ``dps`` decimal digits.  Every series is truncated
+    at the ring the a priori tail bound of the lowest point requires for
+    ``ctl.tolerance`` (and 10^-dps); :class:`NonConvergence` is raised when
+    that takes more than ``ctl.max_terms`` terms.
+    """
+    ctl = ctl or _DEFAULT_CONTROL
+    pairs = [_char_pair(ch) for ch in chars]
+    rho = [_centred(r) for r, _ in pairs]
+    shift = [(s.numerator, s.denominator) for _, s in pairs]
+    if dps is None:
+        tau = np.asarray(taus, dtype=complex).reshape(-1, 1)
+        im_min = float(np.min(tau.imag))
+        _check_height(im_min)
+        rings = _ring_count(im_min, _log_tolerance(ctl, None), ctl.max_terms)
+        return _sum_rings(
+            np.array([n / d for n, d in rho]),
+            np.array([n / d for n, d in shift]),
+            tau,
+            rings,
+            lambda x: np.exp(1j * np.pi * x),
+        )
+    with mp.workdps(dps + 10):
+        tau = np.array([[mp.mpc(t)] for t in taus], dtype=object)
+        im_min = float(min(t.imag for t in tau[:, 0]))
+        _check_height(im_min)
+        rings = _ring_count(im_min, _log_tolerance(ctl, dps), ctl.max_terms)
+        return _sum_rings(
+            np.array([mp.mpf(n) / d for n, d in rho], dtype=object),
+            np.array([mp.mpf(n) / d for n, d in shift], dtype=object),
+            tau,
+            rings,
+            np.frompyfunc(mp.expjpi, 1, 1),
+        )
+
+
+def _series(r: Fraction, s: Fraction, z, tau, log_tol: float, max_terms: int, exact: bool):
+    """theta[r, s](z, tau) for z != 0: symmetric sum centred at n0 = -round(r).
+
+    Runs in complex double, or with ``exact`` in mpmath at the ambient
+    precision; the tail bound is the kernel's, widened by the |Im z| growth.
+    """
+    if exact:
+        rr = mp.mpf(r.numerator) / r.denominator
+        ss = mp.mpf(s.numerator) / s.denominator
+        z, tau = mp.mpc(z), mp.mpc(tau)
+        expjpi = mp.expjpi
+    else:
+        rr, ss, z, tau = float(r), float(s), complex(z), complex(tau)
+
+        def expjpi(x):
+            return cmath.exp(1j * math.pi * x)
+
+    n0 = -round(r)
+    im_tau = float(tau.imag)
+    log_2pi_imz = 2.0 * math.pi * abs(float(z.imag))  # s is real: Im(z + s) = Im z
+
+    def term(n: int):
+        m = n + rr
+        return expjpi(m * m * tau + 2 * m * (z + ss))
 
     total = term(n0)
     count = 1
     ring = 0
-    log_2pi_imz = 2.0 * math.pi * abs(im_zs)
     while True:
         ring += 1
         total += term(n0 + ring) + term(n0 - ring)
@@ -184,48 +318,12 @@ def _series_double(
         if log_rho < -math.log(2.0):
             m = ring + 0.5
             log_next = -math.pi * im_tau * m * m + log_2pi_imz * (ring + 1.5)
-            target = tol * (abs(total) + 1.0)
-            if log_next + math.log(4.0) < math.log(target):
+            if log_next + math.log(4.0) < log_tol + math.log(float(abs(total)) + 1.0):
                 return total
         if count + 2 > max_terms:
             raise NonConvergence(
-                f"theta series did not reach tolerance {tol} within {max_terms} terms"
-            )
-
-
-def _series_mp(
-    r: Fraction, s: Fraction, z, tau, tol: float, max_terms: int
-):
-    """mpmath twin of :func:`_series_double`; runs at the ambient precision."""
-    n0 = -int(mp.nint(mp.mpf(r.numerator) / r.denominator)) if r.denominator != 1 else -int(r)
-    rr = mp.mpf(r.numerator) / r.denominator
-    ss = mp.mpf(s.numerator) / s.denominator
-    z = mp.mpc(z)
-    tau = mp.mpc(tau)
-    im_tau = tau.imag
-    im_z = z.imag
-
-    def term(n: int):
-        m = n + rr
-        return mp.expjpi(m * m * tau + 2 * m * (z + ss))
-
-    total = term(n0)
-    count = 1
-    ring = 0
-    log_tol = mp.log(mp.mpf(tol))
-    while True:
-        ring += 1
-        total += term(n0 + ring) + term(n0 - ring)
-        count += 2
-        log_rho = -2 * mp.pi * im_tau * ring + 2 * mp.pi * abs(im_z)
-        if log_rho < -mp.log(2):
-            m = ring + mp.mpf("0.5")
-            log_next = -mp.pi * im_tau * m * m + 2 * mp.pi * abs(im_z) * (ring + mp.mpf("1.5"))
-            if log_next + mp.log(4) < log_tol + mp.log(abs(total) + 1):
-                return total
-        if count + 2 > max_terms:
-            raise NonConvergence(
-                f"theta series did not reach tolerance {tol} within {max_terms} terms"
+                f"theta series did not reach tolerance {math.exp(log_tol):.3g} "
+                f"within {max_terms} terms"
             )
 
 
@@ -253,14 +351,14 @@ def theta(
         )
     if dps is None:
         dps = working_dps()
+    if z == 0:
+        value = theta_constants([ch], [tau_value], dps, ctl)[0, 0]
+        return complex(value) if dps is None else value
+    log_tol = _log_tolerance(ctl, dps)
     if dps is None:
-        return _series_double(
-            float(ch.r), float(ch.s), complex(z), tau_value, ctl.tolerance, ctl.max_terms
-        )
+        return _series(ch.r, ch.s, z, tau_value, log_tol, ctl.max_terms, exact=False)
     with mp.workdps(dps + 10):
-        tol = min(ctl.tolerance, mp.mpf(10) ** (-dps))
-        result = _series_mp(ch.r, ch.s, z, tau_value, tol, ctl.max_terms)
-    return result
+        return _series(ch.r, ch.s, z, tau_value, log_tol, ctl.max_terms, exact=True)
 
 
 def theta_constant(

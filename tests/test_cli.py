@@ -43,6 +43,14 @@ def test_theta_value(capsys):
     assert payload["value"]["im"] == 0.0
 
 
+def test_negative_tau_in_exponent_form_is_a_value(capsys):
+    payload = _run_json(capsys, "theta", "--tau", "-9.5e-05", "1E0")
+    assert payload["tau"] == {"re": -9.5e-05, "im": 1.0}
+    payload = _run_json(capsys, "present", "--trace", "4", "--tau", "-1.25e-1", "2",
+                        "--normalize", "rational")
+    assert payload["tau"] == {"re": -0.125, "im": 2.0}
+
+
 def test_present_monic_leads_are_one(capsys):
     payload = _run_json(capsys, "present", "--g", "5", "-1", "6", "-1",
                         "--tau", "0", "2", "--normalize", "monic")

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from rmtorus.core import QuadraticSurd
@@ -321,6 +322,31 @@ def test_coefficient_handles_match_relation_values(rm6):
     for slot, handle in handles.items():
         assert abs(handle.value(tau) - values[slot]) <= \
             1e-12 * max(abs(v) for v in values.values())
+
+
+def test_low_point_values_match_the_unreduced_kernel(rm6):
+    # relation_values reduces l*tau (Im about 1e-2 here) to the fundamental
+    # domain; the handles' pulled values at the cusp at infinity sum the
+    # series at l*tau itself, at more digits because that sum cancels.
+    rng = random.Random(41)
+    for mu in (1, 2, 5):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.25) * 1e-2 / rm6.level)
+        with mp.workdps(70):
+            values = relation_values(rm6, mu, 1, tau, dps=30)
+            direct = {slot: handle.pulled_value(Cusp(1, 0), [tau], dps=60)[0]
+                      for slot, handle in coefficient_handles(rm6, mu, 1).items()}
+            scale = max(abs(v) for v in direct.values())
+            assert set(values) == set(direct)
+            for slot in values:
+                assert abs(values[slot] - direct[slot]) <= mp.mpf("1e-25") * scale
+
+
+def test_single_point_values_reject_points_off_the_upper_half_plane(rm6):
+    for tau in (0.3, 0.3 - 0.1j):
+        with pytest.raises(DomainError):
+            relation_values(rm6, 1, 1, tau)
+        with pytest.raises(DomainError):
+            ThetaProductHandle(24, PLAIN_CHARS).value(tau)
 
 
 def test_translation_periodicity_of_coefficients(rm6):

@@ -3,6 +3,8 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from rmtorus.errors import DomainError, NonConvergence
@@ -16,6 +18,7 @@ from rmtorus.theta import (
     kappa,
     theta,
     theta_constant,
+    theta_constants,
     theta_zero_check,
     unit_phase,
 )
@@ -181,3 +184,55 @@ def test_domain_validation():
         kappa((1, 1, 1, 1), 0.9j)
     with pytest.raises(DomainError):
         theta("not a char", 0.0, 1j)
+
+
+def _jtheta_reference(ch, tau, dps):
+    """theta[r, s](0, tau) = e^(pi i (r^2 tau + 2 r s)) theta_3(pi (r tau + s), e^(pi i tau))."""
+    with mp.workdps(dps + 15):
+        r = mp.mpf(ch.r.numerator) / ch.r.denominator
+        s = mp.mpf(ch.s.numerator) / ch.s.denominator
+        t = mp.mpc(tau)
+        return mp.expjpi(r * r * t + 2 * r * s) * mp.jtheta(3, mp.pi * (r * t + s), mp.expjpi(t))
+
+
+def _low_to_high_taus(rng, count):
+    """Points with Im log-uniform from 1e-3 to 3, Re uniform on [-1/2, 1/2]."""
+    return [complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-3.0, math.log10(3.0)))
+            for _ in range(count)]
+
+
+def test_batched_constants_match_jtheta_in_double_precision():
+    rng = random.Random(211)
+    chars = [_random_char(rng, max_den=24) for _ in range(8)]
+    taus = _low_to_high_taus(rng, 6)
+    got = theta_constants(chars, taus)
+    assert got.shape == (len(taus), len(chars))
+    for p, tau in enumerate(taus):
+        for c, ch in enumerate(chars):
+            ref = complex(_jtheta_reference(ch, tau, 20))
+            assert abs(got[p, c] - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+def test_batched_constants_match_jtheta_in_mpmath(dps):
+    rng = random.Random(223 + dps)
+    chars = [_random_char(rng, max_den=24) for _ in range(5)]
+    taus = _low_to_high_taus(rng, 3)
+    got = theta_constants(chars, taus, dps=dps)
+    for p, tau in enumerate(taus):
+        for c, ch in enumerate(chars):
+            ref = _jtheta_reference(ch, tau, dps)
+            with mp.workdps(dps + 15):
+                assert abs(got[p, c] - ref) <= mp.mpf(10) ** -dps * max(1, abs(ref))
+
+
+def test_batched_constants_honour_series_control():
+    chars = [RationalChar(F(1, 3), F(2, 5)), RationalChar(F(0), F(1, 2))]
+    with pytest.raises(NonConvergence):
+        theta_constants(chars, [0.5j, 2j], ctl=SeriesControl(max_terms=3))
+    with pytest.raises(DomainError):
+        theta_constants(chars, [1j, 0.3 + 1e-9j])
+    loose = theta_constants(chars, [1j], ctl=SeriesControl(tolerance=1e-8))
+    tight = theta_constants(chars, [1j])
+    assert np.max(np.abs(loose - tight)) < 1e-7
+    assert tight[0, 0] == theta(chars[0], 0.0, 1j)
