@@ -20,6 +20,7 @@ from . import geometry, groebner, modsym, presentation
 from .core import QuadraticSurd, RMData, canonical_g, validate
 from .errors import RMTorusError
 from .precision import PRECISION_ENV
+from .presentation import _complex_json
 from .theta import RationalChar, theta
 
 __all__ = ["main"]
@@ -32,15 +33,6 @@ def _surd_json(s: QuadraticSurd) -> dict:
 def _fraction_json(x: Fraction) -> list[int]:
     x = Fraction(x)
     return [x.numerator, x.denominator]
-
-
-def _complex_json(z: complex) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
-def _tau_json(tau: complex) -> dict:
-    return {"re": tau.real, "im": tau.imag}
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -136,7 +128,7 @@ def _cmd_basis(parser, args) -> int:
     words = groebner.linear_basis(state, args.degree)
     payload = {
         "g": list(rm.g),
-        "tau": _tau_json(tau),
+        "tau": _complex_json(tau),
         "degree": args.degree,
         "count": len(words),
         "words": [list(w) for w in words],
@@ -167,7 +159,7 @@ def _cmd_theta(parser, args) -> int:
     payload = {
         "r": _fraction_json(r),
         "s": _fraction_json(s),
-        "tau": _tau_json(tau),
+        "tau": _complex_json(tau),
         "value": _complex_json(value),
     }
     _emit(payload, args.out)
@@ -190,7 +182,7 @@ def _cmd_geom(parser, args) -> int:
     minors = geometry.minor_equations(matrix, cap=args.cap)
     payload = {
         "g": list(rm.g),
-        "tau": _tau_json(tau),
+        "tau": _complex_json(tau),
         "cap": args.cap,
         "count": len(minors),
         "minors": geometry.minors_json(minors),

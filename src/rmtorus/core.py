@@ -35,7 +35,7 @@ from .errors import (
     RankDeficient,
 )
 from .precision import working_dps
-from .theta import SeriesControl, theta_constant, theta_constants
+from .theta import SeriesControl, _flatten_2x2, theta_constant, theta_constants
 
 __all__ = [
     "QuadraticSurd",
@@ -258,23 +258,6 @@ class RMData:
         return self.g[2]
 
 
-def _flatten_g(g) -> tuple[int, int, int, int]:
-    if isinstance(g, RMData):
-        return g.g
-    try:
-        (a, b), (c, d) = g
-    except (TypeError, ValueError):
-        try:
-            a, b, c, d = g
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"expected a 2x2 integer matrix, got {g!r}") from exc
-    entries = (a, b, c, d)
-    for x in entries:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise DomainError(f"matrix entries must be integers, got {entries}")
-    return entries
-
-
 def _mobius(g: tuple[int, int, int, int], x: QuadraticSurd) -> QuadraticSurd:
     a, b, c, d = g
     return (x * a + b) / (x * c + d)
@@ -286,7 +269,12 @@ def validate(g) -> RMData:
     Raises :class:`NotSL2` when det != 1, :class:`NotHyperbolic` when
     a + d <= 2, and :class:`DegreeTooSmall` when c < a + d + 2.
     """
-    a, b, c, d = _flatten_g(g)
+    if isinstance(g, RMData):
+        g = g.g
+    a, b, c, d = entries = _flatten_2x2(g)
+    for x in entries:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise DomainError(f"matrix entries must be integers, got {entries}")
     if a * d - b * c != 1:
         raise NotSL2(f"det {a * d - b * c} != 1 for {(a, b, c, d)}")
     t = a + d

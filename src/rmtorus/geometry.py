@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import RMData, alpha
 from .errors import CombinatorialCap, DomainError
-from .presentation import Presentation
+from .presentation import Presentation, _complex_json
 
 __all__ = [
     "BiformRelation",
@@ -355,7 +355,7 @@ def minors_json(minors) -> list:
             "monomials": [
                 {
                     "exponents": list(exps),
-                    "coeff": {"re": cf.real, "im": cf.imag},
+                    "coeff": _complex_json(cf),
                 }
                 for exps, cf in poly.monomials
             ],

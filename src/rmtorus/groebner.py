@@ -18,8 +18,9 @@ margin.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import mpmath as mp
 
@@ -56,9 +57,13 @@ def deglex_compare(t1: Word, t2: Word) -> int:
 
 @dataclass(frozen=True)
 class FreePoly:
-    """A polynomial in the free algebra: finitely many word -> coeff terms."""
+    """A polynomial in the free algebra: finitely many word -> coeff terms.
+
+    The leading word is found once, at construction.
+    """
 
     terms: dict[Word, complex]
+    _lead: Word | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for word in self.terms:
@@ -66,19 +71,59 @@ class FreePoly:
                 not isinstance(i, int) or i < 1 for i in word
             ):
                 raise DomainError(f"invalid word {word!r}")
+        lead = max(self.terms, key=deglex_key) if self.terms else None
+        object.__setattr__(self, "_lead", lead)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def leading_word(self) -> Word:
-        if not self.terms:
+        if self._lead is None:
             raise DomainError("zero polynomial has no leading word")
-        return max(self.terms, key=deglex_key)
+        return self._lead
 
     def degree(self) -> int:
         if not self.terms:
             return -1
         return max(len(w) for w in self.terms)
+
+
+class _LeadIndex:
+    """The leading words of an ordered system, each with its rank and element.
+
+    :meth:`find` gives what a first-fit scan of the system would: the element
+    of lowest rank whose leading word is a factor of the word, at the earliest
+    position.  Only factors whose length is that of some lead are looked up.
+    """
+
+    def __init__(self, system) -> None:
+        self.entries: dict[Word, tuple[int, FreePoly]] = {}
+        for rank, poly in enumerate(system):
+            self.entries.setdefault(poly.leading_word(), (rank, poly))
+        self.spans = sorted({len(lead) for lead in self.entries})
+
+    def find(self, word: Word, first_rank: int = 0, skip=()):
+        """(lead, poly, position) of the first reducer of rank >= first_rank.
+
+        Leads in ``skip`` do not count.  None when no lead is a factor.
+        """
+        best = None
+        for span in self.spans:
+            for pos in range(len(word) - span + 1):
+                lead = word[pos : pos + span]
+                hit = self.entries.get(lead)
+                if hit is None or hit[0] < first_rank or lead in skip:
+                    continue
+                # one rank has one lead, so equal ranks meet only at later
+                # positions of the same span
+                if best is None or hit[0] < best[0]:
+                    best = (hit[0], lead, hit[1], pos)
+        return None if best is None else best[1:]
+
+    def ends_in_lead(self, word: Word) -> bool:
+        """Whether some leading word is a suffix of word."""
+        n = len(word)
+        return any(word[n - span :] in self.entries for span in self.spans if span <= n)
 
 
 @dataclass(frozen=True)
@@ -94,6 +139,10 @@ class GroebnerState:
 
     def leads(self) -> list[Word]:
         return [p.leading_word() for p in self.system]
+
+    @cached_property
+    def _index(self) -> _LeadIndex:
+        return _LeadIndex(self.system)
 
 
 def _as_system_entry(poly: FreePoly) -> FreePoly:
@@ -129,26 +178,30 @@ def groebner_state(
     )
 
 
-def _find_reducer(word: Word, system, skip=()):
-    """First (lead, poly, position) whose lead occurs as a factor of word."""
-    for poly in system:
-        lead = poly.leading_word()
-        if lead in skip:
-            continue
-        span = len(lead)
-        for pos in range(len(word) - span + 1):
-            if word[pos : pos + span] == lead:
-                return lead, poly, pos
-    return None
+def _heap_entry(word: Word) -> tuple:
+    """heapq is a min-heap: deglex-larger words get smaller entries."""
+    return (-len(word), tuple(-i for i in word), word)
+
+
+def _prune(terms: dict, mags: dict, floor: float, words) -> None:
+    for word in words:
+        if not mags[word] > floor:
+            del terms[word], mags[word]
 
 
 def normal_form(f: FreePoly, st: GroebnerState) -> FreePoly:
     """Reduce f against the system until no term has a leading-word factor.
 
-    Each step rewrites the deglex-largest reducible term through the matching
-    system element; coefficients falling below ``zero_threshold`` times the
-    largest intermediate magnitude are pruned.  Raises
-    :class:`TruncationExceeded` if any term exceeds the truncation degree.
+    Each step rewrites the deglex-largest reducible term through the first
+    system element whose lead is a factor of it (lowest rank, then earliest
+    position); coefficients falling below ``zero_threshold`` times the largest
+    intermediate magnitude are pruned.  Raises :class:`TruncationExceeded` if
+    any term exceeds the truncation degree.
+
+    Words wait in a max-heap.  A rewrite only adds words smaller than the one
+    it removes, so words leave the heap in decreasing order, each once: one
+    found irreducible stays so.  Magnitudes are kept per term and recomputed
+    only for the terms a step changes.
     """
     terms = dict(f.terms)
     for word in terms:
@@ -156,23 +209,25 @@ def normal_form(f: FreePoly, st: GroebnerState) -> FreePoly:
             raise TruncationExceeded(
                 f"term of degree {len(word)} exceeds truncation {st.truncation_degree}"
             )
-    condition = 0.0
-    while True:
-        if terms:
-            condition = max(condition, max(float(abs(c)) for c in terms.values()))
-            floor = condition * st.zero_threshold
-            terms = {w: c for w, c in terms.items() if float(abs(c)) > floor}
-        target = None
-        for word in sorted(terms, key=deglex_key, reverse=True):
-            hit = _find_reducer(word, st.system)
-            if hit is not None:
-                target = (word, hit)
-                break
-        if target is None:
-            return FreePoly(terms)
-        word, (lead, poly, pos) = target
+    index = st._index
+    mags = {w: float(abs(c)) for w, c in terms.items()}
+    condition = max(mags.values(), default=0.0)
+    _prune(terms, mags, condition * st.zero_threshold, list(terms))
+    heap = [_heap_entry(w) for w in terms]
+    heapq.heapify(heap)
+    queued = set(terms)
+    while heap:
+        word = heapq.heappop(heap)[2]
+        if word not in terms:
+            continue
+        hit = index.find(word)
+        if hit is None:
+            continue
+        lead, poly, pos = hit
         coeff = terms.pop(word)
+        del mags[word]
         prefix, suffix = word[:pos], word[pos + len(lead) :]
+        changed = []
         for w2, c2 in poly.terms.items():
             if w2 == lead:
                 continue
@@ -182,10 +237,22 @@ def normal_form(f: FreePoly, st: GroebnerState) -> FreePoly:
                     f"reduction produced degree {len(new_word)} beyond truncation"
                 )
             value = terms.get(new_word, 0) - coeff * c2
-            if value == 0:
+            if not value:
                 terms.pop(new_word, None)
-            else:
-                terms[new_word] = value
+                mags.pop(new_word, None)
+                continue
+            terms[new_word] = value
+            mags[new_word] = float(abs(value))
+            changed.append(new_word)
+            if new_word not in queued:
+                queued.add(new_word)
+                heapq.heappush(heap, _heap_entry(new_word))
+        top = max((mags[w] for w in changed), default=0.0)
+        if top > condition:
+            condition = top
+            changed = list(terms)  # a higher floor may drop any term
+        _prune(terms, mags, condition * st.zero_threshold, changed)
+    return FreePoly(terms)
 
 
 def _s_pairs_for_degree(system, degree: int):
@@ -227,11 +294,18 @@ def complete_to_degree(st: GroebnerState, max_degree: int) -> GroebnerState:
     system = list(st.system)
     new_by_degree = dict(st.new_leads_by_degree)
     for degree in range(st.completed_degree + 1, max_degree + 1):
+        state = replace(
+            st,
+            system=tuple(system),
+            completed_degree=degree - 1,
+            new_leads_by_degree=new_by_degree,
+        )
+        first_adjoined = len(system)
         adjoined: list[FreePoly] = []
         for f1, f2, k in _s_pairs_for_degree(system, degree):
             l1, l2 = f1.leading_word(), f2.leading_word()
             overlap = l1 + l2[k:]
-            if _find_reducer(overlap, adjoined, skip=(l1, l2)) is not None:
+            if state._index.find(overlap, first_adjoined, skip=(l1, l2)) is not None:
                 continue
             suffix, prefix = l2[k:], l1[: len(l1) - k]
             s_terms: dict[Word, complex] = {}
@@ -241,40 +315,36 @@ def complete_to_degree(st: GroebnerState, max_degree: int) -> GroebnerState:
             for w2, c2 in f2.terms.items():
                 word = prefix + w2
                 value = s_terms.get(word, 0) - c2
-                if value == 0:
+                if not value:
                     s_terms.pop(word, None)
                 else:
                     s_terms[word] = value
-            state = GroebnerState(
-                system=tuple(system),
-                truncation_degree=st.truncation_degree,
-                zero_threshold=st.zero_threshold,
-                n_generators=st.n_generators,
-                completed_degree=degree - 1,
-                new_leads_by_degree=new_by_degree,
-            )
             reduced = normal_form(FreePoly(s_terms), state)
             if reduced.is_zero():
                 continue
             entry = _as_system_entry(reduced)
             adjoined.append(entry)
             system.append(entry)
+            state = replace(state, system=tuple(system))
         system.sort(key=lambda q: deglex_key(q.leading_word()))
         new_by_degree[degree] = tuple(
             sorted((q.leading_word() for q in adjoined), key=deglex_key)
         )
-    return GroebnerState(
+    return replace(
+        st,
         system=tuple(system),
-        truncation_degree=st.truncation_degree,
-        zero_threshold=st.zero_threshold,
-        n_generators=st.n_generators,
         completed_degree=max(st.completed_degree, max_degree),
         new_leads_by_degree=new_by_degree,
     )
 
 
 def linear_basis(st: GroebnerState, n: int) -> list[Word]:
-    """All degree-n words with no system leading word as a factor, deglex order."""
+    """All degree-n words with no system leading word as a factor, deglex order.
+
+    Grown letter by letter: a word is irreducible when its prefix is and no
+    lead ends at its last letter.  Extending lex-ordered prefixes by letters
+    in order keeps the words lex-ordered.
+    """
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     if n > st.truncation_degree:
@@ -286,11 +356,17 @@ def linear_basis(st: GroebnerState, n: int) -> list[Word]:
             f"state completed to degree {st.completed_degree}; "
             f"call complete_to_degree({n}) first"
         )
-    basis = []
-    for word in itertools.product(range(1, st.n_generators + 1), repeat=n):
-        if _find_reducer(word, st.system) is None:
-            basis.append(word)
-    return basis
+    index = st._index
+    words: list[Word] = [()]
+    for _ in range(n):
+        grown = []
+        for word in words:
+            for letter in range(1, st.n_generators + 1):
+                longer = word + (letter,)
+                if not index.ends_in_lead(longer):
+                    grown.append(longer)
+        words = grown
+    return words
 
 
 def state_for(

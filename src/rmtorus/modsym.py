@@ -47,8 +47,8 @@ from .errors import (
     QuadratureFailure,
     RationalInput,
 )
-from .presentation import Relation, RelationTerm
-from .theta import _unit_phase_mp, theta_constants, unit_phase
+from .presentation import Relation, RelationTerm, _complex_json
+from .theta import _flatten_2x2, _unit_phase_mp, theta_constants, unit_phase
 
 __all__ = [
     "Cusp",
@@ -163,18 +163,6 @@ class GroupSpec:
         return out
 
 
-def _flatten2(gamma) -> tuple[int, int, int, int]:
-    try:
-        (x, y), (z, w) = gamma
-    except (TypeError, ValueError):
-        try:
-            x, y, z, w = gamma
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"expected a 2x2 integer matrix, got {gamma!r}") from exc
-    entries = (int(x), int(y), int(z), int(w))
-    return entries
-
-
 def _igusa_member(x: int, y: int, z: int, w: int, n: int) -> bool:
     if (x - 1) % n or (w - 1) % n or y % n or z % n:
         return False
@@ -183,7 +171,7 @@ def _igusa_member(x: int, y: int, z: int, w: int, n: int) -> bool:
 
 def member(gamma, spec: GroupSpec) -> bool:
     """Exact integer membership test."""
-    x, y, z, w = _flatten2(gamma)
+    x, y, z, w = map(int, _flatten_2x2(gamma))
     if x * w - y * z != 1:
         return False
     if spec.kind == "principal":
@@ -350,7 +338,7 @@ def limiting_symbol(
     eigenvalue.
     """
     if hyperbolic is not None:
-        x, y, z, w = _flatten2(hyperbolic)
+        x, y, z, w = map(int, _flatten_2x2(hyperbolic))
         if x * w - y * z != 1:
             raise NotSL2(f"det {x * w - y * z} != 1")
         tr = x + w
@@ -1102,7 +1090,7 @@ def averaged_json(av: AveragedPresentation) -> dict:
                     {
                         "left": t.left,
                         "right": t.right,
-                        "coeff": {"re": t.coeff.real, "im": t.coeff.imag},
+                        "coeff": _complex_json(t.coeff),
                     }
                     for t in rel.terms
                 ],

@@ -480,6 +480,7 @@ def hilbert_coeffs(rm: RMData, n: int) -> HilbertData:
 
 
 def _complex_json(x) -> dict:
+    """JSON form {"re", "im"} of a complex number."""
     x = complex(x)
     return {"re": x.real, "im": x.imag}
 
@@ -488,7 +489,7 @@ def presentation_json(p: Presentation) -> dict:
     """Deterministic JSON-ready dict (fixed field and term ordering)."""
     return {
         "g": list(p.rm.g),
-        "tau": {"re": p.tau.real, "im": p.tau.imag},
+        "tau": _complex_json(p.tau),
         "normalization": p.normalization,
         "l": p.level,
         "w": p.weight,

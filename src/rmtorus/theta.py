@@ -406,7 +406,7 @@ def kappa(
     independent of the probe point.  Probes landing within ``1e-8`` of a theta
     zero raise :class:`DegenerateProbe`.
     """
-    entries = _flatten_matrix(gamma)
+    entries = tuple(map(int, _flatten_2x2(gamma)))
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
         raise DomainError(f"matrix entries must be integers, got {entries}")
     if not _is_parity_group_member(entries):
@@ -427,7 +427,8 @@ def kappa(
     return lifted / (root * base)
 
 
-def _flatten_matrix(gamma) -> tuple[int, int, int, int]:
+def _flatten_2x2(gamma) -> tuple:
+    """Entries (a, b, c, d) of [[a, b], [c, d]] given nested or flat, unchecked."""
     try:
         (a, b), (c, d) = gamma
     except (TypeError, ValueError):
@@ -435,7 +436,7 @@ def _flatten_matrix(gamma) -> tuple[int, int, int, int]:
             a, b, c, d = gamma
         except (TypeError, ValueError) as exc:
             raise DomainError(f"expected a 2x2 integer matrix, got {gamma!r}") from exc
-    return int(a), int(b), int(c), int(d)
+    return a, b, c, d
 
 
 def theta_zero_check(
