@@ -16,6 +16,7 @@ from .core import (
     RMData,
     alpha,
     block_M,
+    block_characteristics,
     canonical_g,
     lambda_matrix,
     q_mu,
@@ -136,7 +137,8 @@ __all__ = [
     # core
     "QuadraticSurd", "RMData", "LambdaMatrix", "BlockMatrix", "validate",
     "canonical_g", "alpha", "q_mu", "lambda_matrix",
-    "structure_constant_theta", "structure_constant_series", "block_M",
+    "structure_constant_theta", "structure_constant_series",
+    "block_characteristics", "block_M",
     # presentation
     "RelationTerm", "Relation", "Presentation", "HilbertData", "minor_F",
     "kernel_pivots", "kernel_basis", "relations", "normalize_rational",

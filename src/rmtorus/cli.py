@@ -76,7 +76,7 @@ def _add_out_flag(sub: argparse.ArgumentParser) -> None:
 def _resolve_rm(parser: argparse.ArgumentParser, args) -> RMData:
     if getattr(args, "g", None) is not None:
         return validate(tuple(args.g))
-    return validate(canonical_g(args.trace))
+    return canonical_g(args.trace)
 
 
 def _resolve_tau(parser: argparse.ArgumentParser, args) -> complex:

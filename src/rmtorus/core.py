@@ -49,6 +49,7 @@ __all__ = [
     "lambda_matrix",
     "structure_constant_theta",
     "structure_constant_series",
+    "block_characteristics",
     "block_M",
 ]
 
@@ -271,10 +272,7 @@ def validate(g) -> RMData:
     """
     if isinstance(g, RMData):
         g = g.g
-    a, b, c, d = entries = _flatten_2x2(g)
-    for x in entries:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise DomainError(f"matrix entries must be integers, got {entries}")
+    a, b, c, d = _flatten_2x2(g)
     if a * d - b * c != 1:
         raise NotSL2(f"det {a * d - b * c} != 1 for {(a, b, c, d)}")
     t = a + d
@@ -353,10 +351,14 @@ class LambdaMatrix:
     level: int
 
 
+def _lambda_entry(rm: RMData, i: int, j: int) -> Fraction:
+    return (Fraction(-rm.d * j, rm.degree) - Fraction(i, rm.trace)) % 1
+
+
 def lambda_matrix(rm: RMData) -> LambdaMatrix:
     t, c, l = rm.trace, rm.degree, rm.level
     entries = tuple(
-        tuple((Fraction(-rm.d * j, c) - Fraction(i, t)) % 1 for j in range(1, c + 1))
+        tuple(_lambda_entry(rm, i, j) for j in range(1, c + 1))
         for i in range(1, t + 1)
     )
     display = tuple(
@@ -502,6 +504,31 @@ class BlockMatrix:
         return np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
 
 
+def block_characteristics(rm: RMData, mu: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact characteristics (q(mu) + Lambda[i][j]) mod 1 of the mu-th block.
+
+    An (a+d) x c nested tuple.  Each entry is cross-checked exactly against
+    the structure-constant labelling with output index gamma = mu + (i-1) c
+    and input pair (alpha(mu, j), j).
+    """
+    t, c, l = rm.trace, rm.degree, rm.level
+    base = q_mu(rm, mu)
+    rows = []
+    for i in range(1, t + 1):
+        row = []
+        for j in range(1, c + 1):
+            char = (base + _lambda_entry(rm, i, j)) % 1
+            gamma = mu + (i - 1) * c
+            direct = Fraction(t * alpha(rm, mu, j) - gamma, l)
+            if (char - direct) % 1 != 0:
+                raise DomainError(
+                    f"block characteristic mismatch at (mu={mu}, i={i}, j={j})"
+                )
+            row.append(char)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def block_M(
     rm: RMData,
     mu: int,
@@ -511,25 +538,8 @@ def block_M(
 ) -> BlockMatrix:
     """Assemble and rank-check the mu-th relation block at tau."""
     t, c, l = rm.trace, rm.degree, rm.level
-    _check_index("mu", mu, c)
-    lam = lambda_matrix(rm)
-    base = q_mu(rm, mu)
-    chars = []
+    chars = block_characteristics(rm, mu)
     tau_c = complex(tau)
-    for i in range(1, t + 1):
-        row_chars = []
-        for j in range(1, c + 1):
-            char = (base + lam.entries[i - 1][j - 1]) % 1
-            # Exact cross-check against the structure-constant labelling with
-            # output index gamma = mu + (i-1) c and input pair (alpha(mu,j), j).
-            gamma = mu + (i - 1) * c
-            direct = Fraction(t * alpha(rm, mu, j) - gamma, l)
-            if (char - direct) % 1 != 0:
-                raise DomainError(
-                    f"block characteristic mismatch at (mu={mu}, i={i}, j={j})"
-                )
-            row_chars.append(char)
-        chars.append(tuple(row_chars))
     if dps is None:
         dps = working_dps()
     flat = theta_constants(
@@ -546,6 +556,6 @@ def block_M(
             f"block mu={mu} has numerical rank {rank} < {t} at tau={tau_c}"
         )
     return BlockMatrix(
-        mu=mu, chars=tuple(chars), entries=tuple(tuple(r) for r in entries),
+        mu=mu, chars=chars, entries=tuple(tuple(r) for r in entries),
         tau=tau_c, level=l,
     )

@@ -232,16 +232,9 @@ def graph_member(rels, u, v, tol: float = 1e-6) -> bool:
     """True iff every bilinear relation vanishes at (u, v) to relative tol."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    nu, nv = _norm(u), _norm(v)
-    if nu == 0.0 or nv == 0.0:
+    if _norm(u) == 0.0 or _norm(v) == 0.0:
         raise DomainError("projective points must be nonzero")
-    worst = 0.0
-    for rel in rels:
-        denom = nu * nv * rel.coeff_norm()
-        if denom == 0.0:
-            continue
-        worst = max(worst, abs(rel.evaluate(u, v)) / denom)
-    return worst < tol
+    return _als_residual(rels, u, v) < tol
 
 
 @dataclass(frozen=True)

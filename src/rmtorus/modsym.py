@@ -28,6 +28,7 @@ fixed surd, producing a presentation-shaped object independent of tau.
 from __future__ import annotations
 
 import contextlib
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .core import QuadraticSurd, RMData, _egcd, alpha
+from .core import QuadraticSurd, RMData, _egcd, alpha, block_characteristics
 from .errors import (
     DomainError,
     NotCuspType,
@@ -47,7 +48,14 @@ from .errors import (
     QuadratureFailure,
     RationalInput,
 )
-from .presentation import Relation, RelationTerm, _complex_json
+from .presentation import (
+    Relation,
+    RelationTerm,
+    _det_lu,
+    _free_columns,
+    _relations_json,
+    kernel_pivots,
+)
 from .theta import _flatten_2x2, _unit_phase_mp, theta_constants, unit_phase
 
 __all__ = [
@@ -171,7 +179,7 @@ def _igusa_member(x: int, y: int, z: int, w: int, n: int) -> bool:
 
 def member(gamma, spec: GroupSpec) -> bool:
     """Exact integer membership test."""
-    x, y, z, w = map(int, _flatten_2x2(gamma))
+    x, y, z, w = _flatten_2x2(gamma)
     if x * w - y * z != 1:
         return False
     if spec.kind == "principal":
@@ -338,7 +346,7 @@ def limiting_symbol(
     eigenvalue.
     """
     if hyperbolic is not None:
-        x, y, z, w = map(int, _flatten_2x2(hyperbolic))
+        x, y, z, w = _flatten_2x2(hyperbolic)
         if x * w - y * z != 1:
             raise NotSL2(f"det {x * w - y * z} != 1")
         tr = x + w
@@ -666,39 +674,132 @@ class ThetaProductHandle:
         return complex(np.prod(self._thetas.at(tau)[0]))
 
 
+#: The point at which every relation's pivot columns are selected.
+PIVOT_TAU = 2j
+
+
+class _Block:
+    """The mu-th relation block as a function of tau: one per (rm, mu).
+
+    Holds the exact characteristics of :func:`rmtorus.core.block_characteristics`,
+    with theta[0] appended when a+d is odd (the modular patch), in one
+    :class:`_LevelThetas`, so every relation vector built on the block shares
+    its chain cache.  The pivot and free columns are selected at
+    :data:`PIVOT_TAU` on first use and then held fixed.
+    """
+
+    def __init__(self, rm: RMData, mu: int) -> None:
+        self.rm = rm
+        self.mu = mu
+        self.n_relations = rm.degree - rm.trace
+        self.patched = rm.trace % 2 == 1
+        chars = [(r, Fraction(0)) for row in block_characteristics(rm, mu) for r in row]
+        if self.patched:
+            chars.append((Fraction(0), Fraction(0)))
+        self.thetas = _LevelThetas(rm.level, chars)
+
+    @functools.cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return kernel_pivots(self.rm, self.mu, PIVOT_TAU)
+
+    def relation(self, k: int) -> _RelationVector:
+        """Relation (mu, k) on its whole support: the pivots and free column k."""
+        if not (1 <= k <= self.n_relations):
+            raise DomainError(f"k = {k} outside 1..{self.n_relations}")
+        q = _free_columns(self.pivots, self.rm.degree)[k - 1]
+        return _RelationVector(self, self.pivots, q, sorted((*self.pivots, q)))
+
+
+class _RelationVector:
+    """Coefficients of one relation of a block on the given slots, as a vector form.
+
+    The coefficient on slot j is a Cramer determinant of the block over the
+    pivot columns, with the free column swapped in for j (or the negated
+    pivot minor when j is the free column itself), times theta[0](0, l tau)
+    when the block is patched.  Values come one row per point, one column
+    per slot; a whole quadrature panel takes one kernel call and one stacked
+    determinant.
+    """
+
+    def __init__(self, block: _Block, pivots, free_col: int, slots) -> None:
+        t, columns = block.rm.trace, range(1, block.rm.degree + 1)
+        pivots = tuple(pivots)
+        if (
+            len(pivots) != t
+            or any(p not in columns for p in pivots)
+            or list(pivots) != sorted(set(pivots))
+        ):
+            raise DomainError(
+                f"pivots must be {t} increasing columns in 1..{len(columns)}, got {pivots}"
+            )
+        if free_col in pivots or free_col not in columns:
+            raise DomainError(
+                f"free column {free_col} must lie in 1..{len(columns)} outside the pivots"
+            )
+        for j in slots:
+            if j != free_col and j not in pivots:
+                raise DomainError(f"slot {j} outside the support of this relation")
+        pivots = tuple(int(p) for p in pivots)  # exact: each is one of the columns
+        self.block = block
+        self.pivots = pivots
+        self.free_col = free_col
+        self.slots = tuple(slots)
+        self._columns = []
+        for j in self.slots:
+            cols = [p - 1 for p in pivots]
+            if j != free_col:
+                cols[pivots.index(j)] = free_col - 1
+            self._columns.append(cols)
+        self._signs = np.array([-1 if j == free_col else 1 for j in self.slots])
+
+    def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
+        with _working_precision(dps):
+            return self._coefficients(self.block.thetas.pulled(cusp, sigmas, dps), dps)
+
+    def value(self, tau, dps: int | None = None) -> np.ndarray:
+        with _working_precision(dps):
+            return self._coefficients(self.block.thetas.at(tau, dps), dps)[0]
+
+    def _coefficients(self, thetas: np.ndarray, dps: int | None) -> np.ndarray:
+        t, c = self.block.rm.trace, self.block.rm.degree
+        blocks = thetas[:, : t * c].reshape(-1, t, c)
+        if dps is None:
+            # (points, rows, slots, cols) -> (points, slots, rows, cols)
+            minors = np.moveaxis(blocks[:, :, self._columns], 2, 1)
+            values = self._signs * np.linalg.det(minors)
+        else:
+            values = np.array(
+                [
+                    [
+                        sign * _det_lu([list(row[cols]) for row in block], True)
+                        for cols, sign in zip(self._columns, self._signs)
+                    ]
+                    for block in blocks
+                ],
+                dtype=object,
+            )
+        if self.block.patched:
+            values = values * thetas[:, t * c :]
+        return values
+
+
 class CoefficientHandle:
     """One modular-normalized presentation coefficient as a function of tau.
 
-    The (mu, k) relation's coefficient on slot j is a Cramer determinant of
-    the mu-th block over the pivot columns (with j swapped in, or the negated
-    pivot minor when j is the free column itself), optionally multiplied by
-    theta[0](0, l tau) when a+d is odd.
+    A one-slot view of the (mu, k) relation vector with the given pivots and
+    free column: see :class:`_RelationVector` for the Cramer determinant and
+    the theta[0] factor applied when a+d is odd.
     """
 
     def __init__(
-        self,
-        rm: RMData,
-        mu: int,
-        pivots: tuple[int, ...],
-        free_col: int,
-        slot: int,
-        patch_theta0: bool | None = None,
+        self, rm: RMData, mu: int, pivots: tuple[int, ...], free_col: int, slot: int
     ) -> None:
-        t = rm.trace
-        pivots = tuple(int(x) for x in pivots)
-        if len(pivots) != t or sorted(pivots) != list(pivots):
-            raise DomainError(f"pivots must be {t} increasing columns, got {pivots}")
-        if free_col in pivots:
-            raise DomainError(f"free column {free_col} collides with pivots")
-        if slot != free_col and slot not in pivots:
-            raise DomainError(f"slot {slot} outside the support of this relation")
+        self._vector = _RelationVector(_Block(rm, mu), pivots, free_col, (slot,))
         self.rm = rm
         self.mu = mu
-        self.pivots = pivots
+        self.pivots = self._vector.pivots
         self.free_col = free_col
         self.slot = slot
-        self._vector = _RelationVector(rm, mu, pivots, free_col, (slot,), patch_theta0)
-        self.patch_theta0 = self._vector.patch_theta0
 
     def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
         """The coefficient at A(sigma) for the cusp's matrix A, at each sigma."""
@@ -708,63 +809,23 @@ class CoefficientHandle:
         return self._vector.value(tau, dps)[0]
 
 
-def _block_chars(rm: RMData, mu: int):
-    """Exact characteristics of the mu-th block, an (a+d) x c nested tuple."""
-    t, c, l = rm.trace, rm.degree, rm.level
-    base = Fraction(rm.d * mu, c) - Fraction(mu, l) + Fraction(1, t)
-    rows = []
-    for i in range(1, t + 1):
-        row = []
-        for j in range(1, c + 1):
-            lam = (Fraction(-rm.d * j, c) - Fraction(i, t)) % 1
-            row.append((base + lam) % 1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def coefficient_handles(
-    rm: RMData,
-    mu: int,
-    k: int,
-    tau_ref: complex = 2j,
-) -> dict[int, CoefficientHandle]:
-    """Handles for every support slot of relation (mu, k), pivots chosen at tau_ref."""
-    from .presentation import kernel_pivots
-
-    pivots = kernel_pivots(rm, mu, tau_ref)
-    free = [q for q in range(1, rm.degree + 1) if q not in pivots]
-    if not (1 <= k <= len(free)):
-        raise DomainError(f"k = {k} outside 1..{len(free)}")
-    q = free[k - 1]
-    support = sorted((*pivots, q))
+def coefficient_handles(rm: RMData, mu: int, k: int) -> dict[int, CoefficientHandle]:
+    """Handles for every support slot of relation (mu, k), pivots chosen at PIVOT_TAU."""
+    vector = _Block(rm, mu).relation(k)
     return {
-        j: CoefficientHandle(rm, mu, pivots, q, j) for j in support
+        j: CoefficientHandle(rm, mu, vector.pivots, vector.free_col, j)
+        for j in vector.slots
     }
 
 
-def relation_values(
-    rm: RMData,
-    mu: int,
-    k: int,
-    tau,
-    tau_ref: complex = 2j,
-    dps: int | None = None,
-) -> dict:
+def relation_values(rm: RMData, mu: int, k: int, tau, dps: int | None = None) -> dict:
     """All support-slot coefficient values of relation (mu, k) at one point.
 
     One shared block evaluation per call, so this is the economical way to
     probe a whole relation (e.g. when checking the transformation law).
     """
-    from .presentation import kernel_pivots
-
-    pivots = kernel_pivots(rm, mu, tau_ref)
-    free = [q for q in range(1, rm.degree + 1) if q not in pivots]
-    if not (1 <= k <= len(free)):
-        raise DomainError(f"k = {k} outside 1..{len(free)}")
-    q = free[k - 1]
-    support = sorted((*pivots, q))
-    vector = _RelationVector(rm, mu, pivots, q, support)
-    return dict(zip(support, vector.value(tau, dps)))
+    vector = _Block(rm, mu).relation(k)
+    return dict(zip(vector.slots, vector.value(tau, dps)))
 
 
 # ---------------------------------------------------------------------------
@@ -930,73 +991,6 @@ class AveragedPresentation:
     quadrature_error: float
 
 
-class _RelationVector:
-    """Support coefficients of one (mu, k) relation as a vector form.
-
-    The coefficient on slot j is the Cramer determinant described at
-    :class:`CoefficientHandle`, times theta[0](0, l tau) when
-    ``patch_theta0`` (default: a+d odd).  Values come one row per point, one
-    column per slot; a whole quadrature panel takes one kernel call and one
-    stacked determinant.
-    """
-
-    def __init__(
-        self, rm: RMData, mu: int, pivots, free_col: int, slots, patch_theta0=None
-    ) -> None:
-        self.rm = rm
-        self.mu = mu
-        self.pivots = tuple(pivots)
-        self.free_col = free_col
-        self.slots = tuple(slots)
-        if patch_theta0 is None:
-            patch_theta0 = rm.trace % 2 == 1
-        self.patch_theta0 = patch_theta0
-        chars = [(r, Fraction(0)) for row in _block_chars(rm, mu) for r in row]
-        if patch_theta0:
-            chars.append((Fraction(0), Fraction(0)))
-        self._thetas = _LevelThetas(rm.level, chars)
-        pivot_cols = [p - 1 for p in self.pivots]
-        self._columns = []
-        for j in self.slots:
-            cols = list(pivot_cols)
-            if j != free_col:
-                cols[self.pivots.index(j)] = free_col - 1
-            self._columns.append(cols)
-        self._signs = np.array([-1 if j == free_col else 1 for j in self.slots])
-
-    def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
-        with _working_precision(dps):
-            return self._coefficients(self._thetas.pulled(cusp, sigmas, dps), dps)
-
-    def value(self, tau, dps: int | None = None) -> np.ndarray:
-        with _working_precision(dps):
-            return self._coefficients(self._thetas.at(tau, dps), dps)[0]
-
-    def _coefficients(self, thetas: np.ndarray, dps: int | None) -> np.ndarray:
-        from .presentation import _det_lu
-
-        t, c = self.rm.trace, self.rm.degree
-        blocks = thetas[:, : t * c].reshape(-1, t, c)
-        if dps is None:
-            # (points, rows, slots, cols) -> (points, slots, rows, cols)
-            minors = np.moveaxis(blocks[:, :, self._columns], 2, 1)
-            values = self._signs * np.linalg.det(minors)
-        else:
-            values = np.array(
-                [
-                    [
-                        sign * _det_lu([list(row[cols]) for row in block], True)
-                        for cols, sign in zip(self._columns, self._signs)
-                    ]
-                    for block in blocks
-                ],
-                dtype=object,
-            )
-        if self.patch_theta0:
-            values = values * thetas[:, t * c :]
-        return values
-
-
 #: Reference points at which identically-zero coefficient functions are detected.
 _ZERO_PROBES = (2j, 0.31 + 1.7j)
 
@@ -1008,17 +1002,14 @@ def averaged_relations(
     rm: RMData,
     spec: GroupSpec | None = None,
     quad: QuadratureControl | None = None,
-    tau_ref: complex = 2j,
 ) -> AveragedPresentation:
     """Integrate every modular coefficient over the limiting symbol of the surd.
 
     Requires even level and even weight.  Pivot columns are selected once at
-    ``tau_ref`` and held fixed, making the run deterministic; coefficient
+    :data:`PIVOT_TAU` and held fixed, making the run deterministic; coefficient
     functions that vanish at the reference probes are identically zero by
     construction and are assigned 0 exactly (no quadrature).
     """
-    from .presentation import kernel_pivots
-
     if rm.level % 2 != 0:
         raise OddLevel(f"level {rm.level} is odd")
     if rm.weight % 2 != 0:
@@ -1030,21 +1021,17 @@ def averaged_relations(
     relations_out: list[Relation] = []
     worst_error = 0.0
     for mu in range(1, rm.degree + 1):
-        pivots = kernel_pivots(rm, mu, tau_ref)
-        free = [q for q in range(1, rm.degree + 1) if q not in pivots]
-        for k, q in enumerate(free, start=1):
-            support = sorted((*pivots, q))
-            vector = _RelationVector(rm, mu, pivots, q, support)
+        block = _Block(rm, mu)
+        for k in range(1, block.n_relations + 1):
+            vector = block.relation(k)
             probes = vector.pulled_value(Cusp(1, 0), _ZERO_PROBES)
             top = float(np.max(np.abs(probes)))
             live = [
-                i
-                for i in range(len(support))
+                j
+                for i, j in enumerate(vector.slots)
                 if float(np.max(np.abs(probes[:, i]))) > _ZERO_PROBE_REL * top
             ]
-            live_vector = _RelationVector(
-                rm, mu, pivots, q, [support[i] for i in live]
-            )
+            live_vector = _RelationVector(block, vector.pivots, vector.free_col, live)
             totals = np.zeros(len(live), dtype=complex)
             seg_err = 0.0
             for frm, to in chain.segments:
@@ -1056,11 +1043,11 @@ def averaged_relations(
             worst_error = max(worst_error, chain.scale * seg_err)
             terms = tuple(
                 RelationTerm(
-                    left=alpha(rm, mu, support[i]),
-                    right=support[i],
+                    left=alpha(rm, mu, j),
+                    right=j,
                     coeff=complex(chain.scale * totals[pos]),
                 )
-                for pos, i in enumerate(live)
+                for pos, j in enumerate(live)
             )
             relations_out.append(Relation(mu=mu, k=k, terms=terms))
     return AveragedPresentation(
@@ -1082,19 +1069,5 @@ def averaged_json(av: AveragedPresentation) -> dict:
         "group": av.group.describe(),
         "scale": av.scale,
         "quadrature_error": av.quadrature_error,
-        "relations": [
-            {
-                "mu": rel.mu,
-                "k": rel.k,
-                "terms": [
-                    {
-                        "left": t.left,
-                        "right": t.right,
-                        "coeff": _complex_json(t.coeff),
-                    }
-                    for t in rel.terms
-                ],
-            }
-            for rel in av.relations
-        ],
+        "relations": _relations_json(av.relations),
     }

@@ -25,7 +25,6 @@ completion requires the high-precision path to keep spurious leading terms out.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,21 +140,6 @@ def _det_lu(rows, use_mp: bool):
     return det * sign
 
 
-def _det_permutation_sum(rows):
-    """Sum over permutations; cross-check path for sizes up to 4."""
-    n = len(rows)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        prod = 1
-        for i in range(n):
-            prod = prod * rows[i][perm[i]]
-        total += prod if inversions % 2 == 0 else -prod
-    return total
-
-
 def _block_columns(rm: RMData, mu: int, tau: complex, ctl, dps):
     """Block entries as a list of c column vectors of length a+d."""
     block = block_M(rm, mu, tau, ctl, dps)
@@ -163,12 +147,20 @@ def _block_columns(rm: RMData, mu: int, tau: complex, ctl, dps):
     return [[block.entries[i][j] for i in range(t)] for j in range(c)]
 
 
-def _rank_revealing_pivots(columns, t: int, use_mp: bool) -> list[int]:
-    """Greedy modified Gram-Schmidt scan; returns 0-based accepted columns."""
+def _pivoted_block(rm: RMData, mu: int, tau: complex, ctl, dps):
+    """Block columns, their 1-based pivot columns, and whether mpmath is used.
+
+    The a+d pivots come from a greedy modified Gram-Schmidt scan; fewer
+    independent columns raise :class:`RankDeficient`.
+    """
+    if dps is None:
+        dps = working_dps()
+    use_mp = dps is not None
+    columns = _block_columns(rm, mu, tau, ctl, dps)
     basis = []
     pivots: list[int] = []
-    for j, col in enumerate(columns):
-        if len(pivots) == t:
+    for j, col in enumerate(columns, start=1):
+        if len(pivots) == rm.trace:
             break
         v = list(col)
         orig = _norm(v, use_mp)
@@ -181,7 +173,16 @@ def _rank_revealing_pivots(columns, t: int, use_mp: bool) -> list[int]:
         if resid > PIVOT_RESIDUAL_REL * orig:
             pivots.append(j)
             basis.append([vc / resid for vc in v])
-    return pivots
+    if len(pivots) != rm.trace:
+        raise RankDeficient(
+            f"only {len(pivots)} independent columns found for mu={mu} at tau={tau}"
+        )
+    return columns, tuple(pivots), use_mp
+
+
+def _free_columns(pivots: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """The 1-based columns outside the pivots, ascending: k-th is relation k's."""
+    return tuple(q for q in range(1, c + 1) if q not in pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +200,7 @@ def minor_F(
 ) -> complex:
     """Determinant of the selected (a+d) block columns (1-based, increasing).
 
-    Computed by LU with partial pivoting; for a+d <= 4 the result is
-    cross-checked against the explicit permutation sum.
+    Computed by LU with partial pivoting.
     """
     t, c = rm.trace, rm.degree
     cols = tuple(int(x) for x in cols)
@@ -214,16 +214,7 @@ def minor_F(
         dps = working_dps()
     columns = _block_columns(rm, mu, tau, ctl, dps)
     rows = [[columns[j - 1][i] for j in cols] for i in range(t)]
-    det = _det_lu(rows, dps is not None)
-    if t <= 4:
-        direct = _det_permutation_sum(rows)
-        scale = max(abs(det), abs(direct)) + 1.0
-        if abs(det - direct) > 1e-8 * float(scale):
-            raise DomainError(
-                f"minor cross-check failed at mu={mu}, cols={cols}: "
-                f"LU {det} vs permutation sum {direct}"
-            )
-    return det
+    return _det_lu(rows, dps is not None)
 
 
 def kernel_pivots(
@@ -234,35 +225,26 @@ def kernel_pivots(
     dps: int | None = None,
 ) -> tuple[int, ...]:
     """1-based pivot columns (size a+d) selected by rank-revealing elimination."""
-    if dps is None:
-        dps = working_dps()
-    columns = _block_columns(rm, mu, tau, ctl, dps)
-    pivots = _rank_revealing_pivots(columns, rm.trace, dps is not None)
-    if len(pivots) != rm.trace:
-        raise RankDeficient(
-            f"only {len(pivots)} independent columns found for mu={mu} at tau={tau}"
-        )
-    return tuple(p + 1 for p in pivots)
+    return _pivoted_block(rm, mu, tau, ctl, dps)[1]
 
 
-def _kernel_vectors(columns, pivots0: list[int], c: int, use_mp: bool):
-    """Cramer-minor kernel vectors for each non-pivot column, 0-based pivots."""
-    t = len(pivots0)
+def _kernel_vectors(columns, pivots: tuple[int, ...], use_mp: bool):
+    """Cramer-minor kernel vectors for each free column, 1-based pivots."""
+    t, c = len(pivots), len(columns)
     zero = mp.mpc(0) if use_mp else complex(0.0)
-    free = [q for q in range(c) if q not in pivots0]
+    base = [columns[p - 1] for p in pivots]
     vectors = []
-    for q in free:
-        base = [columns[p] for p in pivots0]
+    for q in _free_columns(pivots, c):
         v = [zero] * c
-        for slot, p in enumerate(pivots0):
+        for slot, p in enumerate(pivots):
             replaced = list(base)
-            replaced[slot] = columns[q]
+            replaced[slot] = columns[q - 1]
             rows = [[replaced[j][i] for j in range(t)] for i in range(t)]
-            v[p] = _det_lu(rows, use_mp)
+            v[p - 1] = _det_lu(rows, use_mp)
         rows = [[base[j][i] for j in range(t)] for i in range(t)]
-        v[q] = -_det_lu(rows, use_mp)
+        v[q - 1] = -_det_lu(rows, use_mp)
         vectors.append(v)
-    return free, vectors
+    return vectors
 
 
 def _verify_kernel(columns, vectors, use_mp: bool) -> None:
@@ -303,16 +285,8 @@ def kernel_basis(
     is minus the pivot minor, entry p_i is the minor with column q replacing
     p_i in place, all other entries zero.
     """
-    if dps is None:
-        dps = working_dps()
-    use_mp = dps is not None
-    columns = _block_columns(rm, mu, tau, ctl, dps)
-    pivots0 = _rank_revealing_pivots(columns, rm.trace, use_mp)
-    if len(pivots0) != rm.trace:
-        raise RankDeficient(
-            f"only {len(pivots0)} independent columns found for mu={mu} at tau={tau}"
-        )
-    _, vectors = _kernel_vectors(columns, pivots0, rm.degree, use_mp)
+    columns, pivots, use_mp = _pivoted_block(rm, mu, tau, ctl, dps)
+    vectors = _kernel_vectors(columns, pivots, use_mp)
     _verify_kernel(columns, vectors, use_mp)
     return [tuple(v) for v in vectors]
 
@@ -485,6 +459,21 @@ def _complex_json(x) -> dict:
     return {"re": x.real, "im": x.imag}
 
 
+def _relations_json(relations) -> list[dict]:
+    """JSON form of relations, in their order and with their term order."""
+    return [
+        {
+            "mu": rel.mu,
+            "k": rel.k,
+            "terms": [
+                {"left": t.left, "right": t.right, "coeff": _complex_json(t.coeff)}
+                for t in rel.terms
+            ],
+        }
+        for rel in relations
+    ]
+
+
 def presentation_json(p: Presentation) -> dict:
     """Deterministic JSON-ready dict (fixed field and term ordering)."""
     return {
@@ -493,19 +482,5 @@ def presentation_json(p: Presentation) -> dict:
         "normalization": p.normalization,
         "l": p.level,
         "w": p.weight,
-        "relations": [
-            {
-                "mu": rel.mu,
-                "k": rel.k,
-                "terms": [
-                    {
-                        "left": t.left,
-                        "right": t.right,
-                        "coeff": _complex_json(t.coeff),
-                    }
-                    for t in rel.terms
-                ],
-            }
-            for rel in p.relations
-        ],
+        "relations": _relations_json(p.relations),
     }

@@ -406,9 +406,7 @@ def kappa(
     independent of the probe point.  Probes landing within ``1e-8`` of a theta
     zero raise :class:`DegenerateProbe`.
     """
-    entries = tuple(map(int, _flatten_2x2(gamma)))
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
-        raise DomainError(f"matrix entries must be integers, got {entries}")
+    entries = _flatten_2x2(gamma)
     if not _is_parity_group_member(entries):
         raise DomainError(
             f"matrix {entries} is not in the even-product subgroup (det 1, ab and cd even)"
@@ -427,8 +425,12 @@ def kappa(
     return lifted / (root * base)
 
 
-def _flatten_2x2(gamma) -> tuple:
-    """Entries (a, b, c, d) of [[a, b], [c, d]] given nested or flat, unchecked."""
+def _flatten_2x2(gamma) -> tuple[int, int, int, int]:
+    """Entries (a, b, c, d) of [[a, b], [c, d]] given nested or flat.
+
+    Raises :class:`DomainError` unless every entry is an ``int`` (``bool``
+    excluded), so a non-integer entry is never truncated.
+    """
     try:
         (a, b), (c, d) = gamma
     except (TypeError, ValueError):
@@ -436,7 +438,10 @@ def _flatten_2x2(gamma) -> tuple:
             a, b, c, d = gamma
         except (TypeError, ValueError) as exc:
             raise DomainError(f"expected a 2x2 integer matrix, got {gamma!r}") from exc
-    return a, b, c, d
+    entries = (a, b, c, d)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
+        raise DomainError(f"matrix entries must be integers, got {entries}")
+    return entries
 
 
 def theta_zero_check(

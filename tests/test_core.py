@@ -80,6 +80,8 @@ def test_validate_rejections():
     with pytest.raises(DomainError):
         validate((4.5, -1, 5, -1))
     with pytest.raises(DomainError):
+        validate((True, -1, 5, -1))
+    with pytest.raises(DomainError):
         validate((1, 2, 3))
 
 

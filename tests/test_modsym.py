@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from rmtorus import modsym
 from rmtorus.core import QuadraticSurd
 from rmtorus.errors import (
     DomainError,
@@ -16,6 +17,7 @@ from rmtorus.errors import (
     RationalInput,
 )
 from rmtorus.modsym import (
+    CoefficientHandle,
     Cusp,
     GroupSpec,
     QuadratureControl,
@@ -93,6 +95,9 @@ def test_membership_basic_cases():
     assert member((1, 1, 0, 1), GroupSpec.principal(1))
     assert not member((1, 1, 0, 1), GroupSpec.principal(2))
     assert not member((1, 1, 1, 1), GroupSpec.principal(1))  # det 0
+    for gamma in ([[1.5, 0], [0, 1]], (True, 0, 0, 1)):
+        with pytest.raises(DomainError, match="must be integers"):
+            member(gamma, GroupSpec.igusa(1))
 
 
 def test_membership_bracket_and_subgroup_chain():
@@ -241,6 +246,10 @@ def test_limiting_symbol_hyperbolic_rejections(rm6):
         limiting_symbol(rm6.theta, spec=spec, hyperbolic=(2, 1, 1, 1))
     with pytest.raises(DomainError):
         limiting_symbol(rm6.theta, spec=spec, hyperbolic=rm6.g)
+    a, b, c, d = rm6.g
+    for hyperbolic in ((a + 0.5, b, c, d), (a, b, c, True)):
+        with pytest.raises(DomainError, match="must be integers"):
+            limiting_symbol(rm6.theta, hyperbolic=hyperbolic)
 
 
 # ------------------------------------------------------ cusp-type probing
@@ -324,6 +333,29 @@ def test_coefficient_handles_match_relation_values(rm6):
             1e-12 * max(abs(v) for v in values.values())
 
 
+def test_coefficient_handle_checks_its_relation(rm6):
+    pivots = (1, 2, 3, 4)
+    assert CoefficientHandle(rm6, 1, pivots, 5, 2).pivots == pivots
+    for bad in ((2, 1, 3, 4), (1, 1, 2, 3), (1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 7),
+                (1.5, 2, 3, 4)):
+        with pytest.raises(DomainError, match="pivots must be"):
+            CoefficientHandle(rm6, 1, bad, 5, 5)
+    for free_col in (3, 7):
+        with pytest.raises(DomainError, match="free column"):
+            CoefficientHandle(rm6, 1, pivots, free_col, free_col)
+    with pytest.raises(DomainError, match="outside the support"):
+        CoefficientHandle(rm6, 1, pivots, 5, 6)
+
+
+def test_relation_index_outside_the_free_columns(rm6):
+    # c - (a+d) = 2 relations per block
+    for k in (-1, 0, 3):
+        with pytest.raises(DomainError, match=r"k = -?\d outside 1\.\.2"):
+            coefficient_handles(rm6, 1, k)
+        with pytest.raises(DomainError, match=r"k = -?\d outside 1\.\.2"):
+            relation_values(rm6, 1, k, 2j)
+
+
 def test_low_point_values_match_the_unreduced_kernel(rm6):
     # relation_values reduces l*tau (Im about 1e-2 here) to the fundamental
     # domain; the handles' pulled values at the cusp at infinity sum the
@@ -383,3 +415,20 @@ def test_averaged_ring_properties(rm6):
     assert magnitudes == [0.2909, 0.3169, 0.3863, 0.4305, 0.716, 1.1133]
     payload = averaged_json(averaged)
     assert json.dumps(payload) == json.dumps(averaged_json(averaged))
+
+
+def test_averaged_relations_build_one_chain_per_block_and_cusp(rm6, monkeypatch):
+    # The probe and live vectors of every relation of block mu share one
+    # exact chain per cusp: infinity for the probes, the segment ends for the
+    # quadrature.
+    built = []
+    original = modsym._Chain.__init__
+
+    def counting(self, gamma, chars):
+        built.append(gamma)
+        original(self, gamma, chars)
+
+    monkeypatch.setattr(modsym._Chain, "__init__", counting)
+    averaged_relations(rm6)
+    cusps = {Cusp(1, 0)} | {c for seg in limiting_symbol(rm6.theta).segments for c in seg}
+    assert len(built) == rm6.degree * len(cusps) == 30

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -133,12 +134,30 @@ def test_hilbert_recurrence_across_family():
             assert h[n] == t * h[n - 1] - h[n - 2]
 
 
+def _det_permutation_sum(rows):
+    """Leibniz expansion: the determinant as a signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        prod = 1
+        for i in range(n):
+            prod = prod * rows[i][perm[i]]
+        total += -prod if inversions % 2 else prod
+    return total
+
+
 def test_minor_matches_block_determinant(rm6):
     blk = np.array(block_M(rm6, 1, TAU).entries)
     for cols in ((1, 2, 3, 4), (1, 2, 3, 5), (2, 3, 5, 6)):
-        direct = np.linalg.det(blk[:, [c - 1 for c in cols]])
+        sub = blk[:, [c - 1 for c in cols]]
+        direct = np.linalg.det(sub)
         mine = minor_F(rm6, 1, cols, TAU)
         assert abs(direct - mine) <= 1e-12 * max(1e-30, abs(direct))
+        # The expansion cancels on small minors (|det| ~ 1e-21 for (1, 2, 3, 5)
+        # against entries of order 1), so it is held to an absolute bound.
+        expanded = _det_permutation_sum(sub.tolist())
+        assert abs(expanded - mine) <= 1e-8 * (max(abs(expanded), abs(mine)) + 1.0)
     with pytest.raises(DomainError):
         minor_F(rm6, 1, (2, 1, 3, 4), TAU)
 

@@ -182,6 +182,9 @@ def test_domain_validation():
         theta(RationalChar(F(0)), 0.0, 0.5)
     with pytest.raises(DomainError):
         kappa((1, 1, 1, 1), 0.9j)
+    for gamma in (((1.9, 2), (0, 1)), (True, 0, 0, True)):
+        with pytest.raises(DomainError, match="must be integers"):
+            kappa(gamma, 0.9j)
     with pytest.raises(DomainError):
         theta("not a char", 0.0, 1j)
 
