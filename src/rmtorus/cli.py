@@ -35,13 +35,15 @@ def _fraction_json(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(payload: dict | str, out: str | None) -> None:
+    """Write a payload, or its already rendered JSON text, with a final newline."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if out is None:
         print(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
 
 
 def _add_g_flags(sub: argparse.ArgumentParser, allow_trace: bool = True) -> None:
@@ -180,14 +182,13 @@ def _cmd_geom(parser, args) -> int:
     pres = presentation.relations(rm, tau)
     matrix = geometry.omega_matrix(pres)
     minors = geometry.minor_equations(matrix, cap=args.cap)
-    payload = {
+    head = {
         "g": list(rm.g),
         "tau": _complex_json(tau),
         "cap": args.cap,
         "count": len(minors),
-        "minors": geometry.minors_json(minors),
     }
-    _emit(payload, args.out)
+    _emit(geometry.minors_document(head, minors), args.out)
     return 0
 
 

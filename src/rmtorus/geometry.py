@@ -12,6 +12,7 @@ including a seeded alternating-least-squares search for such pairs.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
     "graph_member",
     "graph_point_search",
     "minors_json",
+    "minors_document",
 ]
 
 #: Relative threshold below which expanded minor coefficients are discarded.
@@ -148,47 +150,60 @@ def omega_matrix(p: Presentation) -> LinearFormMatrix:
     return LinearFormMatrix(labels=tuple(labels), entries=tuple(rows), n_vars=c)
 
 
-def _expand_minor(rows, c: int) -> dict[tuple[int, ...], complex]:
-    """Permutation expansion of det(rows) with entries scalar * x_var.
+def _sparse_rows(m: LinearFormMatrix):
+    """Per row, its nonzero entries in column order as (bit, above, cf, step).
 
-    Depth-first over columns with early exit on zero scalars; accumulates
-    per-monomial coefficients keyed by exponent multi-index.
+    ``bit`` marks the column in a used-column mask and ``above`` every column
+    right of it, so the transpositions a column adds to the permutation are
+    the popcount of ``used & above``.  ``step`` adds one to the variable's
+    digit of the exponent code: base c+1, variable 1 most significant, so
+    the codes order like the exponent tuples.
     """
-    acc: dict[tuple[int, ...], complex] = {}
-    exps = [0] * c
-    used = [False] * c
+    c = m.n_vars
+    full = (1 << c) - 1
+    return [
+        tuple(
+            (1 << col, full & ~((2 << col) - 1), cf, (c + 1) ** (c - var))
+            for col, (cf, var) in enumerate(row)
+            if cf != 0
+        )
+        for row in m.entries
+    ]
 
-    def descend(i: int, sign: int, scalar: complex) -> None:
-        if i == len(rows):
-            key = tuple(exps)
-            acc[key] = acc.get(key, complex(0.0)) + sign * scalar
-            return
-        row = rows[i]
-        for col in range(c):
-            if used[col]:
-                continue
-            cf, var = row[col]
-            if cf == 0:
-                continue
-            # parity of the permutation built so far: count used columns > col
-            swaps = sum(1 for cc in range(col + 1, c) if used[cc])
-            used[col] = True
-            exps[var - 1] += 1
-            descend(i + 1, sign * (-1) ** swaps, scalar * cf)
-            exps[var - 1] -= 1
-            used[col] = False
 
-    descend(0, 1, complex(1.0))
-    return acc
+def _extend(states, row) -> list:
+    """Partial expansions (used, code, odd, scalar) after one more row."""
+    out = []
+    for used, code, odd, scalar in states:
+        for bit, above, cf, step in row:
+            if not used & bit:
+                out.append(
+                    (used | bit, code + step, odd ^ (used & above).bit_count() & 1,
+                     scalar * cf)
+                )
+    return out
+
+
+def _exponents(code: int, c: int) -> tuple[int, ...]:
+    exps = []
+    for _ in range(c):
+        code, e = divmod(code, c + 1)
+        exps.append(e)
+    return tuple(reversed(exps))
 
 
 def minor_equations(m: LinearFormMatrix, cap: int = 5000) -> tuple[MinorPoly, ...]:
     """All c x c minors of the linear-form matrix as degree-c polynomials.
 
-    Row subsets are enumerated in lexicographic order.  Each minor's monomials
-    are pruned relative to its own largest coefficient; a minor whose largest
-    coefficient is negligible against the row-scale product (a Hadamard-style
-    bound) is emitted with no monomials rather than dropped.
+    Row subsets are enumerated in lexicographic order.  Each minor is the
+    permutation expansion of its determinant, one row at a time: the partial
+    products of a row prefix are kept and reused by the following subsets
+    that share it.  Every term is ``sign * (((1.0 * cf_0) * cf_1) * ...)``
+    and each monomial sums its terms from 0 in lexicographic permutation
+    order.  Each minor's monomials are pruned relative to its own largest
+    coefficient; a minor whose largest coefficient is negligible against the
+    row-scale product (a Hadamard-style bound) is emitted with no monomials
+    rather than dropped.
     """
     c = m.n_vars
     n = m.n_rows
@@ -201,8 +216,26 @@ def minor_equations(m: LinearFormMatrix, cap: int = 5000) -> tuple[MinorPoly, ..
     row_scales = [
         max((abs(cf) for cf, _ in row), default=0.0) for row in m.entries
     ]
+    rows = _sparse_rows(m)
+    exponents: dict[int, tuple[int, ...]] = {}
+    zero = complex(0.0)
+    # levels[i]: the partial expansions of the current subset's first i rows
+    levels = [[(0, 0, 0, complex(1.0))]] + [[] for _ in range(c - 1)]
+    previous = (-1,) * c
     for subset in itertools.combinations(range(n), c):
-        acc = _expand_minor([m.entries[i] for i in subset], c)
+        shared = 0
+        while shared < c - 1 and subset[shared] == previous[shared]:
+            shared += 1
+        for i in range(shared, c - 1):
+            levels[i + 1] = _extend(levels[i], rows[subset[i]])
+        previous = subset
+        acc: dict[int, complex] = {}
+        for used, code, odd, scalar in levels[c - 1]:
+            for bit, above, cf, step in rows[subset[-1]]:
+                if not used & bit:
+                    sign = -1 if odd ^ (used & above).bit_count() & 1 else 1
+                    key = code + step
+                    acc[key] = acc.get(key, zero) + sign * (scalar * cf)
         scale = 1.0
         for i in subset:
             scale *= row_scales[i]
@@ -210,16 +243,11 @@ def minor_equations(m: LinearFormMatrix, cap: int = 5000) -> tuple[MinorPoly, ..
         if top <= MINOR_PRUNE_REL * max(scale, 1e-300):
             monos: tuple = ()
         else:
-            monos = tuple(
-                sorted(
-                    (
-                        (exps, cf)
-                        for exps, cf in acc.items()
-                        if abs(cf) > MINOR_PRUNE_REL * top
-                    ),
-                    key=lambda item: item[0],
-                )
-            )
+            kept = sorted(key for key, cf in acc.items() if abs(cf) > MINOR_PRUNE_REL * top)
+            for key in kept:
+                if key not in exponents:
+                    exponents[key] = _exponents(key, c)
+            monos = tuple((exponents[key], acc[key]) for key in kept)
         out.append(MinorPoly(rows=tuple(i + 1 for i in subset), monomials=monos))
     return tuple(out)
 
@@ -234,7 +262,7 @@ def graph_member(rels, u, v, tol: float = 1e-6) -> bool:
     v = np.asarray(v, dtype=complex)
     if _norm(u) == 0.0 or _norm(v) == 0.0:
         raise DomainError("projective points must be nonzero")
-    return _als_residual(rels, u, v) < tol
+    return _als_residual(rels, [rel.coeff_norm() for rel in rels], u, v) < tol
 
 
 @dataclass(frozen=True)
@@ -248,11 +276,12 @@ class GraphSearchResult:
     seed: int
 
 
-def _als_residual(rels, u, v) -> float:
+def _als_residual(rels, norms, u, v) -> float:
+    """Largest |rel(u, v)| / (|u| |v| |rel|); ``norms`` holds each |rel|."""
     nu, nv = _norm(u), _norm(v)
     worst = 0.0
-    for rel in rels:
-        denom = nu * nv * rel.coeff_norm()
+    for rel, norm in zip(rels, norms):
+        denom = nu * nv * norm
         if denom > 0.0:
             worst = max(worst, abs(rel.evaluate(u, v)) / denom)
     return worst
@@ -288,6 +317,7 @@ def graph_point_search(
     """
     if not rels:
         raise DomainError("no relations to solve")
+    norms = [rel.coeff_norm() for rel in rels]
     best: GraphSearchResult | None = None
     for attempt in range(attempts):
         rng = np.random.default_rng(seed + attempt)
@@ -300,11 +330,11 @@ def graph_point_search(
             u = np.linalg.svd(a_mat)[2][-1].conj()
             _, b_mat = _slot_matrices(rels, n_vars, u, v)
             v = np.linalg.svd(b_mat)[2][-1].conj()
-            if _als_residual(rels, u, v) < tol:
+            if _als_residual(rels, norms, u, v) < tol:
                 break
         damping = 1e-9
         for _ in range(iterations):
-            current = _als_residual(rels, u, v)
+            current = _als_residual(rels, norms, u, v)
             if current < tol or damping > 1e6:
                 break
             f_vec = np.array([rel.evaluate(u, v) for rel in rels])
@@ -319,13 +349,13 @@ def graph_point_search(
                 break
             u2 = u + delta[:n_vars]
             v2 = v + delta[n_vars:]
-            if _als_residual(rels, u2, v2) < current:
+            if _als_residual(rels, norms, u2, v2) < current:
                 u = u2 / np.linalg.norm(u2)
                 v = v2 / np.linalg.norm(v2)
                 damping = max(damping / 3.0, 1e-14)
             else:
                 damping *= 10.0
-        res = _als_residual(rels, u, v)
+        res = _als_residual(rels, norms, u, v)
         cand = GraphSearchResult(
             u=tuple(complex(x) for x in u),
             v=tuple(complex(x) for x in v),
@@ -355,3 +385,63 @@ def minors_json(minors) -> list:
         }
         for poly in minors
     ]
+
+
+#: How :mod:`json` writes the non-finite floats (``allow_nan`` is its default).
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _ints_text(values, indent: str) -> str:
+    if not values:
+        return "[]"
+    inner = ",\n".join(indent + "  " + int.__repr__(v) for v in values)
+    return f"[\n{inner}\n{indent}]"
+
+
+def minors_document(head: dict, minors) -> str:
+    """``json.dumps({**head, "minors": minors_json(minors)}, indent=2)``, written directly.
+
+    With ``indent`` set, :mod:`json` falls back to its pure-Python encoder,
+    which spends as long on a trace-4 payload as the expansion does.  The
+    minors have one fixed shape, so their text is assembled from pieces, one
+    template per exponent tuple, with floats written by ``float.__repr__``
+    as :mod:`json` writes them.  The small ``head`` values go through
+    :func:`json.dumps`.
+    """
+    fields = [
+        f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
+        for key, value in head.items()
+    ]
+    templates: dict[tuple[int, ...], str] = {}
+    parts = []
+    for poly in minors:
+        parts.append(
+            f"{',' if parts else ''}\n    {{\n      \"rows\": "
+            f"{_ints_text(poly.rows, '      ')},\n      \"monomials\": "
+        )
+        if not poly.monomials:
+            parts.append("[]\n    }")
+            continue
+        opening = "[\n"
+        for exps, cf in poly.monomials:
+            template = templates.get(exps)
+            if template is None:
+                template = templates[exps] = (
+                    f"        {{\n          \"exponents\": "
+                    f"{_ints_text(exps, '          ')},\n          \"coeff\": {{\n"
+                    f"            \"re\": "
+                )
+            parts.append(opening + template)
+            parts.append(_float_text(cf.real))
+            parts.append(",\n            \"im\": ")
+            parts.append(_float_text(cf.imag))
+            parts.append("\n          }\n        }")
+            opening = ",\n"
+        parts.append("\n      ]\n    }")
+    fields.append('  "minors": ' + (f"[{''.join(parts)}\n  ]" if parts else "[]"))
+    return "{\n" + ",\n".join(fields) + "\n}"

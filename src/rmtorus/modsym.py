@@ -794,12 +794,22 @@ class CoefficientHandle:
     def __init__(
         self, rm: RMData, mu: int, pivots: tuple[int, ...], free_col: int, slot: int
     ) -> None:
-        self._vector = _RelationVector(_Block(rm, mu), pivots, free_col, (slot,))
-        self.rm = rm
-        self.mu = mu
-        self.pivots = self._vector.pivots
-        self.free_col = free_col
-        self.slot = slot
+        self._bind(_RelationVector(_Block(rm, mu), pivots, free_col, (slot,)))
+
+    @classmethod
+    def _on_block(cls, block: _Block, pivots, free_col: int, slot: int) -> CoefficientHandle:
+        """A handle on an existing block, sharing its chain cache."""
+        handle = cls.__new__(cls)
+        handle._bind(_RelationVector(block, pivots, free_col, (slot,)))
+        return handle
+
+    def _bind(self, vector: _RelationVector) -> None:
+        self._vector = vector
+        self.rm = vector.block.rm
+        self.mu = vector.block.mu
+        self.pivots = vector.pivots
+        self.free_col = vector.free_col
+        self.slot = vector.slots[0]
 
     def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
         """The coefficient at A(sigma) for the cusp's matrix A, at each sigma."""
@@ -811,9 +821,10 @@ class CoefficientHandle:
 
 def coefficient_handles(rm: RMData, mu: int, k: int) -> dict[int, CoefficientHandle]:
     """Handles for every support slot of relation (mu, k), pivots chosen at PIVOT_TAU."""
-    vector = _Block(rm, mu).relation(k)
+    block = _Block(rm, mu)
+    vector = block.relation(k)
     return {
-        j: CoefficientHandle(rm, mu, vector.pivots, vector.free_col, j)
+        j: CoefficientHandle._on_block(block, vector.pivots, vector.free_col, j)
         for j in vector.slots
     }
 

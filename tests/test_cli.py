@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from rmtorus import geometry
 from rmtorus.cli import main
+from rmtorus.core import canonical_g
+from rmtorus.presentation import _complex_json, relations
 
 
 def _run(capsys, *argv):
@@ -100,6 +103,25 @@ def test_geom_counts_and_cap(capsys):
                           "--tau", "0", "2", "--cap", "100")
     assert code == 1 and out == ""
     assert err.startswith("CombinatorialCap:")
+
+
+@pytest.mark.parametrize("trace", [3, 4])
+def test_geom_output_is_json_dumps_of_the_minors(capsys, tmp_path, trace):
+    target = tmp_path / "minors.json"
+    for re, im in (("0", "2"), ("0.3", "1.5"), ("-0.2", "0.9")):
+        tau = complex(float(re), float(im))
+        minors = geometry.minor_equations(
+            geometry.omega_matrix(relations(canonical_g(trace), tau)), cap=1000)
+        payload = {"g": list(canonical_g(trace).g), "tau": _complex_json(tau), "cap": 1000,
+                   "count": len(minors), "minors": geometry.minors_json(minors)}
+        expected = json.dumps(payload, indent=2) + "\n"
+        argv = ["geom", "--trace", str(trace), "--tau", re, im, "--cap", "1000"]
+        code, out, err = _run(capsys, *argv)
+        same = out == expected  # a bool: a diff of megabytes would not help
+        assert (code, err, same) == (0, "", True)
+        code, out, err = _run(capsys, *argv, "--out", str(target))
+        same = target.read_text(encoding="utf-8") == expected
+        assert (code, out, err, same) == (0, "", "", True)
 
 
 def test_out_flag_writes_file_and_keeps_stdout_clean(capsys, tmp_path):

@@ -1,23 +1,103 @@
+import itertools
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 
-from rmtorus.core import alpha
+from rmtorus.core import alpha, canonical_g
 from rmtorus.errors import CombinatorialCap, DomainError
 from rmtorus.geometry import (
+    MINOR_PRUNE_REL,
     BiformRelation,
+    LinearFormMatrix,
+    MinorPoly,
     graph_member,
     graph_point_search,
     minor_equations,
+    minors_document,
     minors_json,
     multilinearize,
     omega_matrix,
 )
-from rmtorus.presentation import monic_ordered, relations
+from rmtorus.presentation import _complex_json, monic_ordered, relations
 
 TAU = 2j
+TAUS = (2j, 0.3 + 1.5j, -0.2 + 0.9j)
+
+
+def _expand_minor(rows, c: int) -> dict[tuple[int, ...], complex]:
+    """Reference: depth-first permutation expansion of det(rows), entries scalar * x_var.
+
+    Columns are tried in increasing order with an early exit on zero scalars,
+    so each monomial sums its terms in lexicographic permutation order.
+    """
+    acc: dict[tuple[int, ...], complex] = {}
+    exps = [0] * c
+    used = [False] * c
+
+    def descend(i: int, sign: int, scalar: complex) -> None:
+        if i == len(rows):
+            key = tuple(exps)
+            acc[key] = acc.get(key, complex(0.0)) + sign * scalar
+            return
+        row = rows[i]
+        for col in range(c):
+            if used[col]:
+                continue
+            cf, var = row[col]
+            if cf == 0:
+                continue
+            # parity of the permutation built so far: count used columns > col
+            swaps = sum(1 for cc in range(col + 1, c) if used[cc])
+            used[col] = True
+            exps[var - 1] += 1
+            descend(i + 1, sign * (-1) ** swaps, scalar * cf)
+            exps[var - 1] -= 1
+            used[col] = False
+
+    descend(0, 1, complex(1.0))
+    return acc
+
+
+def _reference_minors(matrix):
+    """Every minor by the recursive reference, pruned as minor_equations prunes."""
+    c = matrix.n_vars
+    row_scales = [max((abs(cf) for cf, _ in row), default=0.0) for row in matrix.entries]
+    out = []
+    for subset in itertools.combinations(range(matrix.n_rows), c):
+        acc = _expand_minor([matrix.entries[i] for i in subset], c)
+        scale = math.prod(row_scales[i] for i in subset)
+        top = max((abs(v) for v in acc.values()), default=0.0)
+        if top <= MINOR_PRUNE_REL * max(scale, 1e-300):
+            monos = ()
+        else:
+            monos = tuple(sorted((e, cf) for e, cf in acc.items()
+                                 if abs(cf) > MINOR_PRUNE_REL * top))
+        out.append(MinorPoly(rows=tuple(i + 1 for i in subset), monomials=monos))
+    return out
+
+
+def _bits(minors):
+    return [(m.rows, [(e, cf.real.hex(), cf.imag.hex()) for e, cf in m.monomials])
+            for m in minors]
+
+
+def _random_matrix(rng, c, n, zero_row=None):
+    """Sparse linear forms with exact zeros and magnitudes across the pruning bound."""
+    entries = []
+    for i in range(n):
+        row = []
+        for _ in range(c):
+            if i == zero_row or rng.random() < 0.3:
+                cf = complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+            else:
+                cf = complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.uniform(-8, 8)
+            row.append((cf, rng.randint(1, c)))
+        entries.append(tuple(row))
+    return LinearFormMatrix(labels=tuple((i + 1, 1) for i in range(n)),
+                            entries=tuple(entries), n_vars=c)
 
 
 def _dense_omega(matrix, u):
@@ -116,6 +196,25 @@ def test_minor_evaluation_matches_dense_determinant(rm5, rm6):
             assert abs(minor.evaluate(tuple(u)) - direct) <= 1e-9 * max(1e-12, abs(direct))
 
 
+@pytest.mark.parametrize("trace", [3, 4])
+def test_minor_expansion_matches_recursive_reference_bit_for_bit(trace):
+    for tau in TAUS:
+        matrix = omega_matrix(relations(canonical_g(trace), tau))
+        assert _bits(minor_equations(matrix, cap=1000)) == _bits(_reference_minors(matrix))
+
+
+def test_minor_expansion_of_random_sparse_matrices_matches_reference():
+    rng = random.Random(20)
+    for c, n, zero_row in ((5, 8, None), (5, 7, 2), (6, 8, 0), (6, 6, None),
+                           (7, 7, None), (7, 8, 7)):
+        matrix = _random_matrix(rng, c, n, zero_row)
+        minors = minor_equations(matrix, cap=1000)
+        assert len(minors) == math.comb(n, c)
+        assert _bits(minors) == _bits(_reference_minors(matrix))
+        if zero_row is not None:
+            assert all(m.is_zero for m in minors if zero_row + 1 in m.rows)
+
+
 def test_combinatorial_cap(rm5):
     matrix = omega_matrix(relations(rm5, TAU))
     with pytest.raises(CombinatorialCap):
@@ -126,6 +225,33 @@ def test_minors_json_deterministic(rm5):
     matrix = omega_matrix(relations(rm5, TAU))
     minors = minor_equations(matrix, cap=1000)
     assert json.dumps(minors_json(minors)) == json.dumps(minors_json(minors))
+
+
+def _document_reference(head, minors):
+    return json.dumps({**head, "minors": minors_json(minors)}, indent=2)
+
+
+def test_minors_document_matches_json_dumps():
+    head = {"g": [5, -1, 6, -1], "tau": _complex_json(0.3 + 1.5j), "cap": 10, "count": 3,
+            "note": "a\nb"}
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        (),
+        (MinorPoly(rows=(1, 2, 3), monomials=()),),
+        (
+            MinorPoly(rows=(1, 2), monomials=(((0, 2), complex(-0.0, 1e-300)),
+                                              ((1, 1), complex(1e16, -0.0)),
+                                              ((2, 0), complex(-1.5, 0.1)))),
+            MinorPoly(rows=(1, 3), monomials=()),
+            MinorPoly(rows=(2, 3), monomials=(((1, 1), complex(nan, inf)),
+                                              ((2, 0), complex(-inf, 1.0)))),
+        ),
+    ]
+    for minors in cases:
+        for fields in (head, {}):
+            assert minors_document(fields, minors) == _document_reference(fields, minors)
+    text = minors_document({}, cases[2])
+    assert '"re": NaN' in text and '"im": Infinity' in text and '"re": -Infinity' in text
 
 
 def test_planted_zero_is_found_and_certified():

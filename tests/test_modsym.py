@@ -333,6 +333,30 @@ def test_coefficient_handles_match_relation_values(rm6):
             1e-12 * max(abs(v) for v in values.values())
 
 
+def test_coefficient_handles_share_one_chain_per_cusp(rm6, monkeypatch):
+    handles = coefficient_handles(rm6, 1, 1)
+    built = []
+    original = modsym._Chain.__init__
+
+    def counting(self, gamma, chars):
+        built.append(gamma)
+        original(self, gamma, chars)
+
+    cusps, sigmas = (Cusp(1, 0), Cusp(0, 1)), [0.1 + 2j, -0.3 + 5j]
+    monkeypatch.setattr(modsym._Chain, "__init__", counting)
+    shared = {j: [repr(h.pulled_value(cusp, sigmas).tolist()) for cusp in cusps]
+              for j, h in handles.items()}
+    assert len(handles) == 5 and len(built) == len(cusps)
+    monkeypatch.undo()
+    for j, handle in handles.items():
+        alone = CoefficientHandle(rm6, 1, handle.pivots, handle.free_col, j)
+        assert (alone.rm, alone.mu, alone.pivots, alone.free_col, alone.slot) == \
+            (handle.rm, handle.mu, handle.pivots, handle.free_col, handle.slot)
+        assert [repr(alone.pulled_value(cusp, sigmas).tolist()) for cusp in cusps] == shared[j]
+        tau = 0.3 + 1.7j
+        assert repr(complex(alone.value(tau))) == repr(complex(handle.value(tau)))
+
+
 def test_coefficient_handle_checks_its_relation(rm6):
     pivots = (1, 2, 3, 4)
     assert CoefficientHandle(rm6, 1, pivots, 5, 2).pivots == pivots
