@@ -51,11 +51,12 @@ from .errors import (
 from .presentation import (
     Relation,
     RelationTerm,
-    _det_lu,
     _free_columns,
+    _lu,
     _relations_json,
     kernel_pivots,
 )
+from .precision import working_dps
 from .theta import _flatten_2x2, _unit_phase_mp, theta_constants, unit_phase
 
 __all__ = [
@@ -678,6 +679,12 @@ class ThetaProductHandle:
 PIVOT_TAU = 2j
 
 
+@functools.cache
+def _reference_pivots(rm: RMData, mu: int, dps: int | None) -> tuple[int, ...]:
+    """Pivot columns of block mu at PIVOT_TAU, selected once per (rm, mu, dps)."""
+    return kernel_pivots(rm, mu, PIVOT_TAU, dps=dps)
+
+
 class _Block:
     """The mu-th relation block as a function of tau: one per (rm, mu).
 
@@ -685,7 +692,7 @@ class _Block:
     with theta[0] appended when a+d is odd (the modular patch), in one
     :class:`_LevelThetas`, so every relation vector built on the block shares
     its chain cache.  The pivot and free columns are selected at
-    :data:`PIVOT_TAU` on first use and then held fixed.
+    :data:`PIVOT_TAU`, once per (rm, mu) and working precision.
     """
 
     def __init__(self, rm: RMData, mu: int) -> None:
@@ -698,16 +705,13 @@ class _Block:
             chars.append((Fraction(0), Fraction(0)))
         self.thetas = _LevelThetas(rm.level, chars)
 
-    @functools.cached_property
-    def pivots(self) -> tuple[int, ...]:
-        return kernel_pivots(self.rm, self.mu, PIVOT_TAU)
-
     def relation(self, k: int) -> _RelationVector:
         """Relation (mu, k) on its whole support: the pivots and free column k."""
         if not (1 <= k <= self.n_relations):
             raise DomainError(f"k = {k} outside 1..{self.n_relations}")
-        q = _free_columns(self.pivots, self.rm.degree)[k - 1]
-        return _RelationVector(self, self.pivots, q, sorted((*self.pivots, q)))
+        pivots = _reference_pivots(self.rm, self.mu, working_dps())
+        q = _free_columns(pivots, self.rm.degree)[k - 1]
+        return _RelationVector(self, pivots, q, sorted((*pivots, q)))
 
 
 class _RelationVector:
@@ -719,6 +723,11 @@ class _RelationVector:
     when the block is patched.  Values come one row per point, one column
     per slot; a whole quadrature panel takes one kernel call and one stacked
     determinant.
+
+    Each slot keeps its own determinant rather than one solve against the
+    pivot minor: along a pulled ray the pivot minor underflows to exactly 0
+    while the Cramer minors decay smoothly to 0, and a stacked solve then
+    fails on a singular matrix.
     """
 
     def __init__(self, block: _Block, pivots, free_col: int, slots) -> None:
@@ -771,7 +780,7 @@ class _RelationVector:
             values = np.array(
                 [
                     [
-                        sign * _det_lu([list(row[cols]) for row in block], True)
+                        sign * _lu([list(row[cols]) for row in block], True)[1]
                         for cols, sign in zip(self._columns, self._signs)
                     ]
                     for block in blocks

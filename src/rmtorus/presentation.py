@@ -2,10 +2,15 @@
 
 For validated data ``rm`` and a point ``tau``, each label mu in {1..c}
 contributes c - (a+d) quadratic relations whose coefficient vectors span the
-kernel of the block matrix from :func:`rmtorus.core.block_M`.  The kernel
-vectors are assembled by a Cramer-minor recipe over a pivot column set chosen
-by rank-revealing elimination, so the construction stays valid at points where
-the leading columns degenerate.
+kernel of the block matrix from :func:`rmtorus.core.block_M`.  A greedy
+Gram-Schmidt scan picks a+d pivot columns, so the construction stays valid
+where the leading columns degenerate.  One LU factorization of the pivot
+submatrix B, carried across the free columns, then gives each kernel vector
+det(B) (B^-1 c_q at the pivots, -1 at its free column q) by one
+back-substitution: the Cramer-minor vector, without its (c-a-d)(a+d+1)
+determinants.  Every other vector is 0 at q, so the vectors are independent
+exactly when each keeps its entry at q; the one rank check is that entry's
+share of the vector's largest, against ``core.RANK_CUTOFF``.
 
 Four normalizations of the same ideal are provided:
 
@@ -31,7 +36,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .core import RMData, alpha, block_M
+from .core import RANK_CUTOFF, RMData, alpha, block_M
 from .errors import (
     DegenerateProbe,
     DomainError,
@@ -119,8 +124,15 @@ def _norm(vec, use_mp: bool):
     return math.sqrt(sum(abs(x) ** 2 for x in vec))
 
 
-def _det_lu(rows, use_mp: bool):
-    """Determinant by LU with partial pivoting; mutates a local copy."""
+def _lu(rows, use_mp: bool):
+    """Gaussian elimination with partial pivoting on a local copy of ``rows``.
+
+    The rows are n x m with m >= n; the pivots come from the leading n
+    columns and every elimination step runs across all m.  Returns the
+    eliminated rows (upper triangular on the leading square, its trailing
+    columns carried along) and the leading square's determinant, which is
+    exactly 0 when a pivot column is exactly 0 (the rows are then unfinished).
+    """
     n = len(rows)
     mat = [list(row) for row in rows]
     det = mp.mpc(1) if use_mp else complex(1.0)
@@ -128,16 +140,16 @@ def _det_lu(rows, use_mp: bool):
     for k in range(n):
         piv = max(range(k, n), key=lambda r: abs(mat[r][k]))
         if abs(mat[piv][k]) == 0:
-            return mp.mpc(0) if use_mp else complex(0.0)
+            return mat, mp.mpc(0) if use_mp else complex(0.0)
         if piv != k:
             mat[piv], mat[k] = mat[k], mat[piv]
             sign = -sign
         det *= mat[k][k]
         for r in range(k + 1, n):
             f = mat[r][k] / mat[k][k]
-            for c2 in range(k + 1, n):
+            for c2 in range(k + 1, len(mat[r])):
                 mat[r][c2] -= f * mat[k][c2]
-    return det * sign
+    return mat, det * sign
 
 
 def _block_columns(rm: RMData, mu: int, tau: complex, ctl, dps):
@@ -214,7 +226,7 @@ def minor_F(
         dps = working_dps()
     columns = _block_columns(rm, mu, tau, ctl, dps)
     rows = [[columns[j - 1][i] for j in cols] for i in range(t)]
-    return _det_lu(rows, dps is not None)
+    return _lu(rows, dps is not None)[1]
 
 
 def kernel_pivots(
@@ -228,50 +240,6 @@ def kernel_pivots(
     return _pivoted_block(rm, mu, tau, ctl, dps)[1]
 
 
-def _kernel_vectors(columns, pivots: tuple[int, ...], use_mp: bool):
-    """Cramer-minor kernel vectors for each free column, 1-based pivots."""
-    t, c = len(pivots), len(columns)
-    zero = mp.mpc(0) if use_mp else complex(0.0)
-    base = [columns[p - 1] for p in pivots]
-    vectors = []
-    for q in _free_columns(pivots, c):
-        v = [zero] * c
-        for slot, p in enumerate(pivots):
-            replaced = list(base)
-            replaced[slot] = columns[q - 1]
-            rows = [[replaced[j][i] for j in range(t)] for i in range(t)]
-            v[p - 1] = _det_lu(rows, use_mp)
-        rows = [[base[j][i] for j in range(t)] for i in range(t)]
-        v[q - 1] = -_det_lu(rows, use_mp)
-        vectors.append(v)
-    return vectors
-
-
-def _verify_kernel(columns, vectors, use_mp: bool) -> None:
-    t = len(columns[0])
-    m_norm = _norm([x for col in columns for x in col], use_mp)
-    for v in vectors:
-        v_norm = _norm(v, use_mp)
-        if v_norm == 0:
-            raise RankDeficient("kernel construction produced a zero vector")
-        resid = [
-            sum(columns[j][i] * v[j] for j in range(len(v))) for i in range(t)
-        ]
-        if float(_norm(resid, use_mp)) > 1e-9 * float(m_norm) * float(v_norm):
-            raise RankDeficient(
-                "kernel vector fails annihilation at the requested tolerance"
-            )
-    # Linear independence: Gram determinant of the normalized vectors.
-    unit = [[x / _norm(v, use_mp) for x in v] for v in vectors]
-    gram = [
-        [sum(a.conjugate() * b for a, b in zip(u1, u2)) for u2 in unit]
-        for u1 in unit
-    ]
-    det = _det_lu(gram, use_mp)
-    if float(abs(det)) <= 1e-12:
-        raise RankDeficient("kernel vectors are numerically dependent")
-
-
 def kernel_basis(
     rm: RMData,
     mu: int,
@@ -279,31 +247,51 @@ def kernel_basis(
     ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> list[tuple[complex, ...]]:
-    """c-(a+d) kernel vectors of the mu-th block, Cramer-minor construction.
+    """c-(a+d) kernel vectors of the mu-th block, from one LU solve.
 
-    Vector k corresponds to the k-th non-pivot column q (ascending): entry q
-    is minus the pivot minor, entry p_i is the minor with column q replacing
-    p_i in place, all other entries zero.
+    With B the pivot submatrix, vector k belongs to the k-th free column q
+    (ascending) and is det(B) (B^-1 c_q on the pivots, -1 at q, 0 elsewhere):
+    the Cramer vector, whose entry p_i is the minor with c_q in place of c_p_i.
+    One elimination of [B | free columns] serves every vector.
+
+    Every other vector is 0 at q, so the vectors are independent exactly when
+    each keeps its own entry -det(B).  One margin therefore decides the rank:
+    :class:`RankDeficient` is raised when |v_q| / max|v| < RANK_CUTOFF (or B is
+    exactly singular), and also when a vector fails to annihilate the block.
     """
     columns, pivots, use_mp = _pivoted_block(rm, mu, tau, ctl, dps)
-    vectors = _kernel_vectors(columns, pivots, use_mp)
-    _verify_kernel(columns, vectors, use_mp)
-    return [tuple(v) for v in vectors]
+    t, c = rm.trace, rm.degree
+    free = _free_columns(pivots, c)
+    upper, det = _lu([[columns[j - 1][i] for j in (*pivots, *free)] for i in range(t)], use_mp)
+    m_norm = float(_norm([x for col in columns for x in col], use_mp))
+    vectors = []
+    for k, q in enumerate(free, start=1):
+        x = [det * 0] * t  # B^-1 c_q by back-substitution
+        if det != 0:
+            for i in reversed(range(t)):
+                row = upper[i]
+                x[i] = (row[t + k - 1] - sum(row[j] * x[j] for j in range(i + 1, t))) / row[i]
+        v = [det * 0] * c
+        v[q - 1] = -det
+        for p, xp in zip(pivots, x):
+            v[p - 1] = det * xp
+        top = max(abs(y) for y in v)
+        margin = abs(v[q - 1]) / top if top else 0.0
+        if margin < RANK_CUTOFF:
+            raise RankDeficient(
+                f"kernel vector (mu={mu}, k={k}) at tau={tau}: free-column margin "
+                f"|v_q|/max|v| = {float(margin):.3g} < RANK_CUTOFF = {RANK_CUTOFF:g}"
+            )
+        resid = [sum(columns[j][i] * v[j] for j in range(c)) for i in range(t)]
+        if float(_norm(resid, use_mp)) > 1e-9 * m_norm * float(_norm(v, use_mp)):
+            raise RankDeficient("kernel vector fails annihilation at the requested tolerance")
+        vectors.append(tuple(v))
+    return vectors
 
 
 # ---------------------------------------------------------------------------
 # presentation assembly and normalizations
 # ---------------------------------------------------------------------------
-
-
-def _prune_terms(pairs):
-    """Drop coefficients below COEFF_PRUNE_REL of the largest magnitude."""
-    if not pairs:
-        return []
-    top = max(float(abs(coeff)) for _, coeff in pairs)
-    if top == 0.0:
-        return []
-    return [(j, coeff) for j, coeff in pairs if float(abs(coeff)) >= COEFF_PRUNE_REL * top]
 
 
 def relations(
@@ -314,7 +302,8 @@ def relations(
 ) -> Presentation:
     """The raw presentation: all mu, ascending free-column index k.
 
-    Term j of relation (mu, k) carries the monomial x_{alpha(mu, j)} x_j.
+    Term j of relation (mu, k) carries the monomial x_{alpha(mu, j)} x_j;
+    coefficients below COEFF_PRUNE_REL of the relation's largest are dropped.
     """
     if dps is None:
         dps = working_dps()
@@ -322,15 +311,12 @@ def relations(
     rels: list[Relation] = []
     for mu in range(1, rm.degree + 1):
         for k, vec in enumerate(kernel_basis(rm, mu, tau_c, ctl, dps), start=1):
-            pairs = _prune_terms(
-                [(j, coeff) for j, coeff in enumerate(vec, start=1) if abs(coeff) != 0]
-            )
+            top = max(float(abs(coeff)) for coeff in vec)
             terms = tuple(
                 RelationTerm(left=alpha(rm, mu, j), right=j, coeff=coeff)
-                for j, coeff in pairs
+                for j, coeff in enumerate(vec, start=1)
+                if abs(coeff) != 0 and float(abs(coeff)) >= COEFF_PRUNE_REL * top
             )
-            if not terms:
-                raise RankDeficient(f"relation (mu={mu}, k={k}) vanished identically")
             rels.append(Relation(mu=mu, k=k, terms=terms))
     return Presentation(rm=rm, tau=tau_c, normalization="raw", relations=tuple(rels))
 

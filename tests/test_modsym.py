@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from rmtorus import modsym
-from rmtorus.core import QuadraticSurd
+from rmtorus.core import QuadraticSurd, canonical_g
 from rmtorus.errors import (
     DomainError,
     NotCuspType,
@@ -378,6 +378,29 @@ def test_relation_index_outside_the_free_columns(rm6):
             coefficient_handles(rm6, 1, k)
         with pytest.raises(DomainError, match=r"k = -?\d outside 1\.\.2"):
             relation_values(rm6, 1, k, 2j)
+
+
+def test_relation_values_select_pivots_once_per_block_and_precision(monkeypatch):
+    rm = canonical_g(4)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args[1], kwargs.get("dps")))
+        return kernel_pivots(*args, **kwargs)
+
+    monkeypatch.setattr(modsym, "kernel_pivots", counting)
+    modsym._reference_pivots.cache_clear()
+    first = relation_values(rm, 2, 1, 0.3 + 1.7j)
+    for _ in range(3):
+        for mu, k in ((2, 1), (2, 2), (3, 1)):
+            relation_values(rm, mu, k, 0.3 + 1.7j)
+    assert calls == [(2, None), (3, None)]
+    assert repr(relation_values(rm, 2, 1, 0.3 + 1.7j)) == repr(first)
+    # kernel_pivots reads RM_TORUS_PRECISION, so the precision is part of the key
+    monkeypatch.setenv("RM_TORUS_PRECISION", "30")
+    relation_values(rm, 2, 1, 0.3 + 1.7j)
+    relation_values(rm, 2, 2, 0.3 + 1.7j)
+    assert calls == [(2, None), (3, None), (2, 30)]
 
 
 def test_low_point_values_match_the_unreduced_kernel(rm6):

@@ -1,11 +1,13 @@
 import itertools
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from rmtorus.core import canonical_g, block_M, structure_constant_theta
-from rmtorus.errors import DomainError
+from rmtorus import groebner, validate
+from rmtorus.core import alpha, canonical_g, block_M, structure_constant_theta
+from rmtorus.errors import DomainError, RankDeficient
 from rmtorus.presentation import (
     hilbert_coeffs,
     kernel_basis,
@@ -176,3 +178,110 @@ def test_tau_domain(rm6):
         relations(rm6, 1.0 - 2j)
     with pytest.raises(DomainError):
         relations(rm6, 0.5)
+
+
+# Canonical traces 3-12 and one non-canonical member, at five points.
+FAMILY = (*range(3, 13), (7, -2, 11, -3))
+FAMILY_TAUS = (1j, 2j, 2.5j, 3j, 0.3 + 2.4j)
+
+# The cases that raise RankDeficient: a free-column entry -det(B) falls below
+# RANK_CUTOFF of its vector's largest entry under the first-fit pivots.  The
+# first failing block of each is well conditioned (sigma_min / sigma_max > 0.2).
+FAMILY_RAISES = {
+    (5, 3j), (6, 3j),
+    *((t, tau) for t in (7, 8, 9, 10, 11) for tau in FAMILY_TAUS[1:]),
+    *((12, tau) for tau in FAMILY_TAUS),
+}
+
+MARGIN_MESSAGE = r"free-column margin \|v_q\|/max\|v\| = \S+ < RANK_CUTOFF = 1e-08"
+
+
+def _member(key):
+    return canonical_g(key) if isinstance(key, int) else validate(key)
+
+
+@pytest.mark.parametrize("key", FAMILY, ids=str)
+def test_family_relations_annihilate_their_blocks_or_raise_with_margin(key):
+    rm = _member(key)
+    t, c = rm.trace, rm.degree
+    for tau in FAMILY_TAUS:
+        if (key, tau) in FAMILY_RAISES:
+            with pytest.raises(RankDeficient, match=MARGIN_MESSAGE):
+                relations(rm, tau)
+            continue
+        pres = relations(rm, tau)
+        assert len(pres.relations) == c * (c - t)
+        blocks = {mu: np.array(block_M(rm, mu, tau).entries) for mu in range(1, c + 1)}
+        for rel in pres.relations:
+            vec = np.zeros(c, dtype=complex)
+            for term in rel.terms:
+                vec[term.right - 1] = term.coeff
+            blk = blocks[rel.mu]
+            resid = np.linalg.norm(blk @ vec)
+            assert resid <= 1e-9 * np.linalg.norm(blk) * np.linalg.norm(vec), (key, tau, rel.mu)
+
+
+COUNT_TAUS = (2j, 2.5j, 3j)
+
+# Cases of the dps-40 completion whose relations raise (see FAMILY_RAISES).
+COUNT_RAISES = {(5, 3j), (6, 3j), *((t, tau) for t in (7, 8) for tau in COUNT_TAUS)}
+
+
+@pytest.mark.parametrize("trace", (5, 6, 7, 8))
+def test_family_graded_counts_at_dps_40_match_hilbert_or_raise(trace):
+    rm = canonical_g(trace)
+    h = hilbert_coeffs(rm, 3).coefficients
+    for tau in COUNT_TAUS:
+        if (trace, tau) in COUNT_RAISES:
+            with pytest.raises(RankDeficient, match=MARGIN_MESSAGE):
+                groebner.state_for(rm, tau, truncation_degree=3)
+            continue
+        st = groebner.state_for(rm, tau, truncation_degree=3)
+        counts = [len(groebner.linear_basis(st, n)) for n in (2, 3)]
+        assert counts == [h[2], h[3]], (trace, tau)
+
+
+PARITY_TAUS = (2j, 0.3 + 1.5j, -0.2 + 0.9j)
+
+
+def _cramer_sign(pivots, p, q):
+    """Sign that sorts the pivots with q put in place of p."""
+    lo, hi = sorted((p, q))
+    return -1 if sum(lo < r < hi for r in pivots if r != p) % 2 else 1
+
+
+@pytest.mark.parametrize("dps, bound", [(None, 1e-13), (40, 1e-35)])
+@pytest.mark.parametrize("key", (3, 4, 5, 6, (7, -2, 11, -3)), ids=str)
+def test_kernel_vectors_are_the_cramer_minor_vectors(key, dps, bound):
+    rm = _member(key)
+    c = rm.degree
+    # minor_F evaluates the block afresh on every call, so the dps-40 pass
+    # checks the first vector of one block per point
+    mus, n_vectors = ((1, c), c) if dps is None else ((1,), 1)
+    with mp.workdps(dps or mp.mp.dps):
+        _check_cramer_parity(rm, mus, n_vectors, dps, bound)
+
+
+def _check_cramer_parity(rm, mus, n_vectors, dps, bound):
+    c = rm.degree
+    for tau in PARITY_TAUS:
+        for mu in mus:
+            pivots = kernel_pivots(rm, mu, tau, dps=dps)
+            free = [q for q in range(1, c + 1) if q not in pivots]
+            pivot_minor = minor_F(rm, mu, pivots, tau, dps=dps)
+            for q, vec in list(zip(free, kernel_basis(rm, mu, tau, dps=dps)))[:n_vectors]:
+                top = max(abs(x) for x in vec)
+                assert abs(vec[q - 1] + pivot_minor) <= bound * top
+                for other in free:
+                    if other != q:
+                        assert vec[other - 1] == 0
+                for p in pivots:
+                    cols = tuple(sorted({*pivots, q} - {p}))
+                    cramer = _cramer_sign(pivots, p, q) * minor_F(rm, mu, cols, tau, dps=dps)
+                    assert abs(vec[p - 1] - cramer) <= bound * top, (tau, mu, q, p)
+        # the generic monic lead of relation (mu, k) is x_q x_alpha(mu, q)
+        if dps is None:
+            for rel in monic_ordered(relations(rm, tau)).relations:
+                pivots = kernel_pivots(rm, rel.mu, tau)
+                q = [j for j in range(1, c + 1) if j not in pivots][rel.k - 1]
+                assert (rel.terms[0].left, rel.terms[0].right) == (q, alpha(rm, rel.mu, q))
