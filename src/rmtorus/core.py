@@ -19,6 +19,7 @@ checks; the two code paths share nothing beyond the series evaluator.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,14 @@ from .errors import (
     RankDeficient,
 )
 from .precision import working_dps
-from .theta import SeriesControl, _flatten_2x2, theta_constant, theta_constants
+from .theta import (
+    SeriesControl,
+    _flatten_2x2,
+    _kernel_sum,
+    _kernel_table,
+    _KernelTable,
+    theta_constant,
+)
 
 __all__ = [
     "QuadraticSurd",
@@ -504,29 +512,60 @@ class BlockMatrix:
         return np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
 
 
-def block_characteristics(rm: RMData, mu: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact characteristics (q(mu) + Lambda[i][j]) mod 1 of the mu-th block.
+@dataclass(frozen=True, eq=False)
+class _BlockData:
+    """What the mu-th block is apart from tau: built once per (rm, mu).
 
-    An (a+d) x c nested tuple.  Each entry is cross-checked exactly against
-    the structure-constant labelling with output index gamma = mu + (i-1) c
-    and input pair (alpha(mu, j), j).
+    ``chars`` are the exact characteristics of :func:`block_characteristics`,
+    ``table`` their kernel table (:func:`rmtorus.theta._kernel_table`, row by
+    row) and ``partners`` the indices alpha(mu, j) for j = 1..c.
     """
+
+    chars: tuple[tuple[Fraction, ...], ...]
+    table: _KernelTable
+    partners: tuple[int, ...]
+
+
+def _block(rm: RMData, mu: int) -> _BlockData:
+    """The tau-independent data of block mu, from the cache after mu's index check.
+
+    The check comes first: ``True`` and ``1.0`` hash as 1 and would otherwise
+    be served the entry of mu = 1.
+    """
+    _check_index("mu", mu, rm.degree)
+    return _block_data(rm, mu)
+
+
+@functools.cache
+def _block_data(rm: RMData, mu: int) -> _BlockData:
     t, c, l = rm.trace, rm.degree, rm.level
     base = q_mu(rm, mu)
+    partners = tuple(alpha(rm, mu, j) for j in range(1, c + 1))
     rows = []
     for i in range(1, t + 1):
         row = []
         for j in range(1, c + 1):
             char = (base + _lambda_entry(rm, i, j)) % 1
             gamma = mu + (i - 1) * c
-            direct = Fraction(t * alpha(rm, mu, j) - gamma, l)
+            direct = Fraction(t * partners[j - 1] - gamma, l)
             if (char - direct) % 1 != 0:
                 raise DomainError(
                     f"block characteristic mismatch at (mu={mu}, i={i}, j={j})"
                 )
             row.append(char)
         rows.append(tuple(row))
-    return tuple(rows)
+    table = _kernel_table([(ch, 0) for row in rows for ch in row])
+    return _BlockData(chars=tuple(rows), table=table, partners=partners)
+
+
+def block_characteristics(rm: RMData, mu: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact characteristics (q(mu) + Lambda[i][j]) mod 1 of the mu-th block.
+
+    An (a+d) x c nested tuple.  Each entry is cross-checked exactly against
+    the structure-constant labelling with output index gamma = mu + (i-1) c
+    and input pair (alpha(mu, j), j).  Computed once per (rm, mu) and process.
+    """
+    return _block(rm, mu).chars
 
 
 def block_M(
@@ -538,13 +577,11 @@ def block_M(
 ) -> BlockMatrix:
     """Assemble and rank-check the mu-th relation block at tau."""
     t, c, l = rm.trace, rm.degree, rm.level
-    chars = block_characteristics(rm, mu)
+    data = _block(rm, mu)
     tau_c = complex(tau)
     if dps is None:
         dps = working_dps()
-    flat = theta_constants(
-        [(ch, 0) for row in chars for ch in row], [l * tau_c], dps, ctl
-    )[0]
+    flat = _kernel_sum(data.table, [l * tau_c], dps, ctl)[0]
     if dps is None:
         flat = [complex(x) for x in flat]
     entries = [tuple(flat[(i - 1) * c : i * c]) for i in range(1, t + 1)]
@@ -556,6 +593,6 @@ def block_M(
             f"block mu={mu} has numerical rank {rank} < {t} at tau={tau_c}"
         )
     return BlockMatrix(
-        mu=mu, chars=chars, entries=tuple(tuple(r) for r in entries),
+        mu=mu, chars=data.chars, entries=tuple(tuple(r) for r in entries),
         tau=tau_c, level=l,
     )

@@ -24,19 +24,21 @@ Four normalizations of the same ideal are provided:
                   for Groebner completion).
 
 All linear algebra runs in complex doubles by default and in mpmath arithmetic
-when ``dps`` is supplied (or via ``RM_TORUS_PRECISION``); downstream Groebner
-completion requires the high-precision path to keep spurious leading terms out.
+at ``dps`` digits when ``dps`` is supplied (or via ``RM_TORUS_PRECISION``),
+whatever the ambient mpmath precision; downstream Groebner completion requires
+the high-precision path to keep spurious leading terms out.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .core import RANK_CUTOFF, RMData, alpha, block_M
+from .core import RANK_CUTOFF, RMData, _block, block_M
 from .errors import (
     DegenerateProbe,
     DomainError,
@@ -118,6 +120,11 @@ class HilbertData:
 # ---------------------------------------------------------------------------
 
 
+def _at(dps: int | None):
+    """mpmath working precision ``dps`` for the linear algebra; none in double."""
+    return contextlib.nullcontext() if dps is None else mp.workdps(dps)
+
+
 def _norm(vec, use_mp: bool):
     if use_mp:
         return mp.sqrt(mp.fsum(abs(x) ** 2 for x in vec))
@@ -163,10 +170,9 @@ def _pivoted_block(rm: RMData, mu: int, tau: complex, ctl, dps):
     """Block columns, their 1-based pivot columns, and whether mpmath is used.
 
     The a+d pivots come from a greedy modified Gram-Schmidt scan; fewer
-    independent columns raise :class:`RankDeficient`.
+    independent columns raise :class:`RankDeficient`.  ``dps`` is resolved
+    by the caller, which runs this under ``_at(dps)``.
     """
-    if dps is None:
-        dps = working_dps()
     use_mp = dps is not None
     columns = _block_columns(rm, mu, tau, ctl, dps)
     basis = []
@@ -224,9 +230,10 @@ def minor_F(
         raise DomainError(f"columns must be strictly increasing, got {cols}")
     if dps is None:
         dps = working_dps()
-    columns = _block_columns(rm, mu, tau, ctl, dps)
-    rows = [[columns[j - 1][i] for j in cols] for i in range(t)]
-    return _lu(rows, dps is not None)[1]
+    with _at(dps):
+        columns = _block_columns(rm, mu, tau, ctl, dps)
+        rows = [[columns[j - 1][i] for j in cols] for i in range(t)]
+        return _lu(rows, dps is not None)[1]
 
 
 def kernel_pivots(
@@ -237,7 +244,10 @@ def kernel_pivots(
     dps: int | None = None,
 ) -> tuple[int, ...]:
     """1-based pivot columns (size a+d) selected by rank-revealing elimination."""
-    return _pivoted_block(rm, mu, tau, ctl, dps)[1]
+    if dps is None:
+        dps = working_dps()
+    with _at(dps):
+        return _pivoted_block(rm, mu, tau, ctl, dps)[1]
 
 
 def kernel_basis(
@@ -259,34 +269,39 @@ def kernel_basis(
     :class:`RankDeficient` is raised when |v_q| / max|v| < RANK_CUTOFF (or B is
     exactly singular), and also when a vector fails to annihilate the block.
     """
-    columns, pivots, use_mp = _pivoted_block(rm, mu, tau, ctl, dps)
-    t, c = rm.trace, rm.degree
-    free = _free_columns(pivots, c)
-    upper, det = _lu([[columns[j - 1][i] for j in (*pivots, *free)] for i in range(t)], use_mp)
-    m_norm = float(_norm([x for col in columns for x in col], use_mp))
-    vectors = []
-    for k, q in enumerate(free, start=1):
-        x = [det * 0] * t  # B^-1 c_q by back-substitution
-        if det != 0:
-            for i in reversed(range(t)):
-                row = upper[i]
-                x[i] = (row[t + k - 1] - sum(row[j] * x[j] for j in range(i + 1, t))) / row[i]
-        v = [det * 0] * c
-        v[q - 1] = -det
-        for p, xp in zip(pivots, x):
-            v[p - 1] = det * xp
-        top = max(abs(y) for y in v)
-        margin = abs(v[q - 1]) / top if top else 0.0
-        if margin < RANK_CUTOFF:
-            raise RankDeficient(
-                f"kernel vector (mu={mu}, k={k}) at tau={tau}: free-column margin "
-                f"|v_q|/max|v| = {float(margin):.3g} < RANK_CUTOFF = {RANK_CUTOFF:g}"
-            )
-        resid = [sum(columns[j][i] * v[j] for j in range(c)) for i in range(t)]
-        if float(_norm(resid, use_mp)) > 1e-9 * m_norm * float(_norm(v, use_mp)):
-            raise RankDeficient("kernel vector fails annihilation at the requested tolerance")
-        vectors.append(tuple(v))
-    return vectors
+    if dps is None:
+        dps = working_dps()
+    with _at(dps):
+        columns, pivots, use_mp = _pivoted_block(rm, mu, tau, ctl, dps)
+        t, c = rm.trace, rm.degree
+        free = _free_columns(pivots, c)
+        order = (*pivots, *free)
+        upper, det = _lu([[columns[j - 1][i] for j in order] for i in range(t)], use_mp)
+        m_norm = float(_norm([x for col in columns for x in col], use_mp))
+        vectors = []
+        for k, q in enumerate(free, start=1):
+            x = [det * 0] * t  # B^-1 c_q by back-substitution
+            if det != 0:
+                for i in reversed(range(t)):
+                    row = upper[i]
+                    known = sum(row[j] * x[j] for j in range(i + 1, t))
+                    x[i] = (row[t + k - 1] - known) / row[i]
+            v = [det * 0] * c
+            v[q - 1] = -det
+            for p, xp in zip(pivots, x):
+                v[p - 1] = det * xp
+            top = max(abs(y) for y in v)
+            margin = abs(v[q - 1]) / top if top else 0.0
+            if margin < RANK_CUTOFF:
+                raise RankDeficient(
+                    f"kernel vector (mu={mu}, k={k}) at tau={tau}: free-column margin "
+                    f"|v_q|/max|v| = {float(margin):.3g} < RANK_CUTOFF = {RANK_CUTOFF:g}"
+                )
+            resid = [sum(columns[j][i] * v[j] for j in range(c)) for i in range(t)]
+            if float(_norm(resid, use_mp)) > 1e-9 * m_norm * float(_norm(v, use_mp)):
+                raise RankDeficient("kernel vector fails annihilation at the requested tolerance")
+            vectors.append(tuple(v))
+        return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +324,17 @@ def relations(
         dps = working_dps()
     tau_c = complex(tau)
     rels: list[Relation] = []
-    for mu in range(1, rm.degree + 1):
-        for k, vec in enumerate(kernel_basis(rm, mu, tau_c, ctl, dps), start=1):
-            top = max(float(abs(coeff)) for coeff in vec)
-            terms = tuple(
-                RelationTerm(left=alpha(rm, mu, j), right=j, coeff=coeff)
-                for j, coeff in enumerate(vec, start=1)
-                if abs(coeff) != 0 and float(abs(coeff)) >= COEFF_PRUNE_REL * top
-            )
-            rels.append(Relation(mu=mu, k=k, terms=terms))
+    with _at(dps):
+        for mu in range(1, rm.degree + 1):
+            partners = _block(rm, mu).partners
+            for k, vec in enumerate(kernel_basis(rm, mu, tau_c, ctl, dps), start=1):
+                top = max(float(abs(coeff)) for coeff in vec)
+                terms = tuple(
+                    RelationTerm(left=partners[j - 1], right=j, coeff=coeff)
+                    for j, coeff in enumerate(vec, start=1)
+                    if abs(coeff) != 0 and float(abs(coeff)) >= COEFF_PRUNE_REL * top
+                )
+                rels.append(Relation(mu=mu, k=k, terms=terms))
     return Presentation(rm=rm, tau=tau_c, normalization="raw", relations=tuple(rels))
 
 

@@ -231,6 +231,62 @@ def _centred(r: Fraction) -> tuple[int, int]:
     return num - (2 * num + den) // (2 * den) * den, den
 
 
+@dataclass(frozen=True, eq=False)
+class _KernelTable:
+    """Characteristics as the kernel sums them, with the doubles it needs.
+
+    ``rho`` holds r minus its nearest integer and ``shift`` holds s, each as
+    exact (numerator, denominator) pairs; ``rho_f`` and ``shift_f`` are the
+    same values as read-only double arrays.  Nothing here depends on tau.
+    """
+
+    rho: tuple[tuple[int, int], ...]
+    shift: tuple[tuple[int, int], ...]
+    rho_f: np.ndarray
+    shift_f: np.ndarray
+
+
+def _kernel_table(chars) -> _KernelTable:
+    """The table :func:`theta_constants` sums, built from exact characteristics."""
+    pairs = [_char_pair(ch) for ch in chars]
+    rho = tuple(_centred(r) for r, _ in pairs)
+    shift = tuple((s.numerator, s.denominator) for _, s in pairs)
+    rho_f = np.array([n / d for n, d in rho])
+    shift_f = np.array([n / d for n, d in shift])
+    rho_f.flags.writeable = shift_f.flags.writeable = False
+    return _KernelTable(rho, shift, rho_f, shift_f)
+
+
+def _kernel_sum(
+    table: _KernelTable,
+    taus,
+    dps: int | None = None,
+    ctl: SeriesControl | None = None,
+):
+    """:func:`theta_constants` of the characteristics in ``table``."""
+    ctl = ctl or _DEFAULT_CONTROL
+    if dps is None:
+        tau = np.asarray(taus, dtype=complex).reshape(-1, 1)
+        im_min = float(np.min(tau.imag))
+        _check_height(im_min)
+        rings = _ring_count(im_min, _log_tolerance(ctl, None), ctl.max_terms)
+        return _sum_rings(
+            table.rho_f, table.shift_f, tau, rings, lambda x: np.exp(1j * np.pi * x)
+        )
+    with mp.workdps(dps + 10):
+        tau = np.array([[mp.mpc(t)] for t in taus], dtype=object)
+        im_min = float(min(t.imag for t in tau[:, 0]))
+        _check_height(im_min)
+        rings = _ring_count(im_min, _log_tolerance(ctl, dps), ctl.max_terms)
+        return _sum_rings(
+            np.array([mp.mpf(n) / d for n, d in table.rho], dtype=object),
+            np.array([mp.mpf(n) / d for n, d in table.shift], dtype=object),
+            tau,
+            rings,
+            np.frompyfunc(mp.expjpi, 1, 1),
+        )
+
+
 def theta_constants(
     chars,
     taus,
@@ -247,35 +303,11 @@ def theta_constants(
     at the ring the a priori tail bound of the lowest point requires for
     ``ctl.tolerance`` (and 10^-dps); :class:`NonConvergence` is raised when
     that takes more than ``ctl.max_terms`` terms.
+
+    This is :func:`_kernel_table` followed by :func:`_kernel_sum`; a caller
+    that sums the same characteristics again keeps the table.
     """
-    ctl = ctl or _DEFAULT_CONTROL
-    pairs = [_char_pair(ch) for ch in chars]
-    rho = [_centred(r) for r, _ in pairs]
-    shift = [(s.numerator, s.denominator) for _, s in pairs]
-    if dps is None:
-        tau = np.asarray(taus, dtype=complex).reshape(-1, 1)
-        im_min = float(np.min(tau.imag))
-        _check_height(im_min)
-        rings = _ring_count(im_min, _log_tolerance(ctl, None), ctl.max_terms)
-        return _sum_rings(
-            np.array([n / d for n, d in rho]),
-            np.array([n / d for n, d in shift]),
-            tau,
-            rings,
-            lambda x: np.exp(1j * np.pi * x),
-        )
-    with mp.workdps(dps + 10):
-        tau = np.array([[mp.mpc(t)] for t in taus], dtype=object)
-        im_min = float(min(t.imag for t in tau[:, 0]))
-        _check_height(im_min)
-        rings = _ring_count(im_min, _log_tolerance(ctl, dps), ctl.max_terms)
-        return _sum_rings(
-            np.array([mp.mpf(n) / d for n, d in rho], dtype=object),
-            np.array([mp.mpf(n) / d for n, d in shift], dtype=object),
-            tau,
-            rings,
-            np.frompyfunc(mp.expjpi, 1, 1),
-        )
+    return _kernel_sum(_kernel_table(chars), taus, dps, ctl)
 
 
 def _series(r: Fraction, s: Fraction, z, tau, log_tol: float, max_terms: int, exact: bool):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rmtorus import geometry
+from rmtorus import cli, core, geometry
 from rmtorus.cli import main
 from rmtorus.core import canonical_g
 from rmtorus.presentation import _complex_json, relations
@@ -78,6 +78,34 @@ def test_present_output_is_byte_deterministic(capsys):
     assert first == second
 
 
+MEMBERS = (("--trace", "3"), ("--trace", "4"), ("--trace", "5"), ("--trace", "6"),
+           ("--g", "7", "-2", "11", "-3"))
+
+
+@pytest.mark.parametrize("member", MEMBERS, ids=" ".join)
+def test_present_is_byte_identical_with_caches_cold_and_warm(capsys, member):
+    odd_level = member in (("--trace", "3"), ("--trace", "5"))
+    for norm in ("raw", "rational", "modular", "monic"):
+        argv = ("present", *member, "--tau", "0.3", "1.6", "--normalize", norm)
+        core._block_data.cache_clear()
+        cli._build_parser.cache_clear()
+        cold = _run(capsys, *argv)
+        assert _run(capsys, *argv) == cold
+        if norm == "modular" and odd_level:
+            assert cold[0] == 1 and cold[2].startswith("OddLevel:")
+        else:
+            assert cold[0] == 0 and json.loads(cold[1])["normalization"] == norm
+
+
+def test_main_builds_one_parser_and_keeps_no_parse_state(capsys):
+    cli._build_parser.cache_clear()
+    args = ("present", "--trace", "4", "--tau", "0", "2")
+    monic = _run_json(capsys, *args, "--normalize", "monic")
+    plain = _run_json(capsys, *args)
+    assert cli._build_parser.cache_info().misses == 1
+    assert (monic["normalization"], plain["normalization"]) == ("monic", "raw")
+
+
 def test_basis_words(capsys):
     payload = _run_json(capsys, "basis", "--g", "5", "-1", "6", "-1",
                         "--tau", "0", "2", "--degree", "3")
@@ -103,6 +131,16 @@ def test_geom_counts_and_cap(capsys):
                           "--tau", "0", "2", "--cap", "100")
     assert code == 1 and out == ""
     assert err.startswith("CombinatorialCap:")
+
+
+def test_geom_default_cap_stops_trace_5(capsys):
+    code, out, err = _run(capsys, "geom", "--trace", "5", "--tau", "0", "2")
+    assert (code, out) == (1, "")
+    assert err == "CombinatorialCap: binomial(14, 7) = 3432 minors exceeds cap 1000\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["geom", "--help"])
+    assert exc.value.code == 0
+    assert "default 1000" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("trace", [3, 4])

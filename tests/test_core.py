@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from rmtorus import core
 from rmtorus.core import (
     QuadraticSurd,
     alpha,
+    block_characteristics,
     block_M,
     canonical_g,
     lambda_matrix,
@@ -18,10 +20,12 @@ from rmtorus.core import (
 from rmtorus.errors import (
     DegreeTooSmall,
     DomainError,
+    IndexOutOfRange,
     NotHyperbolic,
     NotSL2,
 )
-from rmtorus.theta import theta_constant
+from rmtorus.modsym import CoefficientHandle, relation_values
+from rmtorus.theta import theta_constant, theta_constants
 
 F = Fraction
 
@@ -178,6 +182,36 @@ def test_block_entries_are_theta_constants(rm6):
         for ch, entry in zip(row_c, row_e):
             assert isinstance(ch, F) and 0 <= ch < 1
             assert entry == theta_constant(ch, 24 * 2j)
+
+
+def test_block_data_is_built_once_and_sums_like_theta_constants(rm6):
+    core._block_data.cache_clear()
+    chars = block_characteristics(rm6, 3)
+    assert block_characteristics(rm6, 3) is chars
+    info = core._block_data.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    flat = [(ch, 0) for row in chars for ch in row]
+    for tau in (2j, 0.3 + 1.1j):
+        blk = block_M(rm6, 3, tau)
+        expected = theta_constants(flat, [24 * tau])[0]
+        assert [x for row in blk.entries for x in row] == list(expected)
+    assert blk.chars is chars
+    assert core._block(rm6, 3).partners == tuple(alpha(rm6, 3, j) for j in range(1, 7))
+    assert core._block_data.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("mu", [True, 1.0, 0, 7])
+def test_block_cache_checks_mu_before_the_lookup(rm6, mu):
+    # True and 1.0 hash as 1, so a lookup before the check would return mu = 1
+    block_characteristics(rm6, 1)
+    with pytest.raises(IndexOutOfRange):
+        block_characteristics(rm6, mu)
+    with pytest.raises(IndexOutOfRange):
+        block_M(rm6, mu, 2j)
+    with pytest.raises(IndexOutOfRange):
+        relation_values(rm6, mu, 1, 2j)
+    with pytest.raises(IndexOutOfRange):
+        CoefficientHandle(rm6, mu, (1, 2, 3, 4), 5, 5)
 
 
 def test_structure_constant_routes_agree_at_generic_point(rm5, rm6):

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rmtorus import groebner, validate
+from rmtorus import core, groebner, validate
 from rmtorus.core import alpha, canonical_g, block_M, structure_constant_theta
 from rmtorus.errors import DomainError, RankDeficient
 from rmtorus.presentation import (
@@ -285,3 +285,46 @@ def _check_cramer_parity(rm, mus, n_vectors, dps, bound):
                 pivots = kernel_pivots(rm, rel.mu, tau)
                 q = [j for j in range(1, c + 1) if j not in pivots][rel.k - 1]
                 assert (rel.terms[0].left, rel.terms[0].right) == (q, alpha(rm, rel.mu, q))
+
+
+@pytest.mark.parametrize("key", (3, (7, -2, 11, -3)), ids=str)
+def test_dps_sets_the_precision_of_the_linear_algebra(key):
+    # no enclosing mp.workdps: the LU and Gram-Schmidt must still run at dps 40
+    rm = _member(key)
+    c = rm.degree
+    assert mp.mp.dps == 15
+    pivots = kernel_pivots(rm, 1, 2j, dps=40)
+    q = next(j for j in range(1, c + 1) if j not in pivots)
+    vec = kernel_basis(rm, 1, 2j, dps=40)[0]
+    minors = {p: minor_F(rm, 1, tuple(sorted({*pivots, q} - {p})), 2j, dps=40) for p in pivots}
+    pivot_minor = minor_F(rm, 1, pivots, 2j, dps=40)
+    with mp.workdps(40):  # only the comparison, so that it rounds nothing away
+        top = max(abs(x) for x in vec)
+        assert abs(vec[q - 1] + pivot_minor) <= 1e-35 * top
+        for p, minor in minors.items():
+            assert abs(vec[p - 1] - _cramer_sign(pivots, p, q) * minor) <= 1e-35 * top
+    with mp.workdps(40):
+        inside = kernel_basis(rm, 1, 2j, dps=40)
+        pres_inside = relations(rm, 2j, dps=40)
+    # mpmath numbers compare exactly, whatever the working precision
+    assert kernel_basis(rm, 1, 2j, dps=40) == inside
+    assert relations(rm, 2j, dps=40) == pres_inside
+    assert mp.mp.dps == 15
+
+
+def test_precision_from_the_environment_reaches_the_linear_algebra(monkeypatch):
+    rm = canonical_g(3)
+    with mp.workdps(40):
+        expected = kernel_basis(rm, 1, 2j, dps=40)
+    monkeypatch.setenv("RM_TORUS_PRECISION", "40")
+    assert kernel_basis(rm, 1, 2j) == expected
+
+
+def test_relations_at_a_new_tau_rebuild_no_block_data():
+    rm = canonical_g(5)
+    relations(rm, 0.1 + 1.3j)
+    before = core._block_data.cache_info()
+    relations(rm, -0.2 + 1.9j, dps=20)
+    after = core._block_data.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
