@@ -120,7 +120,7 @@ def _cmd_present(parser, args) -> int:
     tau = _resolve_tau(parser, args)
     pres = presentation.relations(rm, tau)
     pres = _NORMALIZERS[args.normalize](pres)
-    _emit(presentation.presentation_json(pres), args.out)
+    _emit(presentation.presentation_document(pres), args.out)
     return 0
 
 

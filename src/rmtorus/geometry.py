@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import RMData, alpha
 from .errors import CombinatorialCap, DomainError
-from .presentation import Presentation, _complex_json
+from .presentation import Presentation, _complex_json, _float_text, _ints_text
 
 __all__ = [
     "BiformRelation",
@@ -390,22 +390,6 @@ def minors_json(minors) -> list:
         }
         for poly in minors
     ]
-
-
-#: How :mod:`json` writes the non-finite floats (``allow_nan`` is its default).
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-def _ints_text(values, indent: str) -> str:
-    if not values:
-        return "[]"
-    inner = ",\n".join(indent + "  " + int.__repr__(v) for v in values)
-    return f"[\n{inner}\n{indent}]"
 
 
 def minors_document(head: dict, minors) -> str:

@@ -19,6 +19,7 @@ margin.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 Word = tuple[int, ...]
+
+_MPC = mp.mpc
 
 
 def deglex_key(word: Word) -> tuple[int, Word]:
@@ -183,9 +186,55 @@ def _heap_entry(word: Word) -> tuple:
     return (-len(word), tuple(-i for i in word), word)
 
 
-def _prune(terms: dict, mags: dict, floor: float, words) -> None:
+#: Range in which a double-precision magnitude is used as it is.  Inside it the
+#: bands below, of relative width eps, stay normal doubles.
+_CHEAP_RANGE = (2.0**-1000, 2.0**1000)
+
+
+def _magnitude(c) -> float:
+    """``float(abs(c))``, or a double within a few ulps of it.
+
+    For an mpmath complex the two parts are read from ``_mpc_`` as
+    ``ldexp(man, exp)`` and joined by ``math.hypot``.  A special part (nan,
+    inf), a value outside ``_CHEAP_RANGE`` and any other type take the exact
+    route, which for a Python complex costs no more.
+    """
+    parts = getattr(c, "_mpc_", None)
+    if parts is not None:
+        (_, man_re, exp_re, _), (_, man_im, exp_im, _) = parts
+        # a special mpf has a zero mantissa and a nonzero exponent
+        if (man_re or not exp_re) and (man_im or not exp_im):
+            try:
+                mag = math.hypot(math.ldexp(man_re, exp_re), math.ldexp(man_im, exp_im))
+            except OverflowError:
+                mag = 0.0
+            if _CHEAP_RANGE[0] <= mag <= _CHEAP_RANGE[1]:
+                return mag
+    return float(abs(c))
+
+
+def _top(terms: dict, mags: dict, words, eps: float) -> float:
+    """``max(float(abs(terms[w])) for w in words)``, with default 0.0.
+
+    Only the words whose magnitude is within the band of the largest can hold
+    the maximum; only they are computed exactly.
+    """
+    top = max((mags[w] for w in words), default=0.0)
+    near = [w for w in words if mags[w] * (1 + 2 * eps) >= top]
+    return max((float(abs(terms[w])) for w in near), default=top)
+
+
+def _prune(terms: dict, mags: dict, floor: float, words, eps: float) -> None:
+    """Drop the words whose magnitude is not above floor.
+
+    A magnitude within the band around floor is computed exactly first.
+    """
+    keep = floor * (1 + eps)
     for word in words:
-        if not mags[word] > floor:
+        mag = mags[word]
+        if mag > keep:
+            continue
+        if mag * (1 + eps) < floor or not float(abs(terms[word])) > floor:
             del terms[word], mags[word]
 
 
@@ -202,6 +251,11 @@ def normal_form(f: FreePoly, st: GroebnerState) -> FreePoly:
     it removes, so words leave the heap in decreasing order, each once: one
     found irreducible stays so.  Magnitudes are kept per term and recomputed
     only for the terms a step changes.
+
+    Magnitudes are doubles from :func:`_magnitude`.  Every pruning decision
+    and every value of the largest magnitude is that of ``float(abs(c))`` at
+    the working precision: a magnitude within a relative band of the floor,
+    or of the current largest, is computed that way before it is used.
     """
     terms = dict(f.terms)
     for word in terms:
@@ -210,9 +264,14 @@ def normal_form(f: FreePoly, st: GroebnerState) -> FreePoly:
                 f"term of degree {len(word)} exceeds truncation {st.truncation_degree}"
             )
     index = st._index
-    mags = {w: float(abs(c)) for w, c in terms.items()}
-    condition = max(mags.values(), default=0.0)
-    _prune(terms, mags, condition * st.zero_threshold, list(terms))
+    # Relative width of the bands that are checked exactly.  The two routes to
+    # a magnitude round once at the working precision and a few times in
+    # double, so they differ by a few units in the last place of the coarser
+    # one; eps leaves 10 bits on top of that.
+    eps = 2.0 ** (10 - min(mp.mp.prec, 53))
+    mags = {w: _magnitude(c) for w, c in terms.items()}
+    condition = _top(terms, mags, list(terms), eps)
+    _prune(terms, mags, condition * st.zero_threshold, list(terms), eps)
     heap = [_heap_entry(w) for w in terms]
     heapq.heapify(heap)
     queued = set(terms)
@@ -236,22 +295,31 @@ def normal_form(f: FreePoly, st: GroebnerState) -> FreePoly:
                 raise TruncationExceeded(
                     f"reduction produced degree {len(new_word)} beyond truncation"
                 )
-            value = terms.get(new_word, 0) - coeff * c2
+            product = coeff * c2
+            old = terms.get(new_word)
+            if old is not None:
+                value = old - product
+            elif isinstance(product, _MPC):
+                value = -product
+            else:
+                value = 0 - product  # -x would flip the sign of a zero part
             if not value:
                 terms.pop(new_word, None)
                 mags.pop(new_word, None)
                 continue
             terms[new_word] = value
-            mags[new_word] = float(abs(value))
+            mags[new_word] = _magnitude(value)
             changed.append(new_word)
             if new_word not in queued:
                 queued.add(new_word)
                 heapq.heappush(heap, _heap_entry(new_word))
         top = max((mags[w] for w in changed), default=0.0)
-        if top > condition:
-            condition = top
-            changed = list(terms)  # a higher floor may drop any term
-        _prune(terms, mags, condition * st.zero_threshold, changed)
+        if top * (1 + eps) > condition:
+            top = _top(terms, mags, changed, eps)
+            if top > condition:
+                condition = top
+                changed = list(terms)  # a higher floor may drop any term
+        _prune(terms, mags, condition * st.zero_threshold, changed, eps)
     return FreePoly(terms)
 
 
@@ -345,8 +413,8 @@ def linear_basis(st: GroebnerState, n: int) -> list[Word]:
     lead ends at its last letter.  Extending lex-ordered prefixes by letters
     in order keeps the words lex-ordered.
     """
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
     if n > st.truncation_degree:
         raise TruncationExceeded(
             f"degree {n} exceeds truncation {st.truncation_degree}"

@@ -132,6 +132,8 @@ class UpperHalfPoint:
 
     def __post_init__(self) -> None:
         value = complex(self.value)
+        if not cmath.isfinite(value):
+            raise DomainError(f"point {value} is not finite")
         if not (value.imag > 0):
             raise DomainError(f"point {value} is not in the upper half-plane")
         object.__setattr__(self, "value", value)
@@ -160,9 +162,15 @@ def _coerce_tau(tau: complex | UpperHalfPoint) -> complex:
     return UpperHalfPoint(complex(tau)).value
 
 
-def _check_height(im_min: float) -> None:
+def _check_height(points) -> float:
+    """Lowest Im over the points, each finite and none below the guard."""
+    for point in points:
+        if not (cmath.isfinite(point) if isinstance(point, complex) else mp.isfinite(point)):
+            raise DomainError(f"point {complex(point)} is not finite")
+    im_min = float(min(point.imag for point in points))
     if not (im_min >= IM_GUARD):
         raise DomainError(f"Im(tau) = {im_min} is below the evaluation guard {IM_GUARD}")
+    return im_min
 
 
 def _log_tolerance(ctl: SeriesControl, dps: int | None) -> float:
@@ -267,16 +275,14 @@ def _kernel_sum(
     ctl = ctl or _DEFAULT_CONTROL
     if dps is None:
         tau = np.asarray(taus, dtype=complex).reshape(-1, 1)
-        im_min = float(np.min(tau.imag))
-        _check_height(im_min)
+        im_min = _check_height(tau[:, 0].tolist())
         rings = _ring_count(im_min, _log_tolerance(ctl, None), ctl.max_terms)
         return _sum_rings(
             table.rho_f, table.shift_f, tau, rings, lambda x: np.exp(1j * np.pi * x)
         )
     with mp.workdps(dps + 10):
         tau = np.array([[mp.mpc(t)] for t in taus], dtype=object)
-        im_min = float(min(t.imag for t in tau[:, 0]))
-        _check_height(im_min)
+        im_min = _check_height(tau[:, 0])
         rings = _ring_count(im_min, _log_tolerance(ctl, dps), ctl.max_terms)
         return _sum_rings(
             np.array([mp.mpf(n) / d for n, d in table.rho], dtype=object),

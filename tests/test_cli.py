@@ -191,3 +191,16 @@ def test_usage_errors_exit_two(capsys):
         main(["theta", "--r", "nonsense", "--s", "0", "--tau", "0", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["present", "--trace", "3"],
+    ["basis", "--trace", "3", "--degree", "2"],
+    ["geom", "--trace", "3"],
+])
+@pytest.mark.parametrize("tau", [["0", "inf"], ["inf", "1"], ["nan", "2"]])
+def test_non_finite_tau_is_a_domain_error(capsys, command, tau):
+    code, out, err = _run(capsys, *command, "--tau", *tau)
+    assert code == 1 and out == ""
+    assert err.startswith("DomainError: ") and "is not finite" in err
+    assert err.count("\n") == 1

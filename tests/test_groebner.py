@@ -1,14 +1,18 @@
 import functools
+import heapq
 import itertools
+import math
 import random
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
 
-from rmtorus import groebner
-from rmtorus.errors import TruncationExceeded
+from rmtorus import groebner, validate
+from rmtorus.errors import DomainError, TruncationExceeded
 from rmtorus.groebner import (
     FreePoly,
+    GroebnerState,
     Word,
     _as_system_entry,
     _s_pairs_for_degree,
@@ -256,6 +260,12 @@ def test_linear_basis_matches_brute_force(completed_states):
             assert linear_basis(st, n) == brute
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", None, -1])
+def test_linear_basis_rejects_degrees_that_are_not_nonnegative_ints(completed_states, n):
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        linear_basis(completed_states[0], n)
+
+
 @pytest.mark.parametrize("trace, lead_counts, n_words", [
     (3, {3: 5, 4: 5}, 105),
     (4, {3: 6, 4: 0}, 336),
@@ -271,3 +281,203 @@ def test_leads_and_basis_independent_of_tau_and_precision(
     assert {d: len(ws) for d, ws in leads.items()} == lead_counts
     assert len(words) == n_words
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+# ---------------------------------------------------------------------------
+# The full-precision reducer: normal_form with every magnitude taken as
+# float(abs(c)) at the working precision.  normal_form must give the same
+# words in the same order and the same values, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _full_precision_prune(terms, mags, floor, words):
+    for word in words:
+        if not mags[word] > floor:
+            del terms[word], mags[word]
+
+
+def _full_precision_normal_form(f, st):
+    terms = dict(f.terms)
+    index = st._index
+    mags = {w: float(abs(c)) for w, c in terms.items()}
+    condition = max(mags.values(), default=0.0)
+    _full_precision_prune(terms, mags, condition * st.zero_threshold, list(terms))
+    heap = [groebner._heap_entry(w) for w in terms]
+    heapq.heapify(heap)
+    queued = set(terms)
+    while heap:
+        word = heapq.heappop(heap)[2]
+        if word not in terms:
+            continue
+        hit = index.find(word)
+        if hit is None:
+            continue
+        lead, poly, pos = hit
+        coeff = terms.pop(word)
+        del mags[word]
+        prefix, suffix = word[:pos], word[pos + len(lead) :]
+        changed = []
+        for w2, c2 in poly.terms.items():
+            if w2 == lead:
+                continue
+            new_word = prefix + w2 + suffix
+            value = terms.get(new_word, 0) - coeff * c2
+            if not value:
+                terms.pop(new_word, None)
+                mags.pop(new_word, None)
+                continue
+            terms[new_word] = value
+            mags[new_word] = float(abs(value))
+            changed.append(new_word)
+            if new_word not in queued:
+                queued.add(new_word)
+                heapq.heappush(heap, groebner._heap_entry(new_word))
+        top = max((mags[w] for w in changed), default=0.0)
+        if top > condition:
+            condition = top
+            changed = list(terms)
+        _full_precision_prune(terms, mags, condition * st.zero_threshold, changed)
+    return FreePoly(terms)
+
+
+def _bits(value):
+    """The exact value: mpmath parts, or repr (signed zeros) for a Python number."""
+    return (type(value), getattr(value, "_mpc_", None) or repr(value))
+
+
+def _assert_same_reduction(f, st):
+    got = normal_form(f, st)
+    want = _full_precision_normal_form(f, st)
+    assert list(got.terms) == list(want.terms)
+    assert [_bits(v) for v in got.terms.values()] == \
+        [_bits(v) for v in want.terms.values()]
+    return got
+
+
+@pytest.fixture(scope="module")
+def dps40_initial_states(initial_states):
+    """Traces 3 and 4 at 2i, trace 5 at 2i and (7,-2,11,-3) at 1.2i, with degrees."""
+    extra = []
+    with mp.workdps(DPS):
+        for g, tau in (((6, -1, 7, -1), TAU), ((7, -2, 11, -3), 1.2j)):
+            pres = monic_ordered(relations(validate(g), tau, dps=DPS))
+            extra.append(groebner_state(pres, 3, 10.0 ** (-(DPS - 15))))
+    return [(st, 4) for st in initial_states] + [(st, 3) for st in extra]
+
+
+def test_normal_form_matches_full_precision_on_every_s_element(
+        dps40_initial_states, monkeypatch):
+    reduced = []
+
+    def checked(f, st):
+        reduced.append(f)
+        return _assert_same_reduction(f, st)
+
+    monkeypatch.setattr(groebner, "normal_form", checked)
+    with mp.workdps(DPS):
+        for st, degree in dps40_initial_states:
+            reduced.clear()
+            complete_to_degree(st, degree)
+            assert reduced
+
+
+def _tiny_state(a, zero_threshold):
+    """One rule x2 x2 -> -a x1 x1; words without a factor (2, 2) are irreducible."""
+    return GroebnerState(
+        system=(FreePoly({(2, 2): 1, (1, 1): a}),),
+        truncation_degree=4,
+        zero_threshold=zero_threshold,
+        n_generators=2,
+    )
+
+
+def _straddling(rng, n):
+    """Full-precision values whose double-route magnitude is not float(abs(c))."""
+    out = []
+    while len(out) < n:
+        re, im = (mp.mpf(rng.getrandbits(130)) / 2**130 for _ in range(2))
+        c = mp.mpc(re, im) * mp.mpf(2) ** rng.randint(-60, 60)
+        if groebner._magnitude(c) != float(abs(c)):
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_decisions_at_the_floor_and_at_the_largest_magnitude(dps):
+    rng = random.Random(5)
+    k = 20
+    with mp.workdps(dps):
+        for c in _straddling(rng, 40):
+            cheap, exact = groebner._magnitude(c), float(abs(c))
+            low, high = min(cheap, exact), max(cheap, exact)
+            # reducing x2 x2 with coefficient -x writes c at x1 x1; x lies
+            # between the floor and the largest magnitude, so it is reduced
+            x = mp.mpf(2) ** math.frexp(low)[1]
+            # the floor lies between the two routes' magnitudes of c
+            nf = _assert_same_reduction(
+                FreePoly({(2, 2): -x * 16, (1, 2): mp.mpf(low * 2**k)}),
+                _tiny_state(c / (x * 16), 2.0 ** -k))
+            assert ((1, 1) in nf.terms) == (exact > low) != (cheap > low)
+            # the largest magnitude lies between them: the term high * 2^-k
+            # survives exactly when c does not raise the largest
+            nf = _assert_same_reduction(
+                FreePoly({(2, 2): -x / 16, (1, 2): mp.mpf(low), (2, 1): mp.mpf(high / 2**k)}),
+                _tiny_state(c / (x / 16), 2.0 ** -k))
+            assert ((2, 1) in nf.terms) == (exact < cheap)
+            # the same two decisions with no reduction step
+            st = _tiny_state(1, 2.0 ** -k)
+            nf = _assert_same_reduction(FreePoly({(1, 1): c, (1, 2): mp.mpf(low * 2**k)}), st)
+            assert ((1, 1) in nf.terms) == (exact > low)
+            nf = _assert_same_reduction(
+                FreePoly({(1, 1): c, (1, 2): mp.mpf(low), (2, 1): mp.mpf(high / 2**k)}), st)
+            assert ((2, 1) in nf.terms) == (exact < cheap)
+
+
+def test_magnitudes_outside_the_double_range():
+    with mp.workdps(DPS):
+        big, small = mp.mpc("1e400", "-3e399"), mp.mpc("-2e-400", "1e-400")
+        specials = [mp.mpc(mp.inf, 1), mp.mpc(1, mp.nan), mp.mpc(0, 0)]
+        for a in (mp.mpc(1, 1), big, small, mp.mpc("1e-320", 1)):
+            st = _tiny_state(a, 1e-25)
+            for terms in (
+                {(2, 2): 1, (1, 2): small},
+                {(2, 2): small, (1, 2): mp.mpc(1e-300, 0)},
+                {(2, 2): big, (1, 2): 1},
+                {(2, 2): 1, (1, 2): big},
+                {(2, 2): mp.mpc("1e-200", 0), (2, 1): mp.mpc("1e-230", 0)},
+                {(2, 2): mp.mpc("1e300", 0), (2, 1): 1},
+            ) + tuple({(2, 2): 1, (1, 2): s} for s in specials):
+                _assert_same_reduction(FreePoly(terms), st)
+
+
+@pytest.mark.parametrize("dps", [10, 15, 60])
+def test_normal_form_matches_full_precision_at_other_precisions(completed_states, dps):
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        for st in completed_states:
+            st = replace(st, zero_threshold=10.0 ** -(dps - 5))
+            c = st.n_generators
+            for _ in range(12):
+                terms = {}
+                for _ in range(rng.randint(1, 8)):
+                    word = tuple(rng.randint(1, c) for _ in range(rng.randint(1, 4)))
+                    scale = mp.mpf(10) ** -rng.uniform(0, dps)
+                    terms[word] = scale * mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                _assert_same_reduction(FreePoly(terms), st)
+
+
+def test_python_complex_inputs_keep_signed_zeros(rm5):
+    st = _tiny_state(complex(1, 0), 1e-10)
+    # 0 - (0+1j) is -1j; -(0+1j) would be (-0-1j)
+    nf = _assert_same_reduction(FreePoly({(2, 2): 1j}), st)
+    assert repr(nf.terms[(1, 1)]) == "-1j"
+    double = complete_to_degree(groebner_state(monic_ordered(relations(rm5, TAU)), 3), 3)
+    rng = random.Random(11)
+    parts = (0.0, -0.0, 1.0, -2.5, 1e-12)
+    for _ in range(40):
+        terms = {
+            tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3))):
+            complex(rng.choice(parts), rng.choice(parts))
+            for _ in range(rng.randint(1, 6))
+        }
+        _assert_same_reduction(FreePoly(terms), double)

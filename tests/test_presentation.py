@@ -7,7 +7,7 @@ import pytest
 
 from rmtorus import core, groebner, validate
 from rmtorus.core import alpha, canonical_g, block_M, structure_constant_theta
-from rmtorus.errors import DomainError, RankDeficient
+from rmtorus.errors import DomainError, OddLevel, RankDeficient
 from rmtorus.presentation import (
     hilbert_coeffs,
     kernel_basis,
@@ -16,6 +16,10 @@ from rmtorus.presentation import (
     monic_ordered,
     normalize_modular,
     normalize_rational,
+    Presentation,
+    Relation,
+    RelationTerm,
+    presentation_document,
     presentation_json,
     relations,
 )
@@ -328,3 +332,41 @@ def test_relations_at_a_new_tau_rebuild_no_block_data():
     after = core._block_data.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
+
+
+def _normalizations(p):
+    yield p
+    yield normalize_rational(p)
+    try:
+        yield normalize_modular(p)
+    except OddLevel:
+        pass
+    yield monic_ordered(p)
+
+
+@pytest.mark.parametrize("g", [canonical_g(t).g for t in (3, 4, 5, 6)] + [(7, -2, 11, -3)])
+def test_presentation_document_is_json_dumps(g):
+    rm = validate(g)
+    seen = set()
+    for tau in (0.1 + 1.0j, -0.3 + 1.5j, 0.25 + 0.9j):
+        for p in _normalizations(relations(rm, tau)):
+            seen.add(p.normalization)
+            assert presentation_document(p) == json.dumps(presentation_json(p), indent=2)
+    assert seen >= {"raw", "rational", "monic"}
+
+
+def test_presentation_document_writes_every_float_as_json_does():
+    rm = canonical_g(3)
+    values = (-0.0, float("nan"), float("inf"), float("-inf"), 1e-300, 1e16, 0.1, -2.5e-8)
+    rels = tuple(
+        Relation(mu=mu, k=1, terms=tuple(
+            RelationTerm(left, right, complex(values[left], values[-right]))
+            for left in range(len(values)) for right in range(1, 3)
+        ))
+        for mu in (1, 2)
+    ) + (Relation(mu=3, k=1, terms=()),)
+    for p in (
+        Presentation(rm, complex(-0.0, float("inf")), "raw", rels),
+        Presentation(rm, mp.mpc(0.5, 1), "rational", ()),
+    ):
+        assert presentation_document(p) == json.dumps(presentation_json(p), indent=2)

@@ -189,6 +189,22 @@ def test_domain_validation():
         theta("not a char", 0.0, 1j)
 
 
+@pytest.mark.parametrize("tau", [
+    complex(0, math.inf), complex(math.inf, 1), complex(-math.inf, 1),
+    complex(math.nan, 1), complex(0.5, math.nan),
+])
+def test_non_finite_points_are_rejected(tau):
+    with pytest.raises(DomainError, match="is not finite"):
+        UpperHalfPoint(tau)
+    with pytest.raises(DomainError, match="is not finite"):
+        theta_constant(0, tau)
+    for dps in (None, 30):
+        with pytest.raises(DomainError, match="is not finite"):
+            theta_constants([(0, 0)], [2j, tau], dps=dps)
+    with pytest.raises(DomainError, match="is not finite"):
+        theta_constants([(0, 0)], [mp.mpc(tau.real, tau.imag)], dps=30)
+
+
 def _jtheta_reference(ch, tau, dps):
     """theta[r, s](0, tau) = e^(pi i (r^2 tau + 2 r s)) theta_3(pi (r tau + s), e^(pi i tau))."""
     with mp.workdps(dps + 15):
