@@ -10,6 +10,7 @@ nonzero with a single ``ErrorName: message`` diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import re
@@ -83,10 +84,11 @@ def _resolve_rm(parser: argparse.ArgumentParser, args) -> RMData:
 
 
 def _resolve_tau(parser: argparse.ArgumentParser, args) -> complex:
-    re, im = args.tau
-    if not im > 0:
+    """The point of ``--tau``; a non-finite one is left to the library's DomainError."""
+    tau = complex(*args.tau)
+    if cmath.isfinite(tau) and not tau.imag > 0:
         parser.error("--tau must have positive imaginary part")
-    return complex(re, im)
+    return tau
 
 
 def _rm_json(rm: RMData) -> dict:
@@ -269,16 +271,22 @@ def _build_parser() -> argparse.ArgumentParser:
 #: A negative number in exponent form, such as -9.5e-05.
 _NEGATIVE_EXPONENT_FORM = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
+#: A negative infinity or nan, as float() reads them: -inf, -Infinity, -nan.
+_NEGATIVE_NONFINITE = re.compile(r"-(inf|infinity|nan)", re.IGNORECASE)
+
 
 def _plain_negatives(argv: list[str]) -> list[str]:
-    """Write negative numbers in exponent form as plain decimals.
+    """Write negative numbers so that argparse reads them as values.
 
     argparse takes a token that starts with '-' for an option flag unless it
-    is a plain negative decimal.  The plain form is exact, so the value
-    parsed from it is unchanged.
+    is a plain negative decimal.  Exponent form becomes a plain decimal,
+    which is exact, so the value parsed from it is unchanged.  A non-finite
+    value has no plain form; it gets a leading space, which argparse does
+    not read as a flag and float() ignores.
     """
     return [
-        format(Decimal(arg), "f") if _NEGATIVE_EXPONENT_FORM.fullmatch(arg) else arg
+        format(Decimal(arg), "f") if _NEGATIVE_EXPONENT_FORM.fullmatch(arg)
+        else " " + arg if _NEGATIVE_NONFINITE.fullmatch(arg) else arg
         for arg in argv
     ]
 

@@ -38,6 +38,7 @@ from .errors import (
 from .precision import working_dps
 from .theta import (
     SeriesControl,
+    _check_finite,
     _flatten_2x2,
     _kernel_sum,
     _kernel_table,
@@ -579,6 +580,7 @@ def block_M(
     t, c, l = rm.trace, rm.degree, rm.level
     data = _block(rm, mu)
     tau_c = complex(tau)
+    _check_finite(tau_c)
     if dps is None:
         dps = working_dps()
     flat = _kernel_sum(data.table, [l * tau_c], dps, ctl)[0]

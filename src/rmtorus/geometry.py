@@ -155,60 +155,71 @@ def omega_matrix(p: Presentation) -> LinearFormMatrix:
     return LinearFormMatrix(labels=tuple(labels), entries=tuple(rows), n_vars=c)
 
 
-def _sparse_rows(m: LinearFormMatrix):
-    """Per row, its nonzero entries in column order as (bit, above, cf, step).
+#: Up to Python 3.13, ``int * complex`` multiplies two complex numbers, the
+#: int padded with a zero imaginary part; from 3.14 it scales both parts.
+_PADDED_INT_PRODUCT = math.isnan((1 * complex(0.0, math.inf)).real)
+
+
+def _sparse_rows(m: LinearFormMatrix) -> list[tuple[np.ndarray, ...]]:
+    """Per row, its nonzero entries in column order as arrays (bit, above, re, im, step).
 
     ``bit`` marks the column in a used-column mask and ``above`` every column
     right of it, so the transpositions a column adds to the permutation are
-    the popcount of ``used & above``.  ``step`` adds one to the variable's
-    digit of the exponent code: base c+1, variable 1 most significant, so
-    the codes order like the exponent tuples.
+    the parity of ``used & above``.  ``re`` and ``im`` are the scalar's
+    parts.  ``step`` adds one to the variable's digit of the exponent code:
+    base c+1, variable 1 most significant, so the codes order like the
+    exponent tuples.
     """
     c = m.n_vars
     full = (1 << c) - 1
-    return [
-        tuple(
-            (1 << col, full & ~((2 << col) - 1), cf, (c + 1) ** (c - var))
-            for col, (cf, var) in enumerate(row)
-            if cf != 0
-        )
-        for row in m.entries
-    ]
-
-
-def _extend(states, row) -> list:
-    """Partial expansions (used, code, odd, scalar) after one more row."""
     out = []
-    for used, code, odd, scalar in states:
-        for bit, above, cf, step in row:
-            if not used & bit:
-                out.append(
-                    (used | bit, code + step, odd ^ (used & above).bit_count() & 1,
-                     scalar * cf)
-                )
+    for row in m.entries:
+        cols = [(col, complex(cf), var) for col, (cf, var) in enumerate(row) if cf != 0]
+        out.append((
+            np.array([1 << col for col, _, _ in cols], dtype=np.int64),
+            np.array([full & ~((2 << col) - 1) for col, _, _ in cols], dtype=np.int64),
+            np.array([cf.real for _, cf, _ in cols], dtype=float),
+            np.array([cf.imag for _, cf, _ in cols], dtype=float),
+            np.array([(c + 1) ** (c - var) for _, _, var in cols], dtype=np.int64),
+        ))
     return out
 
 
-def _exponents(code: int, c: int) -> tuple[int, ...]:
-    exps = []
-    for _ in range(c):
-        code, e = divmod(code, c + 1)
-        exps.append(e)
-    return tuple(reversed(exps))
+def _cross(states, below: int, row, parity: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The states of the prefixes numbered below ``below``, extended by a row's entries.
+
+    ``states`` holds per state its prefix (nondecreasing), used-column mask,
+    exponent code, parity and scalar parts.  The new states come in
+    expansion order, parent first, then column.  The scalar is
+    ``scalar * cf`` as Python forms it, each part from separate products:
+    numpy's complex product fuses them and differs in the last bit.
+    """
+    prefix, used, code, odd, re, im = states
+    bit, above, cf_re, cf_im, step = row
+    parent, entry = np.nonzero((used[: np.searchsorted(prefix, below), None] & bit) == 0)
+    was = used[parent]
+    sr, si = re[parent], im[parent]
+    cr, ci = cf_re[entry], cf_im[entry]
+    return (prefix[parent], was | bit[entry], code[parent] + step[entry],
+            odd[parent] ^ parity[was & above[entry]], sr * cr - si * ci, sr * ci + si * cr)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as quiet as Python's float arithmetic
 def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPoly, ...]:
     """All c x c minors of the linear-form matrix as degree-c polynomials.
 
     Row subsets are enumerated in lexicographic order.  Each minor is the
     permutation expansion of its determinant, one row at a time: the partial
-    products of a row prefix are kept and reused by the following subsets
-    that share it.  Every term is ``sign * (((1.0 * cf_0) * cf_1) * ...)``
-    and each monomial sums its terms from 0 in lexicographic permutation
-    order.  Each minor's monomials are pruned relative to its own largest
-    coefficient; a minor whose largest coefficient is negligible against the
-    row-scale product (a Hadamard-style bound) is emitted with no monomials
-    rather than dropped.
+    expansions of every row prefix are built once, a whole level of prefixes
+    per numpy pass, and the last row is added one row index at a time, so
+    only one slice of the terms is held at once.  Every term is
+    ``sign * (((1.0 * cf_0) * cf_1) * ...)`` and each monomial sums its
+    terms from 0 in lexicographic permutation order, in Python's complex
+    arithmetic to the bit.  Each minor's monomials are pruned relative to
+    its own largest coefficient; a minor whose largest coefficient is
+    negligible against the row-scale product (a Hadamard-style bound) is
+    emitted with no monomials rather than dropped.  Monomials are keyed by
+    64-bit integers, which bounds ``count * (c+1)**c``.
     """
     c = m.n_vars
     n = m.n_rows
@@ -217,44 +228,78 @@ def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPol
         raise CombinatorialCap(
             f"binomial({n}, {c}) = {count} minors exceeds cap {cap}"
         )
-    out = []
+    width = (c + 1) ** c
+    if count * width >= 2**63:
+        raise CombinatorialCap(f"{count} minors of {c} columns exceed 64-bit monomial keys")
     row_scales = [
         max((abs(cf) for cf, _ in row), default=0.0) for row in m.entries
     ]
     rows = _sparse_rows(m)
-    exponents: dict[int, tuple[int, ...]] = {}
-    zero = complex(0.0)
-    # levels[i]: the partial expansions of the current subset's first i rows
-    levels = [[(0, 0, 0, complex(1.0))]] + [[] for _ in range(c - 1)]
-    previous = (-1,) * c
-    for subset in itertools.combinations(range(n), c):
-        shared = 0
-        while shared < c - 1 and subset[shared] == previous[shared]:
-            shared += 1
-        for i in range(shared, c - 1):
-            levels[i + 1] = _extend(levels[i], rows[subset[i]])
-        previous = subset
-        acc: dict[int, complex] = {}
-        for used, code, odd, scalar in levels[c - 1]:
-            for bit, above, cf, step in rows[subset[-1]]:
-                if not used & bit:
-                    sign = -1 if odd ^ (used & above).bit_count() & 1 else 1
-                    key = code + step
-                    acc[key] = acc.get(key, zero) + sign * (scalar * cf)
-        scale = 1.0
-        for i in subset:
-            scale *= row_scales[i]
-        top = max((abs(v) for v in acc.values()), default=0.0)
-        if top <= MINOR_PRUNE_REL * max(scale, 1e-300):
-            monos: tuple = ()
+    parity = np.zeros(1 << c, dtype=bool)
+    for i in range(c):
+        parity[1 << i : 2 << i] = ~parity[: 1 << i]
+    # the states of every row prefix of one length; prefixes in order of
+    # their last row, so those ending below a row, and their states, lead
+    prefixes, last, scale = [()], np.array([-1]), np.array([1.0])
+    states = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+              np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool), np.ones(1), np.zeros(1))
+    for length in range(1, c):
+        longer, ends, scales, pieces = [], [], [], []
+        for r in range(length - 1, n - c + length):
+            below = int(np.searchsorted(last, r))
+            prefix, *rest = _cross(states, below, rows[r], parity)
+            pieces.append((prefix + len(longer), *rest))
+            longer += [p + (r,) for p in prefixes[:below]]
+            ends.append(np.full(below, r))
+            scales.append(scale[:below] * row_scales[r])
+        prefixes, last, scale = longer, np.concatenate(ends), np.concatenate(scales)
+        states = tuple(map(np.concatenate, zip(*pieces)))
+    digits = (c + 1) ** np.arange(c - 1, -1, -1)
+    found: dict[tuple[int, ...], tuple] = {}
+    for r in range(c - 1, n):
+        prefix, _, code, odd, pr, pi = _cross(
+            states, int(np.searchsorted(last, r)), rows[r], parity)
+        if not len(prefix):
+            continue
+        # sign * product as Python's int * complex forms it
+        sign = np.where(odd, -1.0, 1.0)
+        if _PADDED_INT_PRODUCT:
+            tr, ti = sign * pr - 0.0 * pi, sign * pi + 0.0 * pr
         else:
-            kept = sorted(key for key, cf in acc.items() if abs(cf) > MINOR_PRUNE_REL * top)
-            for key in kept:
-                if key not in exponents:
-                    exponents[key] = _exponents(key, c)
-            monos = tuple((exponents[key], acc[key]) for key in kept)
-        out.append(MinorPoly(rows=tuple(i + 1 for i in subset), monomials=monos))
-    return tuple(out)
+            tr, ti = sign * pr, sign * pi
+        keys, inverse = np.unique(prefix * width + code, return_inverse=True)
+        acc_re = np.zeros(len(keys))
+        acc_im = np.zeros(len(keys))
+        # unbuffered, in term order: the reference's sequential sums
+        np.add.at(acc_re, inverse, tr)
+        np.add.at(acc_im, inverse, ti)
+        mags = np.hypot(acc_re, acc_im)
+        owner, code = np.divmod(keys, width)
+        # per prefix: its first monomial and the first one inserted
+        first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        inserted = inverse[np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]])]
+        # Python's max() over insertion order skips a nan unless it comes first
+        top = np.fmax.reduceat(mags, first)
+        top[np.isnan(mags[inserted])] = np.nan
+        subset_scale = scale[owner[first]] * row_scales[r]
+        live = ~(top <= MINOR_PRUNE_REL * np.maximum(subset_scale, 1e-300))
+        sizes = np.diff(np.r_[first, len(keys)])
+        keep = np.repeat(live, sizes) & (mags > MINOR_PRUNE_REL * np.repeat(top, sizes))
+        kept = np.flatnonzero(keep)
+        if not len(kept):
+            continue
+        codes, which = np.unique(code[kept], return_inverse=True)
+        exps = list(map(tuple, (codes[:, None] // digits % (c + 1)).tolist()))
+        monos = list(zip(map(exps.__getitem__, which.tolist()),
+                         map(complex, acc_re[kept].tolist(), acc_im[kept].tolist())))
+        owners = owner[kept]
+        bounds = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1], True]).tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            found[prefixes[owners[a]] + (r,)] = tuple(monos[a:b])
+    return tuple(
+        MinorPoly(rows=tuple(i + 1 for i in subset), monomials=found.get(subset, ()))
+        for subset in itertools.combinations(range(n), c)
+    )
 
 
 def _norm(vec) -> float:
@@ -392,45 +437,52 @@ def minors_json(minors) -> list:
     ]
 
 
+class _Templates(dict):
+    """The text of a monomial up to its real part, one per exponent tuple."""
+
+    def __missing__(self, exps: tuple[int, ...]) -> str:
+        text = self[exps] = (
+            f"        {{\n          \"exponents\": "
+            f"{_ints_text(exps, '          ')},\n          \"coeff\": {{\n"
+            f"            \"re\": "
+        )
+        return text
+
+
 def minors_document(head: dict, minors) -> str:
     """``json.dumps({**head, "minors": minors_json(minors)}, indent=2)``, written directly.
 
     With ``indent`` set, :mod:`json` falls back to its pure-Python encoder,
     which spends as long on a trace-4 payload as the expansion does.  The
-    minors have one fixed shape, so their text is assembled from pieces, one
-    template per exponent tuple, with floats written by ``float.__repr__``
-    as :mod:`json` writes them.  The small ``head`` values go through
-    :func:`json.dumps`.
+    minors have one fixed shape, so each minor's monomials are written in one
+    pass from a template per exponent tuple, with floats written by
+    ``float.__repr__`` as :mod:`json` writes them (``_float_text`` only in a
+    minor that holds a non-finite value).  The small ``head`` values go
+    through :func:`json.dumps`.
     """
     fields = [
         f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
         for key, value in head.items()
     ]
-    templates: dict[tuple[int, ...], str] = {}
+    templates = _Templates()
     parts = []
     for poly in minors:
         parts.append(
             f"{',' if parts else ''}\n    {{\n      \"rows\": "
             f"{_ints_text(poly.rows, '      ')},\n      \"monomials\": "
         )
-        if not poly.monomials:
+        monos = poly.monomials
+        if not monos:
             parts.append("[]\n    }")
             continue
-        opening = "[\n"
-        for exps, cf in poly.monomials:
-            template = templates.get(exps)
-            if template is None:
-                template = templates[exps] = (
-                    f"        {{\n          \"exponents\": "
-                    f"{_ints_text(exps, '          ')},\n          \"coeff\": {{\n"
-                    f"            \"re\": "
-                )
-            parts.append(opening + template)
-            parts.append(_float_text(cf.real))
-            parts.append(",\n            \"im\": ")
-            parts.append(_float_text(cf.imag))
-            parts.append("\n          }\n        }")
-            opening = ",\n"
-        parts.append("\n      ]\n    }")
-    fields.append('  "minors": ' + (f"[{''.join(parts)}\n  ]" if parts else "[]"))
-    return "{\n" + ",\n".join(fields) + "\n}"
+        re = [cf.real for _, cf in monos]
+        im = [cf.imag for _, cf in monos]
+        text = (float.__repr__ if all(map(math.isfinite, re)) and all(map(math.isfinite, im))
+                else _float_text)
+        body = ",\n".join([
+            f'{templates[exps]}{x},\n            "im": {y}\n          }}\n        }}'
+            for (exps, _), x, y in zip(monos, map(text, re), map(text, im))
+        ])
+        parts.append(f"[\n{body}\n      ]\n    }}")
+    lead = "{\n" + "".join(field + ",\n" for field in fields) + '  "minors": '
+    return "".join([lead, "[", *parts, "\n  ]\n}"]) if parts else lead + "[]\n}"

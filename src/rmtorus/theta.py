@@ -132,8 +132,7 @@ class UpperHalfPoint:
 
     def __post_init__(self) -> None:
         value = complex(self.value)
-        if not cmath.isfinite(value):
-            raise DomainError(f"point {value} is not finite")
+        _check_finite(value)
         if not (value.imag > 0):
             raise DomainError(f"point {value} is not in the upper half-plane")
         object.__setattr__(self, "value", value)
@@ -162,11 +161,16 @@ def _coerce_tau(tau: complex | UpperHalfPoint) -> complex:
     return UpperHalfPoint(complex(tau)).value
 
 
+def _check_finite(point) -> None:
+    """Raise DomainError for a point with an infinite or nan part."""
+    if not (cmath.isfinite(point) if isinstance(point, complex) else mp.isfinite(point)):
+        raise DomainError(f"point {complex(point)} is not finite")
+
+
 def _check_height(points) -> float:
     """Lowest Im over the points, each finite and none below the guard."""
     for point in points:
-        if not (cmath.isfinite(point) if isinstance(point, complex) else mp.isfinite(point)):
-            raise DomainError(f"point {complex(point)} is not finite")
+        _check_finite(point)
     im_min = float(min(point.imag for point in points))
     if not (im_min >= IM_GUARD):
         raise DomainError(f"Im(tau) = {im_min} is below the evaluation guard {IM_GUARD}")

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -215,6 +216,68 @@ def test_minor_expansion_of_random_sparse_matrices_matches_reference():
             assert all(m.is_zero for m in minors if zero_row + 1 in m.rows)
 
 
+def _single_entry_rows(rng, c, n, rows, col):
+    """A random matrix whose given rows hold one entry each, all in one column."""
+    matrix = _random_matrix(rng, c, n)
+    entries = tuple(
+        tuple(((complex(1.5, -0.5) if j == col else complex(0.0)) if i in rows else cf, var)
+              for j, (cf, var) in enumerate(row))
+        for i, row in enumerate(matrix.entries)
+    )
+    return LinearFormMatrix(labels=matrix.labels, entries=entries, n_vars=c)
+
+
+def test_minor_expansion_edge_cases_match_reference():
+    rng = random.Random(31)
+    # rows 3 and 4 share their only column: no subset holding both has a
+    # permutation, so the whole last-row piece of row 4 (subset 0..4) is empty
+    blocked = _single_entry_rows(rng, 5, 7, (3, 4), 2)
+    most_rows = {c: max(k for k in range(c, 40) if math.comb(k, c) <= 1000) for c in (5, 6)}
+    assert most_rows == {5: 12, 6: 12}
+    cases = [
+        blocked,
+        _random_matrix(rng, 8, 9),
+        _random_matrix(rng, 8, 9, zero_row=4),
+        _random_matrix(rng, 5, most_rows[5]),
+        _random_matrix(rng, 6, most_rows[6], zero_row=11),
+    ]
+    for matrix in cases:
+        minors = minor_equations(matrix, cap=1000)
+        assert len(minors) == math.comb(matrix.n_rows, matrix.n_vars)
+        assert _bits(minors) == _bits(_reference_minors(matrix))
+    minors = minor_equations(blocked)
+    assert all(m.is_zero for m in minors if {4, 5} <= set(m.rows))
+    assert not all(m.is_zero for m in minors)
+
+
+def test_minor_expansion_of_entries_with_special_parts_matches_reference():
+    """Small matrices whose entry parts are often nan, +-inf or +-0.0."""
+    rng = random.Random(41)
+    nan, inf = float("nan"), float("inf")
+    parts = (nan, inf, -inf, 0.0, -0.0, 1.0, -2.5)
+    kept = 0
+    for _ in range(400):
+        c = rng.choice((2, 3))
+        n = c + rng.randint(0, 2)
+        entries = tuple(
+            tuple(
+                (complex(rng.choice(parts), rng.choice(parts)) if rng.random() < 0.4
+                 else complex(rng.gauss(0, 1), rng.gauss(0, 1)), rng.randint(1, c))
+                for _ in range(c)
+            )
+            for _ in range(n)
+        )
+        matrix = LinearFormMatrix(labels=tuple((i + 1, 1) for i in range(n)),
+                                  entries=entries, n_vars=c)
+        minors = minor_equations(matrix)
+        assert _bits(minors) == _bits(_reference_minors(matrix))
+        # a nan or infinite coefficient never passes the pruning
+        coeffs = [cf for m in minors for _, cf in m.monomials]
+        assert all(map(cmath.isfinite, coeffs))
+        kept += len(coeffs)
+    assert kept > 0
+
+
 def test_combinatorial_cap(rm5):
     matrix = omega_matrix(relations(rm5, TAU))
     with pytest.raises(CombinatorialCap):
@@ -246,12 +309,19 @@ def test_minors_document_matches_json_dumps():
             MinorPoly(rows=(2, 3), monomials=(((1, 1), complex(nan, inf)),
                                               ((2, 0), complex(-inf, 1.0)))),
         ),
+        (MinorPoly(rows=(1, 2), monomials=(((1, 1), complex(0.5, -inf)),
+                                           ((2, 0), complex(-0.0, nan)))),),
     ]
     for minors in cases:
         for fields in (head, {}):
             assert minors_document(fields, minors) == _document_reference(fields, minors)
     text = minors_document({}, cases[2])
     assert '"re": NaN' in text and '"im": Infinity' in text and '"re": -Infinity' in text
+    for trace in (3, 4):
+        for tau in TAUS:
+            minors = minor_equations(omega_matrix(relations(canonical_g(trace), tau)), cap=1000)
+            same = minors_document(head, minors) == _document_reference(head, minors)
+            assert same  # a bool: a diff of megabytes would not help
 
 
 def test_planted_zero_is_found_and_certified():

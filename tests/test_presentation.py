@@ -370,3 +370,16 @@ def test_presentation_document_writes_every_float_as_json_does():
         Presentation(rm, mp.mpc(0.5, 1), "rational", ()),
     ):
         assert presentation_document(p) == json.dumps(presentation_json(p), indent=2)
+
+
+@pytest.mark.parametrize("tau", [complex(0, float("inf")), complex(float("-inf"), 2),
+                                 complex(0.3, float("nan"))])
+def test_non_finite_tau_error_names_the_given_point(tau):
+    # the blocks evaluate at l * tau; the error reports tau itself
+    for dps in (None, 30):
+        with pytest.raises(DomainError) as exc:
+            relations(canonical_g(3), tau, dps=dps)
+        assert str(exc.value) == f"point {tau} is not finite"
+        with pytest.raises(DomainError) as exc:
+            block_M(canonical_g(4), 1, tau, dps=dps)
+        assert str(exc.value) == f"point {tau} is not finite"
