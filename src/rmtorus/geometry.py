@@ -204,6 +204,14 @@ def _cross(states, below: int, row, parity: np.ndarray) -> tuple[np.ndarray, ...
             odd[parent] ^ parity[was & above[entry]], sr * cr - si * ci, sr * ci + si * cr)
 
 
+def _row_scale(i: int, row) -> float:
+    """Largest entry modulus of row ``i``; DomainError past the double range."""
+    try:
+        return max((abs(cf) for cf, _ in row), default=0.0)
+    except OverflowError:
+        raise DomainError(f"row {i}: an entry's modulus exceeds the double range") from None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as quiet as Python's float arithmetic
 def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPoly, ...]:
     """All c x c minors of the linear-form matrix as degree-c polynomials.
@@ -231,9 +239,7 @@ def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPol
     width = (c + 1) ** c
     if count * width >= 2**63:
         raise CombinatorialCap(f"{count} minors of {c} columns exceed 64-bit monomial keys")
-    row_scales = [
-        max((abs(cf) for cf, _ in row), default=0.0) for row in m.entries
-    ]
+    row_scales = [_row_scale(i, row) for i, row in enumerate(m.entries, 1)]
     rows = _sparse_rows(m)
     parity = np.zeros(1 << c, dtype=bool)
     for i in range(c):

@@ -57,7 +57,7 @@ from .presentation import (
     kernel_pivots,
 )
 from .precision import working_dps
-from .theta import _flatten_2x2, _unit_phase_mp, theta_constants, unit_phase
+from .theta import _check_finite, _flatten_2x2, _unit_phase_mp, theta_constants, unit_phase
 
 __all__ = [
     "Cusp",
@@ -648,6 +648,7 @@ class _LevelThetas:
 
     def at(self, tau, dps: int | None = None) -> np.ndarray:
         point = complex(tau) if dps is None else mp.mpc(tau)
+        _check_finite(point)
         if not point.imag > 0:
             raise DomainError(f"point {tau} is not in the upper half-plane")
         gamma, w = _reduce(self.level * point)

@@ -6,9 +6,14 @@ Evaluates
         exp(pi i (n + r)^2 tau  +  2 pi i (n + r)(z + s))
 
 for rational characteristics ``(r, s)`` by symmetric truncation with an a
-priori tail bound.  Constants at ``z = 0`` come from one batched kernel,
-:func:`theta_constants`, which sums every characteristic at every point at
-once by the q-power recurrence; ``z != 0`` keeps a plain term-by-term sum.
+priori tail bound.  Every value comes from one batched kernel, which sums
+every characteristic at every point at once by the q-power recurrence;
+:func:`theta_constants` is its ``z = 0`` face, and :func:`theta` passes
+``z != 0`` in as the complex shift ``s + z``.  The tail bound then widens by
+the ``|Im z|`` growth: each ring of terms is at most
+``exp(-pi Im(tau) (k - 1/2)^2 + 2 pi |Im z| (k + 1/2))``.  In double
+precision a ``z`` whose terms pass the double range raises
+:class:`DomainError`; mpmath evaluates it.
 The structural operations are built on them: the phase-adjusted variant
 whose values generate the coefficient field, the normalized
 eighth-root-of-unity multiplier of the theta-constant functional equation,
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +68,8 @@ IM_GUARD = 1e-8
 
 #: Probe values below this magnitude are rejected as too close to a zero.
 PROBE_GUARD = 1e-8
+
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 RationalLike = int | Fraction
 
@@ -184,20 +192,22 @@ def _log_tolerance(ctl: SeriesControl, dps: int | None) -> float:
     return min(math.log(ctl.tolerance), -dps * math.log(10.0))
 
 
-def _ring_count(im_min: float, log_tol: float, max_terms: int) -> int:
+def _ring_count(im_min: float, log_tol: float, max_terms: int, im_z: float = 0.0) -> int:
     """Rings K the a priori tail bound needs at height Im(tau) >= im_min.
 
     Ring k holds the terms n + r = rho + k and rho - k with |rho| <= 1/2, each
-    of magnitude at most f(k) = exp(-pi Im(tau) (k - 1/2)^2).  Once the
-    ring-to-ring ratio exp(-2 pi Im(tau) k) is below 1/2, the whole tail past
-    ring K is bounded by 4 f(K + 1); K is the first ring where both hold with
-    4 f(K + 1) below the tolerance.
+    of magnitude at most f(k) = exp(-pi Im(tau) (k - 1/2)^2 + 2 pi |Im z| (k + 1/2)).
+    Once the ring-to-ring ratio exp(-2 pi Im(tau) k + 2 pi |Im z|) is below
+    1/2, the whole tail past ring K is bounded by 4 f(K + 1); K is the first
+    ring where both hold with 4 f(K + 1) below the tolerance.
     """
     a = math.pi * im_min
+    b = 2.0 * math.pi * abs(im_z)
+    h = b / (2.0 * a)
     rings = max(
         1,
-        math.floor(math.log(2.0) / (2.0 * a)) + 1,
-        math.floor(math.sqrt((math.log(4.0) - log_tol) / a) - 0.5) + 1,
+        math.floor((math.log(2.0) + b) / (2.0 * a)) + 1,
+        math.floor(h + math.sqrt(h * h + (b + math.log(4.0) - log_tol) / a) - 0.5) + 1,
     )
     if 2 * rings + 1 > max_terms:
         raise NonConvergence(
@@ -211,7 +221,8 @@ def _sum_rings(rho, s, tau, rings: int, expjpi):
     """Sum of exp(pi i (m^2 tau + 2 m s)) over m = rho - rings, ..., rho + rings.
 
     ``rho`` and ``s`` are arrays over characteristics and ``tau`` a column
-    over points, of complex doubles or of mpmath numbers alike.  Three
+    over points, of complex doubles or of mpmath numbers alike; ``s`` is
+    complex when it carries z as s + z.  Three
     exponentials per entry seed the q-power recurrence
     T(m +- 1) = T(m) exp(pi i ((1 +- 2m) tau +- 2s)), whose ratios step by
     q^2 = exp(2 pi i tau).
@@ -274,23 +285,40 @@ def _kernel_sum(
     taus,
     dps: int | None = None,
     ctl: SeriesControl | None = None,
+    z=0,
 ):
-    """:func:`theta_constants` of the characteristics in ``table``."""
+    """theta[r, s](z, tau) for the characteristics in ``table``, z entering as s + z.
+
+    In double precision a ``z`` whose terms could pass the double range, by
+    the largest term exp(pi (Im z)^2 / Im(tau) + 2 pi |Im z|) times the term
+    count, raises :class:`DomainError`; the mpmath sum has no such limit.
+    """
     ctl = ctl or _DEFAULT_CONTROL
+    if z != 0:
+        _check_finite(z)
+    im_z = float(z.imag)
     if dps is None:
         tau = np.asarray(taus, dtype=complex).reshape(-1, 1)
         im_min = _check_height(tau[:, 0].tolist())
-        rings = _ring_count(im_min, _log_tolerance(ctl, None), ctl.max_terms)
-        return _sum_rings(
-            table.rho_f, table.shift_f, tau, rings, lambda x: np.exp(1j * np.pi * x)
-        )
+        rings = _ring_count(im_min, _log_tolerance(ctl, None), ctl.max_terms, im_z)
+        shift = table.shift_f
+        if z != 0:
+            log_peak = math.pi * im_z * im_z / im_min + 2.0 * math.pi * abs(im_z)
+            if log_peak + math.log(2 * rings + 1) >= _LOG_DOUBLE_MAX:
+                raise DomainError(
+                    f"theta terms at z = {complex(z)}, Im(tau) = {im_min} pass the "
+                    f"double range; evaluate with dps"
+                )
+            shift = shift + complex(z)
+        return _sum_rings(table.rho_f, shift, tau, rings, lambda x: np.exp(1j * np.pi * x))
     with mp.workdps(dps + 10):
         tau = np.array([[mp.mpc(t)] for t in taus], dtype=object)
         im_min = _check_height(tau[:, 0])
-        rings = _ring_count(im_min, _log_tolerance(ctl, dps), ctl.max_terms)
+        rings = _ring_count(im_min, _log_tolerance(ctl, dps), ctl.max_terms, im_z)
+        shift = np.array([mp.mpf(n) / d for n, d in table.shift], dtype=object)
         return _sum_rings(
             np.array([mp.mpf(n) / d for n, d in table.rho], dtype=object),
-            np.array([mp.mpf(n) / d for n, d in table.shift], dtype=object),
+            shift if z == 0 else shift + mp.mpc(z),
             tau,
             rings,
             np.frompyfunc(mp.expjpi, 1, 1),
@@ -320,55 +348,6 @@ def theta_constants(
     return _kernel_sum(_kernel_table(chars), taus, dps, ctl)
 
 
-def _series(r: Fraction, s: Fraction, z, tau, log_tol: float, max_terms: int, exact: bool):
-    """theta[r, s](z, tau) for z != 0: symmetric sum centred at n0 = -round(r).
-
-    Runs in complex double, or with ``exact`` in mpmath at the ambient
-    precision; the tail bound is the kernel's, widened by the |Im z| growth.
-    """
-    if exact:
-        rr = mp.mpf(r.numerator) / r.denominator
-        ss = mp.mpf(s.numerator) / s.denominator
-        z, tau = mp.mpc(z), mp.mpc(tau)
-        expjpi = mp.expjpi
-    else:
-        rr, ss, z, tau = float(r), float(s), complex(z), complex(tau)
-
-        def expjpi(x):
-            return cmath.exp(1j * math.pi * x)
-
-    n0 = -round(r)
-    im_tau = float(tau.imag)
-    log_2pi_imz = 2.0 * math.pi * abs(float(z.imag))  # s is real: Im(z + s) = Im z
-
-    def term(n: int):
-        m = n + rr
-        return expjpi(m * m * tau + 2 * m * (z + ss))
-
-    total = term(n0)
-    count = 1
-    ring = 0
-    while True:
-        ring += 1
-        total += term(n0 + ring) + term(n0 - ring)
-        count += 2
-        # Terms in ring k have |n + r| >= k - 1/2, hence magnitude at most
-        # f(k) = exp(-pi Im(tau) (k - 1/2)^2 + 2 pi |Im z| (k + 1/2)).
-        # Once the ring-to-ring ratio rho is below 1/2 the full remaining tail
-        # is bounded by 4 f(ring + 1).
-        log_rho = -2.0 * math.pi * im_tau * ring + log_2pi_imz
-        if log_rho < -math.log(2.0):
-            m = ring + 0.5
-            log_next = -math.pi * im_tau * m * m + log_2pi_imz * (ring + 1.5)
-            if log_next + math.log(4.0) < log_tol + math.log(float(abs(total)) + 1.0):
-                return total
-        if count + 2 > max_terms:
-            raise NonConvergence(
-                f"theta series did not reach tolerance {math.exp(log_tol):.3g} "
-                f"within {max_terms} terms"
-            )
-
-
 def theta(
     ch: RationalChar,
     z: complex,
@@ -378,29 +357,19 @@ def theta(
 ) -> complex:
     """theta[ch.r, ch.s](z, tau) by symmetric truncation.
 
-    ``tau`` must lie in the upper half-plane with Im(tau) >= 1e-8.  With
-    ``dps`` set (or ``RM_TORUS_PRECISION`` in the environment) the sum runs in
-    mpmath arithmetic at that many decimal digits and an ``mpmath.mpc`` is
-    returned; otherwise a complex double.
+    ``tau`` must lie in the upper half-plane with Im(tau) >= 1e-8 and ``z``
+    must be finite.  With ``dps`` set (or ``RM_TORUS_PRECISION`` in the
+    environment) the sum runs in mpmath arithmetic at that many decimal
+    digits and an ``mpmath.mpc`` is returned; otherwise a complex double, and
+    a ``z`` whose terms pass the double range raises :class:`DomainError`.
     """
     if not isinstance(ch, RationalChar):
         ch = RationalChar(*ch) if isinstance(ch, tuple) else RationalChar(ch)
-    ctl = ctl or _DEFAULT_CONTROL
     tau_value = _coerce_tau(tau)
-    if tau_value.imag < IM_GUARD:
-        raise DomainError(
-            f"Im(tau) = {tau_value.imag} is below the evaluation guard {IM_GUARD}"
-        )
     if dps is None:
         dps = working_dps()
-    if z == 0:
-        value = theta_constants([ch], [tau_value], dps, ctl)[0, 0]
-        return complex(value) if dps is None else value
-    log_tol = _log_tolerance(ctl, dps)
-    if dps is None:
-        return _series(ch.r, ch.s, z, tau_value, log_tol, ctl.max_terms, exact=False)
-    with mp.workdps(dps + 10):
-        return _series(ch.r, ch.s, z, tau_value, log_tol, ctl.max_terms, exact=True)
+    value = _kernel_sum(_kernel_table([ch]), [tau_value], dps, ctl, z)[0, 0]
+    return complex(value) if dps is None else value
 
 
 def theta_constant(
@@ -424,7 +393,7 @@ def algebraic_theta(
         raise DomainError(f"expected RationalChar, got {ch!r}")
     value = theta(ch, 0.0, tau, ctl, dps)
     x = (-ch.r * ch.s) % 2
-    if dps is None and working_dps() is None:
+    if isinstance(value, complex):
         return unit_phase(x) * value
     return _unit_phase_mp(x) * value
 
@@ -460,7 +429,7 @@ def kappa(
         raise DegenerateProbe(f"|theta(0, tau_probe)| = {abs(base)} < {PROBE_GUARD}")
     moved = (a * tau_value + b) / (c * tau_value + d)
     lifted = theta(RationalChar(0, 0), 0.0, moved, ctl, dps)
-    if dps is None and working_dps() is None:
+    if isinstance(base, complex):
         root = cmath.sqrt(c * tau_value + d)
     else:
         root = mp.sqrt(c * tau_value + d)

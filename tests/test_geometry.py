@@ -278,6 +278,16 @@ def test_minor_expansion_of_entries_with_special_parts_matches_reference():
     assert kept > 0
 
 
+def test_entry_modulus_past_double_range_is_a_domain_error():
+    # both parts finite, but abs() of the entry overflows
+    matrix = LinearFormMatrix(labels=((1, 1), (2, 1)),
+                              entries=(((1.0, 1), (2j, 2)),
+                                       ((complex(1.5e308, 1.5e308), 1), (1.0, 2))),
+                              n_vars=2)
+    with pytest.raises(DomainError, match="row 2:"):
+        minor_equations(matrix)
+
+
 def test_combinatorial_cap(rm5):
     matrix = omega_matrix(relations(rm5, TAU))
     with pytest.raises(CombinatorialCap):

@@ -421,7 +421,8 @@ def test_low_point_values_match_the_unreduced_kernel(rm6):
 
 
 def test_single_point_values_reject_points_off_the_upper_half_plane(rm6):
-    for tau in (0.3, 0.3 - 0.1j):
+    for tau in (0.3, 0.3 - 0.1j, complex(0, math.inf), complex(math.inf, 1),
+                complex(math.nan, 1)):
         with pytest.raises(DomainError):
             relation_values(rm6, 1, 1, tau)
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -45,13 +46,17 @@ def test_value_at_i_matches_gamma_function_expression():
 
 def test_double_precision_agrees_with_high_precision_route():
     rng = random.Random(101)
-    for _ in range(6):
+    for _ in range(40):
         ch = _random_char(rng)
-        tau = _random_tau(rng)
-        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
+        tau = _random_tau(rng, lo=0.3)
+        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-1.5, 1.5))
+        ref = _jtheta_reference(ch, tau, 30, z)
         fast = theta(ch, z, tau)
-        slow = complex(theta(ch, z, tau, dps=30))
-        assert abs(fast - slow) <= 1e-13 * max(1.0, abs(slow))
+        assert abs(fast - complex(ref)) <= 1e-13 * max(1.0, abs(ref))
+        slow = theta(ch, z, tau, dps=30)
+        assert abs(fast - complex(slow)) <= 1e-13 * max(1.0, abs(slow))
+        with mp.workdps(45):
+            assert abs(slow - ref) <= mp.mpf(10) ** -30 * max(1, abs(ref))
 
 
 def test_characteristic_shift_laws():
@@ -168,8 +173,9 @@ def test_algebraic_constant_is_phase_normalized():
 
 def test_series_control_limits():
     ch = RationalChar(F(1, 3), F(2, 5))
-    with pytest.raises(NonConvergence):
-        theta(ch, 0.0, 0.5j, SeriesControl(max_terms=3))
+    for z in (0.0, 0.2 + 0.1j):
+        with pytest.raises(NonConvergence):
+            theta(ch, z, 0.5j, SeriesControl(max_terms=3))
     loose = theta(ch, 0.0, 1j, SeriesControl(tolerance=1e-8))
     tight = theta(ch, 0.0, 1j)
     assert abs(loose - tight) < 1e-7
@@ -187,6 +193,10 @@ def test_domain_validation():
             kappa(gamma, 0.9j)
     with pytest.raises(DomainError):
         theta("not a char", 0.0, 1j)
+    # the largest term at z = 40i, tau = i is about exp(1600 pi)
+    with pytest.raises(DomainError, match="double range"):
+        theta(RationalChar(F(0)), 40j, 1j)
+    assert mp.isfinite(theta(RationalChar(F(0)), 40j, 1j, dps=30))
 
 
 @pytest.mark.parametrize("tau", [
@@ -194,6 +204,7 @@ def test_domain_validation():
     complex(math.nan, 1), complex(0.5, math.nan),
 ])
 def test_non_finite_points_are_rejected(tau):
+    """Each point is tried as tau and, for theta, as z."""
     with pytest.raises(DomainError, match="is not finite"):
         UpperHalfPoint(tau)
     with pytest.raises(DomainError, match="is not finite"):
@@ -203,13 +214,21 @@ def test_non_finite_points_are_rejected(tau):
             theta_constants([(0, 0)], [2j, tau], dps=dps)
     with pytest.raises(DomainError, match="is not finite"):
         theta_constants([(0, 0)], [mp.mpc(tau.real, tau.imag)], dps=30)
+    for dps in (None, 30):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="is not finite"):
+            theta(RationalChar(F(1, 3), F(1, 5)), tau, 1j, dps=dps)
+        assert time.perf_counter() - start < 0.1
 
 
-def _jtheta_reference(ch, tau, dps):
-    """theta[r, s](0, tau) = e^(pi i (r^2 tau + 2 r s)) theta_3(pi (r tau + s), e^(pi i tau))."""
+def _jtheta_reference(ch, tau, dps, z=0):
+    """theta[r, s](z, tau) by Jacobi's theta_3 in mpmath:
+
+    e^(pi i (r^2 tau + 2 r (z + s))) theta_3(pi (r tau + z + s), e^(pi i tau)).
+    """
     with mp.workdps(dps + 15):
         r = mp.mpf(ch.r.numerator) / ch.r.denominator
-        s = mp.mpf(ch.s.numerator) / ch.s.denominator
+        s = mp.mpf(ch.s.numerator) / ch.s.denominator + mp.mpc(z)
         t = mp.mpc(tau)
         return mp.expjpi(r * r * t + 2 * r * s) * mp.jtheta(3, mp.pi * (r * t + s), mp.expjpi(t))
 
