@@ -27,7 +27,6 @@ fixed surd, producing a presentation-shaped object independent of tau.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import heapq
 import math
@@ -37,7 +36,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .core import QuadraticSurd, RMData, _egcd, alpha, block_characteristics
+from .core import QuadraticSurd, RMData, _check_index, _egcd, alpha, block_characteristics
 from .errors import (
     DomainError,
     NotCuspType,
@@ -57,7 +56,14 @@ from .presentation import (
     kernel_pivots,
 )
 from .precision import working_dps
-from .theta import _check_finite, _flatten_2x2, _unit_phase_mp, theta_constants, unit_phase
+from .theta import (
+    _check_finite,
+    _flatten_2x2,
+    _unit_phase_mp,
+    _working_precision,
+    theta_constants,
+    unit_phase,
+)
 
 __all__ = [
     "Cusp",
@@ -98,7 +104,7 @@ class Cusp:
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
-        if not isinstance(p, int) or not isinstance(q, int):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, q)):
             raise DomainError(f"cusp entries must be integers, got ({p!r}, {q!r})")
         if p == 0 and q == 0:
             raise DomainError("cusp (0, 0) is not a projective point")
@@ -126,7 +132,7 @@ def _as_cusp(x) -> Cusp:
         p, q = x
     except (TypeError, ValueError) as exc:
         raise DomainError(f"expected a cusp (p, q), got {x!r}") from exc
-    return Cusp(int(p), int(q))
+    return Cusp(p, q)
 
 
 @dataclass(frozen=True)
@@ -310,19 +316,14 @@ def lyapunov_empirical(theta: QuadraticSurd, n1: int = 50, n2_max: int = 200) ->
 
 @dataclass(frozen=True)
 class SymbolChain:
-    """A finite weighted chain of cusp-to-cusp geodesic segments."""
+    """Cusp-to-cusp geodesic segments whose sum, times ``scale``, is the limiting symbol."""
 
     segments: tuple[tuple[Cusp, Cusp], ...]
     scale: float
-    weight_vectors: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
         if not (self.scale > 0):
             raise DomainError(f"scale must be positive, got {self.scale}")
-        if self.weight_vectors is not None:
-            ns, ms = self.weight_vectors
-            if len(ns) != len(ms):
-                raise DomainError("weight vectors must have equal length")
 
 
 def _mobius_int(gamma: tuple[int, int, int, int], cusp: Cusp) -> Cusp:
@@ -334,7 +335,6 @@ def limiting_symbol(
     theta: QuadraticSurd,
     spec: GroupSpec | None = None,
     hyperbolic=None,
-    weight_vectors=None,
 ) -> SymbolChain:
     """Finite segment representation of the geodesic limit at theta.
 
@@ -363,9 +363,7 @@ def limiting_symbol(
                 mp.log((abs(tr) + mp.sqrt(mp.mpf(tr) ** 2 - 4)) / 2)
             )
         segments = ((Cusp(0, 1), _mobius_int((x, y, z, w), Cusp(0, 1))),)
-        return SymbolChain(
-            segments=segments, scale=1.0 / log_lam, weight_vectors=weight_vectors
-        )
+        return SymbolChain(segments=segments, scale=1.0 / log_lam)
     cf = cf_expand(theta)
     m = len(cf.period)
     lam = lyapunov(theta)
@@ -377,11 +375,7 @@ def limiting_symbol(
         frm = Cusp(-p_cur, p_prev)
         to = Cusp(q_cur, -q_prev)
         segments.append((frm, to))
-    return SymbolChain(
-        segments=tuple(segments),
-        scale=1.0 / (m * lam),
-        weight_vectors=weight_vectors,
-    )
+    return SymbolChain(segments=tuple(segments), scale=1.0 / (m * lam))
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +609,6 @@ class _PulledLevelPoint:
 # ---------------------------------------------------------------------------
 
 
-def _working_precision(dps: int | None):
-    """mpmath context with guard digits for ``dps``; none for complex double."""
-    return contextlib.nullcontext() if dps is None else mp.workdps(dps + 10)
-
-
 class _LevelThetas:
     """theta[r, s](0, l tau) for fixed characteristics, as a function of tau.
 
@@ -687,13 +676,14 @@ def _reference_pivots(rm: RMData, mu: int, dps: int | None) -> tuple[int, ...]:
 
 
 class _Block:
-    """The mu-th relation block as a function of tau: one per (rm, mu).
+    """The mu-th relation block as a function of tau: one per (rm, mu) and process.
 
     Holds the exact characteristics of :func:`rmtorus.core.block_characteristics`,
     with theta[0] appended when a+d is odd (the modular patch), in one
     :class:`_LevelThetas`, so every relation vector built on the block shares
     its chain cache.  The pivot and free columns are selected at
-    :data:`PIVOT_TAU`, once per (rm, mu) and working precision.
+    :data:`PIVOT_TAU`, once per (rm, mu) and working precision.  Reach a block
+    through :meth:`of`.
     """
 
     def __init__(self, rm: RMData, mu: int) -> None:
@@ -706,6 +696,16 @@ class _Block:
             chars.append((Fraction(0), Fraction(0)))
         self.thetas = _LevelThetas(rm.level, chars)
 
+    @staticmethod
+    def of(rm: RMData, mu: int) -> _Block:
+        """The block of (rm, mu) from the per-process cache, after mu's index check.
+
+        The check comes first: ``True`` and ``1.0`` hash as 1 and would
+        otherwise be served the block of mu = 1.
+        """
+        _check_index("mu", mu, rm.degree)
+        return _blocks(rm, mu)
+
     def relation(self, k: int) -> _RelationVector:
         """Relation (mu, k) on its whole support: the pivots and free column k."""
         if not (1 <= k <= self.n_relations):
@@ -713,6 +713,11 @@ class _Block:
         pivots = _reference_pivots(self.rm, self.mu, working_dps())
         q = _free_columns(pivots, self.rm.degree)[k - 1]
         return _RelationVector(self, pivots, q, sorted((*pivots, q)))
+
+
+@functools.cache
+def _blocks(rm: RMData, mu: int) -> _Block:
+    return _Block(rm, mu)
 
 
 class _RelationVector:
@@ -754,12 +759,8 @@ class _RelationVector:
         self.pivots = pivots
         self.free_col = free_col
         self.slots = tuple(slots)
-        self._columns = []
-        for j in self.slots:
-            cols = [p - 1 for p in pivots]
-            if j != free_col:
-                cols[pivots.index(j)] = free_col - 1
-            self._columns.append(cols)
+        # slot j's minor: the pivot columns with the free column in j's place
+        self._columns = [[free_col - 1 if p == j else p - 1 for p in pivots] for j in self.slots]
         self._signs = np.array([-1 if j == free_col else 1 for j in self.slots])
 
     def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
@@ -793,48 +794,32 @@ class _RelationVector:
         return values
 
 
-class CoefficientHandle:
+class CoefficientHandle(_RelationVector):
     """One modular-normalized presentation coefficient as a function of tau.
 
-    A one-slot view of the (mu, k) relation vector with the given pivots and
-    free column: see :class:`_RelationVector` for the Cramer determinant and
-    the theta[0] factor applied when a+d is odd.
+    The one-slot relation vector of the given pivots and free column on the
+    shared block of (rm, mu); its values are scalars, one per point.
     """
 
     def __init__(
         self, rm: RMData, mu: int, pivots: tuple[int, ...], free_col: int, slot: int
     ) -> None:
-        self._bind(_RelationVector(_Block(rm, mu), pivots, free_col, (slot,)))
-
-    @classmethod
-    def _on_block(cls, block: _Block, pivots, free_col: int, slot: int) -> CoefficientHandle:
-        """A handle on an existing block, sharing its chain cache."""
-        handle = cls.__new__(cls)
-        handle._bind(_RelationVector(block, pivots, free_col, (slot,)))
-        return handle
-
-    def _bind(self, vector: _RelationVector) -> None:
-        self._vector = vector
-        self.rm = vector.block.rm
-        self.mu = vector.block.mu
-        self.pivots = vector.pivots
-        self.free_col = vector.free_col
-        self.slot = vector.slots[0]
+        super().__init__(_Block.of(rm, mu), pivots, free_col, (slot,))
+        self.rm, self.mu, self.slot = rm, mu, slot
 
     def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
         """The coefficient at A(sigma) for the cusp's matrix A, at each sigma."""
-        return self._vector.pulled_value(cusp, sigmas, dps)[:, 0]
+        return super().pulled_value(cusp, sigmas, dps)[:, 0]
 
     def value(self, tau, dps: int | None = None):
-        return self._vector.value(tau, dps)[0]
+        return super().value(tau, dps)[0]
 
 
 def coefficient_handles(rm: RMData, mu: int, k: int) -> dict[int, CoefficientHandle]:
     """Handles for every support slot of relation (mu, k), pivots chosen at PIVOT_TAU."""
-    block = _Block(rm, mu)
-    vector = block.relation(k)
+    vector = _Block.of(rm, mu).relation(k)
     return {
-        j: CoefficientHandle._on_block(block, vector.pivots, vector.free_col, j)
+        j: CoefficientHandle(rm, mu, vector.pivots, vector.free_col, j)
         for j in vector.slots
     }
 
@@ -842,10 +827,11 @@ def coefficient_handles(rm: RMData, mu: int, k: int) -> dict[int, CoefficientHan
 def relation_values(rm: RMData, mu: int, k: int, tau, dps: int | None = None) -> dict:
     """All support-slot coefficient values of relation (mu, k) at one point.
 
-    One shared block evaluation per call, so this is the economical way to
-    probe a whole relation (e.g. when checking the transformation law).
+    One block evaluation per call, on the shared block of (rm, mu), so this is
+    the economical way to probe a whole relation (e.g. when checking the
+    transformation law).
     """
-    vector = _Block(rm, mu).relation(k)
+    vector = _Block.of(rm, mu).relation(k)
     return dict(zip(vector.slots, vector.value(tau, dps)))
 
 
@@ -879,41 +865,11 @@ def is_cusp_numeric(f, cusps) -> bool:
     return True
 
 
-def _weight_factor(tau, weights, as_sum: bool):
-    if weights is None:
-        return 1.0
-    ns, ms = weights
-    if as_sum:
-        return sum(n * tau + m for n, m in zip(ns, ms))
-    out = 1.0
-    for n, m in zip(ns, ms):
-        out = out * (n * tau + m)
-    return out
+def _half_integral_vec(vector, size: int, cusp: Cusp, point: complex, quad: QuadratureControl):
+    """Integrals from `point` to the cusp along the pulled vertical ray.
 
-
-class _Stack:
-    """Several scalar handles bundled as one vector-valued handle."""
-
-    def __init__(self, forms) -> None:
-        self.forms = list(forms)
-
-    def __len__(self) -> int:
-        return len(self.forms)
-
-    def pulled_value(self, cusp: Cusp, sigmas) -> np.ndarray:
-        return np.stack([f.pulled_value(cusp, sigmas) for f in self.forms], axis=1)
-
-
-def _half_integral_vec(
-    vector,
-    size: int,
-    cusp: Cusp,
-    point: complex,
-    quad: QuadratureControl,
-    weights,
-    weight_as_sum: bool,
-):
-    """Integrals from `point` to the cusp along the pulled vertical ray."""
+    ``vector`` is a scalar handle (``size`` 1) or a relation vector of ``size`` slots.
+    """
     a, b, c, d = _cusp_matrix(cusp)
     sigma0 = (d * point - b) / (-c * point + a)
     x0, t0 = sigma0.real, sigma0.imag
@@ -928,24 +884,16 @@ def _half_integral_vec(
         jac = 1.0 / (1.0 - u) ** 2
         sigma = x0 + 1j * t
         dtau = 1.0 / (c * sigma + d) ** 2
-        tau = None
-        if weights is not None:
-            tau = (a * sigma + b) / (c * sigma + d)
-        factor = 1j * dtau * jac * _weight_factor(tau, weights, weight_as_sum)
-        out[live] = vector.pulled_value(cusp, sigma) * factor[:, None]
+        factor = 1j * dtau * jac
+        values = np.reshape(vector.pulled_value(cusp, sigma), (len(sigma), size))
+        out[live] = values * factor[:, None]
         return out
 
     return _adaptive_vec(integrand, 0.0, 1.0, quad)
 
 
 def _geodesic_integral_vec(
-    vector,
-    size: int,
-    cusp_from: Cusp,
-    cusp_to: Cusp,
-    quad: QuadratureControl,
-    weights=None,
-    weight_as_sum: bool = False,
+    vector, size: int, cusp_from: Cusp, cusp_to: Cusp, quad: QuadratureControl
 ):
     """Vector integral along the geodesic from cusp_from to cusp_to."""
     if cusp_from == cusp_to:
@@ -957,31 +905,23 @@ def _geodesic_integral_vec(
     else:
         x1, x2 = cusp_from.value(), cusp_to.value()
         apex = complex(0.5 * (x1 + x2), 0.5 * abs(x2 - x1))
-    v1, e1, n1 = _half_integral_vec(
-        vector, size, cusp_from, apex, quad, weights, weight_as_sum
-    )
-    v2, e2, n2 = _half_integral_vec(
-        vector, size, cusp_to, apex, quad, weights, weight_as_sum
-    )
+    v1, e1, n1 = _half_integral_vec(vector, size, cusp_from, apex, quad)
+    v2, e2, n2 = _half_integral_vec(vector, size, cusp_to, apex, quad)
     # int_from^to = int_from^apex + int_apex^to = -(int_apex^from) + int_apex^to
     return -v1 + v2, e1 + e2, n1 + n2
 
 
 def integrate_geodesic(
-    f,
-    cusp_from,
-    cusp_to,
-    weights=None,
-    quad: QuadratureControl | None = None,
-    weight_as_sum: bool = False,
+    f, cusp_from, cusp_to, quad: QuadratureControl | None = None
 ) -> IntegralResult:
-    """Integral of f(tau) * P(tau) dtau along the geodesic between two cusps.
+    """Integral of f(tau) dtau along the geodesic between two cusps.
 
-    P is the product (or, with ``weight_as_sum``, the sum) of the linear forms
-    given by ``weights = (n_list, m_list)``; ``weights=None`` means P = 1.
-    The path is split at its apex and each half is pulled to a vertical ray.
-    Raises :class:`NotCuspType` when the integrand fails the exponential-decay
-    probe at an endpoint, and :class:`QuadratureFailure` on budget exhaustion.
+    ``f`` is a scalar handle such as :class:`ThetaProductHandle` or
+    :class:`CoefficientHandle`; a cusp is a :class:`Cusp` or an integer pair
+    (p, q).  The path is split at its apex and each half is pulled to a
+    vertical ray.  Raises :class:`NotCuspType` when the integrand fails the
+    exponential-decay probe at an endpoint, and :class:`QuadratureFailure` on
+    budget exhaustion.
     """
     quad = quad or QuadratureControl()
     cusp_from, cusp_to = _as_cusp(cusp_from), _as_cusp(cusp_to)
@@ -990,9 +930,7 @@ def integrate_geodesic(
             raise NotCuspType(
                 f"integrand does not decay at cusp ({cusp.p}, {cusp.q})"
             )
-    value, err, count = _geodesic_integral_vec(
-        _Stack([f]), 1, cusp_from, cusp_to, quad, weights, weight_as_sum
-    )
+    value, err, count = _geodesic_integral_vec(f, 1, cusp_from, cusp_to, quad)
     return IntegralResult(value=complex(value[0]), error=float(err), evaluations=count)
 
 
@@ -1042,7 +980,7 @@ def averaged_relations(
     relations_out: list[Relation] = []
     worst_error = 0.0
     for mu in range(1, rm.degree + 1):
-        block = _Block(rm, mu)
+        block = _Block.of(rm, mu)
         for k in range(1, block.n_relations + 1):
             vector = block.relation(k)
             probes = vector.pulled_value(Cusp(1, 0), _ZERO_PROBES)

@@ -38,6 +38,7 @@ arithmetic when a decimal-digit count is supplied explicitly or through the
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -167,6 +168,11 @@ def _coerce_tau(tau: complex | UpperHalfPoint) -> complex:
     if isinstance(tau, UpperHalfPoint):
         return tau.value
     return UpperHalfPoint(complex(tau)).value
+
+
+def _working_precision(dps: int | None):
+    """mpmath context with guard digits for ``dps``; none for complex double."""
+    return contextlib.nullcontext() if dps is None else mp.workdps(dps + 10)
 
 
 def _check_finite(point) -> None:
@@ -415,7 +421,8 @@ def kappa(
     theta[0,0](0, gamma tau) / ((c tau + d)^(1/2) theta[0,0](0, tau)) with the
     principal square-root branch; the result is an eighth root of unity,
     independent of the probe point.  Probes landing within ``1e-8`` of a theta
-    zero raise :class:`DegenerateProbe`.
+    zero raise :class:`DegenerateProbe`.  With ``dps`` the result is an mpmath
+    number good to about ``dps`` digits whatever the ambient precision.
     """
     entries = _flatten_2x2(gamma)
     if not _is_parity_group_member(entries):
@@ -424,16 +431,19 @@ def kappa(
         )
     a, b, c, d = entries
     tau_value = _coerce_tau(tau_probe)
-    base = theta(RationalChar(0, 0), 0.0, tau_value, ctl, dps)
-    if abs(base) < PROBE_GUARD:
-        raise DegenerateProbe(f"|theta(0, tau_probe)| = {abs(base)} < {PROBE_GUARD}")
-    moved = (a * tau_value + b) / (c * tau_value + d)
-    lifted = theta(RationalChar(0, 0), 0.0, moved, ctl, dps)
-    if isinstance(base, complex):
-        root = cmath.sqrt(c * tau_value + d)
-    else:
-        root = mp.sqrt(c * tau_value + d)
-    return lifted / (root * base)
+    if dps is None:
+        dps = working_dps()
+    table = _kernel_table([RationalChar(0, 0)])
+    # with dps, gamma tau and c tau + d are formed at the working precision
+    # too: formed in double they would hold only 16 digits
+    with _working_precision(dps):
+        point = tau_value if dps is None else mp.mpc(tau_value)
+        base = _kernel_sum(table, [point], dps, ctl).item(0)
+        if abs(base) < PROBE_GUARD:
+            raise DegenerateProbe(f"|theta(0, tau_probe)| = {abs(base)} < {PROBE_GUARD}")
+        lifted = _kernel_sum(table, [(a * point + b) / (c * point + d)], dps, ctl).item(0)
+        sqrt = cmath.sqrt if dps is None else mp.sqrt
+        return lifted / (sqrt(c * point + d) * base)
 
 
 def _flatten_2x2(gamma) -> tuple[int, int, int, int]:

@@ -202,8 +202,10 @@ def test_block_data_is_built_once_and_sums_like_theta_constants(rm6):
 
 @pytest.mark.parametrize("mu", [True, 1.0, 0, 7])
 def test_block_cache_checks_mu_before_the_lookup(rm6, mu):
-    # True and 1.0 hash as 1, so a lookup before the check would return mu = 1
+    # True and 1.0 hash as 1, so a lookup before the check would return mu = 1;
+    # both caches, core's and modsym's, hold mu = 1 first
     block_characteristics(rm6, 1)
+    relation_values(rm6, 1, 1, 2j)
     with pytest.raises(IndexOutOfRange):
         block_characteristics(rm6, mu)
     with pytest.raises(IndexOutOfRange):

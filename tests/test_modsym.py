@@ -72,6 +72,9 @@ def test_cusp_normalization():
         Cusp(0, 0)
     with pytest.raises(DomainError):
         Cusp(1, 0).value()
+    for p, q in ((True, 0), (1, True), (1.9, 24), (1, 24.0)):
+        with pytest.raises(DomainError, match="must be integers"):
+            Cusp(p, q)
 
 
 # ------------------------------------------------------- group membership
@@ -220,9 +223,6 @@ def test_limiting_symbol_from_expansion(rm6):
     assert [(seg[0], seg[1]) for seg in sym.segments] == \
         [(Cusp(-1, 1), Cusp(-5, 4)), (Cusp(-3, 1), Cusp(-14, 5))]
     assert abs(sym.scale - 1.0 / math.log(2 + math.sqrt(3))) < 1e-15
-    assert sym.weight_vectors is None
-    weighted = limiting_symbol(rm6.theta, weight_vectors=((1, 0), (0, 1)))
-    assert weighted.weight_vectors == ((1, 0), (0, 1))
 
 
 def test_limiting_symbol_hyperbolic_route(rm6):
@@ -307,6 +307,11 @@ def test_geodesic_guards():
                            quad=QuadratureControl(rel_tol=1e-13, max_evals=100))
     same = integrate_geodesic(plain, C24, C24)
     assert same.value == 0
+    # a cusp given as a pair is taken as given, never truncated to integers
+    assert integrate_geodesic(plain, (2, 48), (1, 0)) == integrate_geodesic(plain, C24, INF)
+    for pair in ((1.9, 24), (True, 0)):
+        with pytest.raises(DomainError, match="must be integers"):
+            integrate_geodesic(plain, pair, INF)
 
 
 # -------------------------------------------------- coefficient functions
@@ -334,6 +339,7 @@ def test_coefficient_handles_match_relation_values(rm6):
 
 
 def test_coefficient_handles_share_one_chain_per_cusp(rm6, monkeypatch):
+    modsym._blocks.cache_clear()
     handles = coefficient_handles(rm6, 1, 1)
     built = []
     original = modsym._Chain.__init__
@@ -347,14 +353,17 @@ def test_coefficient_handles_share_one_chain_per_cusp(rm6, monkeypatch):
     shared = {j: [repr(h.pulled_value(cusp, sigmas).tolist()) for cusp in cusps]
               for j, h in handles.items()}
     assert len(handles) == 5 and len(built) == len(cusps)
-    monkeypatch.undo()
+    # a handle built on its own shares the block of (rm, mu) and its chains
+    alone = {j: CoefficientHandle(rm6, 1, h.pivots, h.free_col, j) for j, h in handles.items()}
     for j, handle in handles.items():
-        alone = CoefficientHandle(rm6, 1, handle.pivots, handle.free_col, j)
-        assert (alone.rm, alone.mu, alone.pivots, alone.free_col, alone.slot) == \
+        assert (alone[j].rm, alone[j].mu, alone[j].pivots, alone[j].free_col, alone[j].slot) == \
             (handle.rm, handle.mu, handle.pivots, handle.free_col, handle.slot)
-        assert [repr(alone.pulled_value(cusp, sigmas).tolist()) for cusp in cusps] == shared[j]
-        tau = 0.3 + 1.7j
-        assert repr(complex(alone.value(tau))) == repr(complex(handle.value(tau)))
+        assert [repr(alone[j].pulled_value(cusp, sigmas).tolist()) for cusp in cusps] == shared[j]
+    assert len(built) == len(cusps)
+    monkeypatch.undo()
+    tau = 0.3 + 1.7j
+    for j, handle in handles.items():
+        assert repr(complex(alone[j].value(tau))) == repr(complex(handle.value(tau)))
 
 
 def test_coefficient_handle_checks_its_relation(rm6):
@@ -468,7 +477,9 @@ def test_averaged_ring_properties(rm6):
 def test_averaged_relations_build_one_chain_per_block_and_cusp(rm6, monkeypatch):
     # The probe and live vectors of every relation of block mu share one
     # exact chain per cusp: infinity for the probes, the segment ends for the
-    # quadrature.
+    # quadrature.  The blocks last for the process, so a second run builds
+    # no chain and gives the same bits.
+    modsym._blocks.cache_clear()
     built = []
     original = modsym._Chain.__init__
 
@@ -477,6 +488,9 @@ def test_averaged_relations_build_one_chain_per_block_and_cusp(rm6, monkeypatch)
         original(self, gamma, chars)
 
     monkeypatch.setattr(modsym._Chain, "__init__", counting)
-    averaged_relations(rm6)
+    first = averaged_relations(rm6)
     cusps = {Cusp(1, 0)} | {c for seg in limiting_symbol(rm6.theta).segments for c in seg}
     assert len(built) == rm6.degree * len(cusps) == 30
+    again = averaged_relations(rm6)
+    assert len(built) == 30
+    assert repr(averaged_json(again)) == repr(averaged_json(first))

@@ -136,6 +136,10 @@ def test_functional_equation_with_consistent_multiplier():
         assert member(gam, spec)
         kap = kappa(gam, 0.1 + 0.7j)
         assert abs(kap ** 8 - 1) < 1e-10
+        # at dps 30 under the default ambient precision, kappa keeps its digits
+        kap_mp = kappa(gam, 0.1 + 0.7j, dps=30)
+        with mp.workdps(40):
+            assert abs(kap_mp ** 8 - 1) < 1e-28
         a, b, c, d = gam
         for _ in range(3):
             tau = _random_tau(rng, lo=0.4, hi=2.0)
