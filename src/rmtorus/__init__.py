@@ -89,7 +89,6 @@ from .modsym import (
     member,
     relation_values,
 )
-from .precision import PRECISION_ENV, working_dps
 from .presentation import (
     HilbertData,
     Presentation,
@@ -128,8 +127,6 @@ __all__ = [
     "RankDeficient", "LeadingCoeffBelowThreshold", "OddLevel", "OddWeight",
     "TruncationExceeded", "RationalInput", "NotCuspType", "QuadratureFailure",
     "CombinatorialCap",
-    # precision
-    "PRECISION_ENV", "working_dps",
     # theta
     "RationalChar", "UpperHalfPoint", "SeriesControl", "theta",
     "theta_constant", "algebraic_theta", "kappa", "theta_zero_check",

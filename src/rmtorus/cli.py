@@ -5,6 +5,11 @@ order is fixed, floats print in their shortest round-trip form, and exact
 rationals and quadratic surds are rendered as integer structures, so repeated
 runs with the same arguments produce byte-identical JSON.  Module errors exit
 nonzero with a single ``ErrorName: message`` diagnostic line on stderr.
+
+This is the one place that reads the ``RM_TORUS_PRECISION`` environment
+variable: ``present``, ``theta``, ``geom`` and ``basis`` pass its digit count
+to the library as ``dps``.  The library itself takes precision only as an
+argument.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import argparse
 import cmath
 import functools
 import json
+import os
 import re
 import sys
 from decimal import Decimal
@@ -20,8 +26,7 @@ from fractions import Fraction
 
 from . import geometry, groebner, modsym, presentation
 from .core import QuadraticSurd, RMData, canonical_g, validate
-from .errors import RMTorusError
-from .precision import PRECISION_ENV
+from .errors import DomainError, RMTorusError
 from .presentation import _complex_json
 from .theta import RationalChar, theta
 
@@ -91,6 +96,24 @@ def _resolve_tau(parser: argparse.ArgumentParser, args) -> complex:
     return tau
 
 
+#: Decimal digits for the subcommands that can run in mpmath arithmetic.
+PRECISION_ENV = "RM_TORUS_PRECISION"
+
+
+def _env_dps() -> int | None:
+    """The digit count in ``RM_TORUS_PRECISION``, or None (double) when unset."""
+    raw = os.environ.get(PRECISION_ENV)
+    if raw is None or raw.strip() == "":
+        return None
+    try:
+        dps = int(raw)
+    except ValueError as exc:
+        raise DomainError(f"{PRECISION_ENV} must be a positive integer, got {raw!r}") from exc
+    if dps <= 0:
+        raise DomainError(f"{PRECISION_ENV} must be positive, got {dps}")
+    return dps
+
+
 def _rm_json(rm: RMData) -> dict:
     return {
         "g": list(rm.g),
@@ -109,19 +132,21 @@ def _cmd_validate(parser, args) -> int:
     return 0
 
 
+#: Each normalization as f(presentation, dps=...).
 _NORMALIZERS = {
-    "raw": lambda p: p,
+    "raw": lambda p, dps: p,
     "rational": presentation.normalize_rational,
     "modular": presentation.normalize_modular,
-    "monic": presentation.monic_ordered,
+    "monic": lambda p, dps: presentation.monic_ordered(p),
 }
 
 
 def _cmd_present(parser, args) -> int:
     rm = _resolve_rm(parser, args)
     tau = _resolve_tau(parser, args)
-    pres = presentation.relations(rm, tau)
-    pres = _NORMALIZERS[args.normalize](pres)
+    dps = _env_dps()
+    pres = presentation.relations(rm, tau, dps=dps)
+    pres = _NORMALIZERS[args.normalize](pres, dps=dps)
     _emit(presentation.presentation_document(pres), args.out)
     return 0
 
@@ -129,7 +154,7 @@ def _cmd_present(parser, args) -> int:
 def _cmd_basis(parser, args) -> int:
     rm = _resolve_rm(parser, args)
     tau = _resolve_tau(parser, args)
-    state = groebner.state_for(rm, tau, truncation_degree=max(args.degree, 2))
+    state = groebner.state_for(rm, tau, truncation_degree=max(args.degree, 2), dps=_env_dps())
     words = groebner.linear_basis(state, args.degree)
     payload = {
         "g": list(rm.g),
@@ -160,7 +185,7 @@ def _cmd_theta(parser, args) -> int:
         r, s = Fraction(args.r), Fraction(args.s)
     except ValueError:
         parser.error("--r/--s must be rational, e.g. 1/24 or 0.5")
-    value = theta(RationalChar(r, s), 0.0, tau)
+    value = theta(RationalChar(r, s), 0.0, tau, dps=_env_dps())
     payload = {
         "r": _fraction_json(r),
         "s": _fraction_json(s),
@@ -182,7 +207,7 @@ def _cmd_average(parser, args) -> int:
 def _cmd_geom(parser, args) -> int:
     rm = _resolve_rm(parser, args)
     tau = _resolve_tau(parser, args)
-    pres = presentation.relations(rm, tau)
+    pres = presentation.relations(rm, tau, dps=_env_dps())
     matrix = geometry.omega_matrix(pres)
     minors = geometry.minor_equations(matrix, cap=args.cap)
     head = {
@@ -205,8 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "noncommutative tori: presentations, bases, averaged relations, "
             "and determinantal equations, as reproducible JSON."
         ),
-        epilog=f"Set {PRECISION_ENV} to a decimal-digit count for "
-        "high-precision evaluation.",
+        epilog=f"Set {PRECISION_ENV} to a decimal-digit count for mpmath "
+        "evaluation in present, theta, geom and basis (basis uses at least 40).",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -35,7 +35,6 @@ from .errors import (
     NotSL2,
     RankDeficient,
 )
-from .precision import working_dps
 from .theta import (
     SeriesControl,
     _check_finite,
@@ -509,9 +508,6 @@ class BlockMatrix:
     tau: complex
     level: int
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
-
 
 @dataclass(frozen=True, eq=False)
 class _BlockData:
@@ -581,8 +577,6 @@ def block_M(
     data = _block(rm, mu)
     tau_c = complex(tau)
     _check_finite(tau_c)
-    if dps is None:
-        dps = working_dps()
     flat = _kernel_sum(data.table, [l * tau_c], dps, ctl)[0]
     if dps is None:
         flat = [complex(x) for x in flat]

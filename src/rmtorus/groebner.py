@@ -27,7 +27,6 @@ import mpmath as mp
 
 from .core import RMData
 from .errors import DomainError, TruncationExceeded
-from .precision import effective_dps
 from .presentation import Presentation, monic_ordered, relations
 
 __all__ = [
@@ -445,11 +444,11 @@ def state_for(
 ) -> GroebnerState:
     """Build and complete a state from scratch at safe precision.
 
-    Computes the monic presentation at ``max(dps, 40)`` decimal digits, sets
-    the relative zero threshold to 10^-(dps-15), and completes to the
-    truncation degree.
+    Computes the monic presentation at ``max(dps, 40)`` decimal digits (40
+    with ``dps=None``), sets the relative zero threshold to 10^-(dps-15), and
+    completes to the truncation degree.
     """
-    dps = effective_dps(dps, 40)
+    dps = max(dps or 0, 40)
     with mp.workdps(dps):
         pres = monic_ordered(relations(rm, tau, dps=dps))
         st = groebner_state(

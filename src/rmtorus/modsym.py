@@ -55,7 +55,6 @@ from .presentation import (
     _relations_json,
     kernel_pivots,
 )
-from .precision import working_dps
 from .theta import (
     _check_finite,
     _flatten_2x2,
@@ -669,12 +668,6 @@ class ThetaProductHandle:
 PIVOT_TAU = 2j
 
 
-@functools.cache
-def _reference_pivots(rm: RMData, mu: int, dps: int | None) -> tuple[int, ...]:
-    """Pivot columns of block mu at PIVOT_TAU, selected once per (rm, mu, dps)."""
-    return kernel_pivots(rm, mu, PIVOT_TAU, dps=dps)
-
-
 class _Block:
     """The mu-th relation block as a function of tau: one per (rm, mu) and process.
 
@@ -682,7 +675,7 @@ class _Block:
     with theta[0] appended when a+d is odd (the modular patch), in one
     :class:`_LevelThetas`, so every relation vector built on the block shares
     its chain cache.  The pivot and free columns are selected at
-    :data:`PIVOT_TAU`, once per (rm, mu) and working precision.  Reach a block
+    :data:`PIVOT_TAU` in double, once per block.  Reach a block
     through :meth:`of`.
     """
 
@@ -706,13 +699,19 @@ class _Block:
         _check_index("mu", mu, rm.degree)
         return _blocks(rm, mu)
 
+    @functools.cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot columns of the block at PIVOT_TAU, in double."""
+        return kernel_pivots(self.rm, self.mu, PIVOT_TAU)
+
     def relation(self, k: int) -> _RelationVector:
         """Relation (mu, k) on its whole support: the pivots and free column k."""
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise DomainError(f"relation index k must be an integer, got {k!r}")
         if not (1 <= k <= self.n_relations):
             raise DomainError(f"k = {k} outside 1..{self.n_relations}")
-        pivots = _reference_pivots(self.rm, self.mu, working_dps())
-        q = _free_columns(pivots, self.rm.degree)[k - 1]
-        return _RelationVector(self, pivots, q, sorted((*pivots, q)))
+        q = _free_columns(self.pivots, self.rm.degree)[k - 1]
+        return _RelationVector(self, self.pivots, q, sorted((*self.pivots, q)))
 
 
 @functools.cache
@@ -747,9 +746,15 @@ class _RelationVector:
             raise DomainError(
                 f"pivots must be {t} increasing columns in 1..{len(columns)}, got {pivots}"
             )
-        if free_col in pivots or free_col not in columns:
+        if (
+            not isinstance(free_col, int)
+            or isinstance(free_col, bool)
+            or free_col in pivots
+            or free_col not in columns
+        ):
             raise DomainError(
-                f"free column {free_col} must lie in 1..{len(columns)} outside the pivots"
+                f"free column {free_col!r} must be an integer in 1..{len(columns)} "
+                "outside the pivots"
             )
         for j in slots:
             if j != free_col and j not in pivots:

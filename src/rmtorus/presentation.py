@@ -24,9 +24,10 @@ Four normalizations of the same ideal are provided:
                   for Groebner completion).
 
 All linear algebra runs in complex doubles by default and in mpmath arithmetic
-at ``dps`` digits when ``dps`` is supplied (or via ``RM_TORUS_PRECISION``),
-whatever the ambient mpmath precision; downstream Groebner completion requires
-the high-precision path to keep spurious leading terms out.
+at ``dps`` digits when ``dps`` is given, whatever the ambient mpmath
+precision; downstream Groebner completion requires the high-precision path to
+keep spurious leading terms out.  A presentation computed at ``dps`` takes the
+same ``dps`` in :func:`normalize_rational` and :func:`normalize_modular`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import (
     OddLevel,
     RankDeficient,
 )
-from .precision import working_dps
 from .theta import SeriesControl, theta_constant
 
 __all__ = [
@@ -230,8 +230,6 @@ def minor_F(
         raise DomainError(f"columns must lie in 1..{c}, got {cols}")
     if any(cols[i] >= cols[i + 1] for i in range(t - 1)):
         raise DomainError(f"columns must be strictly increasing, got {cols}")
-    if dps is None:
-        dps = working_dps()
     with _at(dps):
         columns = _block_columns(rm, mu, tau, ctl, dps)
         rows = [[columns[j - 1][i] for j in cols] for i in range(t)]
@@ -246,8 +244,6 @@ def kernel_pivots(
     dps: int | None = None,
 ) -> tuple[int, ...]:
     """1-based pivot columns (size a+d) selected by rank-revealing elimination."""
-    if dps is None:
-        dps = working_dps()
     with _at(dps):
         return _pivoted_block(rm, mu, tau, ctl, dps)[1]
 
@@ -271,8 +267,6 @@ def kernel_basis(
     :class:`RankDeficient` is raised when |v_q| / max|v| < RANK_CUTOFF (or B is
     exactly singular), and also when a vector fails to annihilate the block.
     """
-    if dps is None:
-        dps = working_dps()
     with _at(dps):
         columns, pivots, use_mp = _pivoted_block(rm, mu, tau, ctl, dps)
         t, c = rm.trace, rm.degree
@@ -322,8 +316,6 @@ def relations(
     Term j of relation (mu, k) carries the monomial x_{alpha(mu, j)} x_j;
     coefficients below COEFF_PRUNE_REL of the relation's largest are dropped.
     """
-    if dps is None:
-        dps = working_dps()
     tau_c = complex(tau)
     rels: list[Relation] = []
     with _at(dps):
@@ -370,8 +362,6 @@ def normalize_rational(
     on the imaginary axis they are real to working accuracy.
     """
     _require_raw(p, "normalize_rational")
-    if dps is None:
-        dps = working_dps()
     base = theta_constant(0, p.level * p.tau, ctl, dps)
     if float(abs(base)) < 1e-12:
         raise DegenerateProbe(f"|theta(0, l tau)| = {float(abs(base))} too small")
@@ -394,8 +384,6 @@ def normalize_modular(
         raise OddLevel(f"level {p.level} is odd; no even-length patching exists")
     if p.rm.trace % 2 == 0:
         return _scaled(p, 1, "modular")
-    if dps is None:
-        dps = working_dps()
     factor = theta_constant(0, p.level * p.tau, ctl, dps)
     return _scaled(p, factor, "modular")
 

@@ -31,8 +31,7 @@ Useful identities (all covered by the test suite):
   with ``kappa(gamma)^8 = 1``.
 
 All evaluators run in complex double precision by default and in mpmath
-arithmetic when a decimal-digit count is supplied explicitly or through the
-``RM_TORUS_PRECISION`` environment variable.
+arithmetic at ``dps`` decimal digits when that argument is given.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateProbe, DomainError, NonConvergence
-from .precision import working_dps
 
 __all__ = [
     "RationalChar",
@@ -342,11 +340,11 @@ def theta_constants(
     ``chars`` holds :class:`RationalChar` values or exact ``(r, s)`` pairs and
     ``taus`` points of the upper half-plane with Im(tau) >= 1e-8.  Returns an
     array of shape (len(taus), len(chars)): complex doubles when ``dps`` is
-    None (the environment default is not consulted here), otherwise mpmath
-    numbers from a sum at ``dps`` decimal digits.  Every series is truncated
-    at the ring the a priori tail bound of the lowest point requires for
-    ``ctl.tolerance`` (and 10^-dps); :class:`NonConvergence` is raised when
-    that takes more than ``ctl.max_terms`` terms.
+    None, otherwise mpmath numbers from a sum at ``dps`` decimal digits.
+    Every series is truncated at the ring the a priori tail bound of the
+    lowest point requires for ``ctl.tolerance`` (and 10^-dps);
+    :class:`NonConvergence` is raised when that takes more than
+    ``ctl.max_terms`` terms.
 
     This is :func:`_kernel_table` followed by :func:`_kernel_sum`; a caller
     that sums the same characteristics again keeps the table.
@@ -364,16 +362,14 @@ def theta(
     """theta[ch.r, ch.s](z, tau) by symmetric truncation.
 
     ``tau`` must lie in the upper half-plane with Im(tau) >= 1e-8 and ``z``
-    must be finite.  With ``dps`` set (or ``RM_TORUS_PRECISION`` in the
-    environment) the sum runs in mpmath arithmetic at that many decimal
-    digits and an ``mpmath.mpc`` is returned; otherwise a complex double, and
-    a ``z`` whose terms pass the double range raises :class:`DomainError`.
+    must be finite.  With ``dps`` the sum runs in mpmath arithmetic at that
+    many decimal digits and an ``mpmath.mpc`` is returned; with ``dps=None``
+    a complex double, and a ``z`` whose terms pass the double range raises
+    :class:`DomainError`.
     """
     if not isinstance(ch, RationalChar):
         ch = RationalChar(*ch) if isinstance(ch, tuple) else RationalChar(ch)
     tau_value = _coerce_tau(tau)
-    if dps is None:
-        dps = working_dps()
     value = _kernel_sum(_kernel_table([ch]), [tau_value], dps, ctl, z)[0, 0]
     return complex(value) if dps is None else value
 
@@ -431,8 +427,6 @@ def kappa(
         )
     a, b, c, d = entries
     tau_value = _coerce_tau(tau_probe)
-    if dps is None:
-        dps = working_dps()
     table = _kernel_table([RationalChar(0, 0)])
     # with dps, gamma tau and c tau + d are formed at the working precision
     # too: formed in double they would hold only 16 digits

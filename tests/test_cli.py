@@ -5,7 +5,7 @@ import pytest
 from rmtorus import cli, core, geometry
 from rmtorus.cli import main
 from rmtorus.core import canonical_g
-from rmtorus.presentation import _complex_json, relations
+from rmtorus.presentation import _complex_json, presentation_document, relations
 
 
 def _run(capsys, *argv):
@@ -176,6 +176,26 @@ def test_module_errors_become_single_diagnostic_line(capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("NotHyperbolic:")
+
+
+def test_present_takes_its_precision_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("RM_TORUS_PRECISION", "40")
+    code, out, err = _run(capsys, "present", "--trace", "3", "--tau", "0", "2")
+    assert code == 0, err
+    assert out == presentation_document(relations(canonical_g(3), 2j, dps=40)) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["present", "--trace", "3", "--tau", "0", "2"],
+    ["theta", "--tau", "0", "2"],
+    ["geom", "--trace", "3", "--tau", "0", "2"],
+    ["basis", "--trace", "3", "--tau", "0", "2", "--degree", "2"],
+])
+def test_malformed_precision_is_a_domain_error(capsys, monkeypatch, command):
+    monkeypatch.setenv("RM_TORUS_PRECISION", "abc")
+    code, out, err = _run(capsys, *command)
+    assert code == 1 and out == ""
+    assert err == "DomainError: RM_TORUS_PRECISION must be a positive integer, got 'abc'\n"
 
 
 def test_usage_errors_exit_two(capsys):

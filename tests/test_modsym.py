@@ -373,7 +373,7 @@ def test_coefficient_handle_checks_its_relation(rm6):
                 (1.5, 2, 3, 4)):
         with pytest.raises(DomainError, match="pivots must be"):
             CoefficientHandle(rm6, 1, bad, 5, 5)
-    for free_col in (3, 7):
+    for free_col in (3, 7, 5.0, True):
         with pytest.raises(DomainError, match="free column"):
             CoefficientHandle(rm6, 1, pivots, free_col, free_col)
     with pytest.raises(DomainError, match="outside the support"):
@@ -387,6 +387,12 @@ def test_relation_index_outside_the_free_columns(rm6):
             coefficient_handles(rm6, 1, k)
         with pytest.raises(DomainError, match=r"k = -?\d outside 1\.\.2"):
             relation_values(rm6, 1, k, 2j)
+    # 1.0 and True equal 1 but are no relation index
+    for k in (1.0, True):
+        with pytest.raises(DomainError, match="must be an integer"):
+            coefficient_handles(rm6, 1, k)
+        with pytest.raises(DomainError, match="must be an integer"):
+            relation_values(rm6, 1, k, 2j)
 
 
 def test_relation_values_select_pivots_once_per_block_and_precision(monkeypatch):
@@ -398,18 +404,13 @@ def test_relation_values_select_pivots_once_per_block_and_precision(monkeypatch)
         return kernel_pivots(*args, **kwargs)
 
     monkeypatch.setattr(modsym, "kernel_pivots", counting)
-    modsym._reference_pivots.cache_clear()
+    modsym._blocks.cache_clear()
     first = relation_values(rm, 2, 1, 0.3 + 1.7j)
     for _ in range(3):
         for mu, k in ((2, 1), (2, 2), (3, 1)):
             relation_values(rm, mu, k, 0.3 + 1.7j)
     assert calls == [(2, None), (3, None)]
     assert repr(relation_values(rm, 2, 1, 0.3 + 1.7j)) == repr(first)
-    # kernel_pivots reads RM_TORUS_PRECISION, so the precision is part of the key
-    monkeypatch.setenv("RM_TORUS_PRECISION", "30")
-    relation_values(rm, 2, 1, 0.3 + 1.7j)
-    relation_values(rm, 2, 2, 0.3 + 1.7j)
-    assert calls == [(2, None), (3, None), (2, 30)]
 
 
 def test_low_point_values_match_the_unreduced_kernel(rm6):

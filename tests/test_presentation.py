@@ -316,10 +316,9 @@ def test_dps_sets_the_precision_of_the_linear_algebra(key):
     assert mp.mp.dps == 15
 
 
-def test_precision_from_the_environment_reaches_the_linear_algebra(monkeypatch):
+def test_the_library_takes_precision_only_as_an_argument(monkeypatch):
     rm = canonical_g(3)
-    with mp.workdps(40):
-        expected = kernel_basis(rm, 1, 2j, dps=40)
+    expected = kernel_basis(rm, 1, 2j)
     monkeypatch.setenv("RM_TORUS_PRECISION", "40")
     assert kernel_basis(rm, 1, 2j) == expected
 
