@@ -513,13 +513,15 @@ class BlockMatrix:
 class _BlockData:
     """What the mu-th block is apart from tau: built once per (rm, mu).
 
-    ``chars`` are the exact characteristics of :func:`block_characteristics`,
-    ``table`` their kernel table (:func:`rmtorus.theta._kernel_table`, row by
-    row) and ``partners`` the indices alpha(mu, j) for j = 1..c.
+    ``chars`` are the exact characteristics of :func:`block_characteristics`.
+    Each is k/l for an integer k in 0..l-1, and ``index`` holds those k as an
+    (a+d) x c integer array, so the block at tau is ``row[index]`` for the
+    level row of :func:`_level_row`.  ``partners`` holds the indices
+    alpha(mu, j) for j = 1..c.
     """
 
     chars: tuple[tuple[Fraction, ...], ...]
-    table: _KernelTable
+    index: np.ndarray
     partners: tuple[int, ...]
 
 
@@ -551,8 +553,30 @@ def _block_data(rm: RMData, mu: int) -> _BlockData:
                 )
             row.append(char)
         rows.append(tuple(row))
-    table = _kernel_table([(ch, 0) for row in rows for ch in row])
-    return _BlockData(chars=tuple(rows), table=table, partners=partners)
+    index = np.array([[int(ch * l) for ch in row] for row in rows])
+    index.flags.writeable = False
+    return _BlockData(chars=tuple(rows), index=index, partners=partners)
+
+
+def _level_characteristics(level: int) -> list[tuple[Fraction, Fraction]]:
+    """The level characteristics (k/l, 0), k = 0..l-1: column k of a level row."""
+    return [(Fraction(k, level), Fraction(0)) for k in range(level)]
+
+
+@functools.cache
+def _level_table(level: int) -> _KernelTable:
+    """The kernel table of the level characteristics, built once per level."""
+    return _kernel_table(_level_characteristics(level))
+
+
+def _level_row(rm: RMData, tau: complex, ctl: SeriesControl | None, dps: int | None):
+    """theta[k/l](0, l tau) for k = 0..l-1, in one kernel sum.
+
+    Every entry of every block of ``rm`` at ``tau`` is one of these values.
+    ``tau`` is checked to be finite before it is scaled by l.
+    """
+    _check_finite(tau)
+    return _kernel_sum(_level_table(rm.level), [rm.level * tau], dps, ctl)[0]
 
 
 def block_characteristics(rm: RMData, mu: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -572,23 +596,29 @@ def block_M(
     ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> BlockMatrix:
-    """Assemble and rank-check the mu-th relation block at tau."""
-    t, c, l = rm.trace, rm.degree, rm.level
-    data = _block(rm, mu)
+    """Assemble and rank-check the mu-th relation block at tau.
+
+    The entries are gathered by the block's index array from the level row
+    at tau: one kernel sum of the l level characteristics, whose values are
+    bit for bit those of :func:`rmtorus.theta.theta_constants` of the
+    block's characteristics at l*tau.
+    """
+    _block(rm, mu)  # mu's index check comes before tau's
     tau_c = complex(tau)
-    _check_finite(tau_c)
-    flat = _kernel_sum(data.table, [l * tau_c], dps, ctl)[0]
-    if dps is None:
-        flat = [complex(x) for x in flat]
-    entries = [tuple(flat[(i - 1) * c : i * c]) for i in range(1, t + 1)]
-    array = np.array([[complex(x) for x in row] for row in entries], dtype=complex)
-    singular = np.linalg.svd(array, compute_uv=False)
+    return _block_at(rm, mu, tau_c, _level_row(rm, tau_c, ctl, dps))
+
+
+def _block_at(rm: RMData, mu: int, tau: complex, row) -> BlockMatrix:
+    """Block mu gathered from the level row at tau, after its SVD rank check."""
+    data = _block(rm, mu)
+    entries = row[data.index]
+    singular = np.linalg.svd(entries.astype(complex), compute_uv=False)
     rank = int(np.sum(singular > RANK_CUTOFF * singular[0]))
-    if rank != t:
+    if rank != rm.trace:
         raise RankDeficient(
-            f"block mu={mu} has numerical rank {rank} < {t} at tau={tau_c}"
+            f"block mu={mu} has numerical rank {rank} < {rm.trace} at tau={tau}"
         )
     return BlockMatrix(
-        mu=mu, chars=data.chars, entries=tuple(tuple(r) for r in entries),
-        tau=tau_c, level=l,
+        mu=mu, chars=data.chars, entries=tuple(map(tuple, entries.tolist())),
+        tau=tau, level=rm.level,
     )

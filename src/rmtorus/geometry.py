@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RMData, alpha
+from .core import alpha
 from .errors import CombinatorialCap, DomainError
 from .presentation import Presentation, _complex_json, _float_text, _ints_text
 

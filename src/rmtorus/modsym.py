@@ -36,7 +36,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .core import QuadraticSurd, RMData, _check_index, _egcd, alpha, block_characteristics
+from .core import QuadraticSurd, RMData, _block, _check_index, _egcd, _level_characteristics, alpha
 from .errors import (
     DomainError,
     NotCuspType,
@@ -58,9 +58,10 @@ from .presentation import (
 from .theta import (
     _check_finite,
     _flatten_2x2,
+    _kernel_sum,
+    _kernel_table,
     _unit_phase_mp,
     _working_precision,
-    theta_constants,
     unit_phase,
 )
 
@@ -485,7 +486,8 @@ class _Chain:
 
     Characteristics and phases propagate through the word exactly (rational
     arithmetic); only the final series and the shared square-root factor are
-    floating point.
+    floating point.  The kernel table of the target characteristics is built
+    once, here.
     """
 
     def __init__(self, gamma: tuple[int, int, int, int], chars) -> None:
@@ -506,7 +508,7 @@ class _Chain:
                     r, s = -r, -s
             exact.append((const % 2, r, s))
         self.exact = exact
-        self.targets = [(r, s) for _, r, s in exact]
+        self.table = _kernel_table([(r, s) for _, r, s in exact])
         self.phases = np.array([unit_phase(c) for c, _, _ in exact], dtype=complex)
 
     def root(self, u, sqrt):
@@ -530,7 +532,7 @@ class _Chain:
         Complex doubles, or with ``dps`` mpmath numbers at the ambient
         precision.
         """
-        thetas = theta_constants(self.targets, ws, dps)
+        thetas = _kernel_sum(self.table, ws, dps)
         if dps is None:
             roots = self.root(np.asarray(ws, dtype=complex), np.sqrt)
             return self.phases * np.reshape(roots, (-1, 1)) * thetas
@@ -612,11 +614,16 @@ class _LevelThetas:
     """theta[r, s](0, l tau) for fixed characteristics, as a function of tau.
 
     ``pulled`` evaluates at tau = A(sigma) for a cusp's matrix A through the
-    exact chain of the level-point splitting, cached per cusp; ``at``
-    evaluates at one tau after reducing l tau to the fundamental domain, so
-    the series runs at Im >= sqrt(3)/2 however low tau is.  Both return one
-    row per point and one column per characteristic; with ``dps`` the caller
-    sets the mpmath working precision.
+    exact chain of the level-point splitting; a chain depends on the cusp
+    alone, so it is built once per cusp and kept.  ``at`` evaluates at one
+    tau after reducing l tau to the fundamental domain, so the series runs
+    at Im >= sqrt(3)/2 however low tau is.  Both return one row per point
+    and one column per characteristic; with ``dps`` the caller sets the
+    mpmath working precision.  Nothing that depends on tau is kept.
+
+    The relation blocks of level l all read from one instance,
+    :func:`_level_thetas`, whose characteristics are the l level
+    characteristics k/l: its row at a point holds every block entry there.
     """
 
     def __init__(self, level: int, chars) -> None:
@@ -641,6 +648,12 @@ class _LevelThetas:
             raise DomainError(f"point {tau} is not in the upper half-plane")
         gamma, w = _reduce(self.level * point)
         return _Chain(gamma, self.chars).eval_all([w], dps)
+
+
+@functools.cache
+def _level_thetas(level: int) -> _LevelThetas:
+    """The level row theta[k/l](0, l tau), k = 0..l-1: one per level and process."""
+    return _LevelThetas(level, _level_characteristics(level))
 
 
 class ThetaProductHandle:
@@ -671,12 +684,12 @@ PIVOT_TAU = 2j
 class _Block:
     """The mu-th relation block as a function of tau: one per (rm, mu) and process.
 
-    Holds the exact characteristics of :func:`rmtorus.core.block_characteristics`,
-    with theta[0] appended when a+d is odd (the modular patch), in one
-    :class:`_LevelThetas`, so every relation vector built on the block shares
-    its chain cache.  The pivot and free columns are selected at
-    :data:`PIVOT_TAU` in double, once per block.  Reach a block
-    through :meth:`of`.
+    ``index`` is the block's index array (:func:`rmtorus.core._block`): entry
+    (i, j) is read from column index[i][j] of the level row of
+    :func:`_level_thetas`, and when a+d is odd (``patched``) every
+    coefficient is multiplied by column 0, theta[0], the modular patch.  The
+    pivot and free columns are selected at :data:`PIVOT_TAU` in double, once
+    per block.  Reach a block through :meth:`of`.
     """
 
     def __init__(self, rm: RMData, mu: int) -> None:
@@ -684,10 +697,7 @@ class _Block:
         self.mu = mu
         self.n_relations = rm.degree - rm.trace
         self.patched = rm.trace % 2 == 1
-        chars = [(r, Fraction(0)) for row in block_characteristics(rm, mu) for r in row]
-        if self.patched:
-            chars.append((Fraction(0), Fraction(0)))
-        self.thetas = _LevelThetas(rm.level, chars)
+        self.index = _block(rm, mu).index
 
     @staticmethod
     def of(rm: RMData, mu: int) -> _Block:
@@ -770,15 +780,16 @@ class _RelationVector:
 
     def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
         with _working_precision(dps):
-            return self._coefficients(self.block.thetas.pulled(cusp, sigmas, dps), dps)
+            rows = _level_thetas(self.block.rm.level).pulled(cusp, sigmas, dps)
+            return self._coefficients(rows, dps)
 
     def value(self, tau, dps: int | None = None) -> np.ndarray:
         with _working_precision(dps):
-            return self._coefficients(self.block.thetas.at(tau, dps), dps)[0]
+            return self._coefficients(_level_thetas(self.block.rm.level).at(tau, dps), dps)[0]
 
-    def _coefficients(self, thetas: np.ndarray, dps: int | None) -> np.ndarray:
-        t, c = self.block.rm.trace, self.block.rm.degree
-        blocks = thetas[:, : t * c].reshape(-1, t, c)
+    def _coefficients(self, rows: np.ndarray, dps: int | None) -> np.ndarray:
+        """The slot values at each point, from the level rows there."""
+        blocks = rows[:, self.block.index]
         if dps is None:
             # (points, rows, slots, cols) -> (points, slots, rows, cols)
             minors = np.moveaxis(blocks[:, :, self._columns], 2, 1)
@@ -795,7 +806,7 @@ class _RelationVector:
                 dtype=object,
             )
         if self.block.patched:
-            values = values * thetas[:, t * c :]
+            values = values * rows[:, :1]
         return values
 
 
@@ -870,10 +881,12 @@ def is_cusp_numeric(f, cusps) -> bool:
     return True
 
 
-def _half_integral_vec(vector, size: int, cusp: Cusp, point: complex, quad: QuadratureControl):
+def _half_integral_vec(pulled, size: int, cusp: Cusp, point: complex, quad: QuadratureControl):
     """Integrals from `point` to the cusp along the pulled vertical ray.
 
-    ``vector`` is a scalar handle (``size`` 1) or a relation vector of ``size`` slots.
+    ``pulled(cusp, sigmas)`` gives the integrand's ``size`` values at A(sigma)
+    for the cusp's matrix A, one row per sigma: a scalar handle's
+    ``pulled_value`` (``size`` 1) or the slots of a relation vector.
     """
     a, b, c, d = _cusp_matrix(cusp)
     sigma0 = (d * point - b) / (-c * point + a)
@@ -890,7 +903,7 @@ def _half_integral_vec(vector, size: int, cusp: Cusp, point: complex, quad: Quad
         sigma = x0 + 1j * t
         dtau = 1.0 / (c * sigma + d) ** 2
         factor = 1j * dtau * jac
-        values = np.reshape(vector.pulled_value(cusp, sigma), (len(sigma), size))
+        values = np.reshape(pulled(cusp, sigma), (len(sigma), size))
         out[live] = values * factor[:, None]
         return out
 
@@ -898,7 +911,7 @@ def _half_integral_vec(vector, size: int, cusp: Cusp, point: complex, quad: Quad
 
 
 def _geodesic_integral_vec(
-    vector, size: int, cusp_from: Cusp, cusp_to: Cusp, quad: QuadratureControl
+    pulled, size: int, cusp_from: Cusp, cusp_to: Cusp, quad: QuadratureControl
 ):
     """Vector integral along the geodesic from cusp_from to cusp_to."""
     if cusp_from == cusp_to:
@@ -910,8 +923,8 @@ def _geodesic_integral_vec(
     else:
         x1, x2 = cusp_from.value(), cusp_to.value()
         apex = complex(0.5 * (x1 + x2), 0.5 * abs(x2 - x1))
-    v1, e1, n1 = _half_integral_vec(vector, size, cusp_from, apex, quad)
-    v2, e2, n2 = _half_integral_vec(vector, size, cusp_to, apex, quad)
+    v1, e1, n1 = _half_integral_vec(pulled, size, cusp_from, apex, quad)
+    v2, e2, n2 = _half_integral_vec(pulled, size, cusp_to, apex, quad)
     # int_from^to = int_from^apex + int_apex^to = -(int_apex^from) + int_apex^to
     return -v1 + v2, e1 + e2, n1 + n2
 
@@ -935,7 +948,7 @@ def integrate_geodesic(
             raise NotCuspType(
                 f"integrand does not decay at cusp ({cusp.p}, {cusp.q})"
             )
-    value, err, count = _geodesic_integral_vec(f, 1, cusp_from, cusp_to, quad)
+    value, err, count = _geodesic_integral_vec(f.pulled_value, 1, cusp_from, cusp_to, quad)
     return IntegralResult(value=complex(value[0]), error=float(err), evaluations=count)
 
 
@@ -973,6 +986,12 @@ def averaged_relations(
     :data:`PIVOT_TAU` and held fixed, making the run deterministic; coefficient
     functions that vanish at the reference probes are identically zero by
     construction and are assigned 0 exactly (no quadrature).
+
+    Every relation reads its blocks from the level row of :func:`_level_thetas`.
+    The rows are kept by (cusp, node array) for this call alone, so a node set
+    that several relations reach (the probes, and the panels their bisections
+    share) is summed once; each relation still refines its own mesh, and
+    every value is the one it would compute alone.
     """
     if rm.level % 2 != 0:
         raise OddLevel(f"level {rm.level} is odd")
@@ -982,13 +1001,22 @@ def averaged_relations(
         spec = GroupSpec.bracket(rm.level * rm.level, rm.level)
     quad = quad or QuadratureControl()
     chain = limiting_symbol(rm.theta, spec)
+    level = _level_thetas(rm.level)
+    rows: dict[tuple[Cusp, bytes], np.ndarray] = {}
+
+    def level_rows(cusp: Cusp, sigmas) -> np.ndarray:
+        key = (cusp, np.asarray(sigmas, dtype=complex).tobytes())
+        if key not in rows:
+            rows[key] = level.pulled(cusp, sigmas)
+        return rows[key]
+
     relations_out: list[Relation] = []
     worst_error = 0.0
     for mu in range(1, rm.degree + 1):
         block = _Block.of(rm, mu)
         for k in range(1, block.n_relations + 1):
             vector = block.relation(k)
-            probes = vector.pulled_value(Cusp(1, 0), _ZERO_PROBES)
+            probes = vector._coefficients(level_rows(Cusp(1, 0), _ZERO_PROBES), None)
             top = float(np.max(np.abs(probes)))
             live = [
                 j
@@ -996,12 +1024,14 @@ def averaged_relations(
                 if float(np.max(np.abs(probes[:, i]))) > _ZERO_PROBE_REL * top
             ]
             live_vector = _RelationVector(block, vector.pivots, vector.free_col, live)
+
+            def pulled(cusp: Cusp, sigmas) -> np.ndarray:
+                return live_vector._coefficients(level_rows(cusp, sigmas), None)
+
             totals = np.zeros(len(live), dtype=complex)
             seg_err = 0.0
             for frm, to in chain.segments:
-                vals, err, _ = _geodesic_integral_vec(
-                    live_vector, len(live), frm, to, quad
-                )
+                vals, err, _ = _geodesic_integral_vec(pulled, len(live), frm, to, quad)
                 totals += vals
                 seg_err += err
             worst_error = max(worst_error, chain.scale * seg_err)

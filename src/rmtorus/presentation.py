@@ -36,11 +36,10 @@ import contextlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
-from .core import RANK_CUTOFF, RMData, _block, block_M
+from .core import RANK_CUTOFF, BlockMatrix, RMData, _block, _block_at, _level_row, block_M
 from .errors import (
     DegenerateProbe,
     DomainError,
@@ -161,14 +160,12 @@ def _lu(rows, use_mp: bool):
     return mat, det * sign
 
 
-def _block_columns(rm: RMData, mu: int, tau: complex, ctl, dps):
+def _block_columns(block: BlockMatrix):
     """Block entries as a list of c column vectors of length a+d."""
-    block = block_M(rm, mu, tau, ctl, dps)
-    t, c = rm.trace, rm.degree
-    return [[block.entries[i][j] for i in range(t)] for j in range(c)]
+    return [list(col) for col in zip(*block.entries)]
 
 
-def _pivoted_block(rm: RMData, mu: int, tau: complex, ctl, dps):
+def _pivoted_block(rm: RMData, block: BlockMatrix, dps):
     """Block columns, their 1-based pivot columns, and whether mpmath is used.
 
     The a+d pivots come from a greedy modified Gram-Schmidt scan; fewer
@@ -176,7 +173,7 @@ def _pivoted_block(rm: RMData, mu: int, tau: complex, ctl, dps):
     by the caller, which runs this under ``_at(dps)``.
     """
     use_mp = dps is not None
-    columns = _block_columns(rm, mu, tau, ctl, dps)
+    columns = _block_columns(block)
     basis = []
     pivots: list[int] = []
     for j, col in enumerate(columns, start=1):
@@ -195,7 +192,8 @@ def _pivoted_block(rm: RMData, mu: int, tau: complex, ctl, dps):
             basis.append([vc / resid for vc in v])
     if len(pivots) != rm.trace:
         raise RankDeficient(
-            f"only {len(pivots)} independent columns found for mu={mu} at tau={tau}"
+            f"only {len(pivots)} independent columns found for mu={block.mu} "
+            f"at tau={block.tau}"
         )
     return columns, tuple(pivots), use_mp
 
@@ -231,7 +229,7 @@ def minor_F(
     if any(cols[i] >= cols[i + 1] for i in range(t - 1)):
         raise DomainError(f"columns must be strictly increasing, got {cols}")
     with _at(dps):
-        columns = _block_columns(rm, mu, tau, ctl, dps)
+        columns = _block_columns(block_M(rm, mu, tau, ctl, dps))
         rows = [[columns[j - 1][i] for j in cols] for i in range(t)]
         return _lu(rows, dps is not None)[1]
 
@@ -245,7 +243,7 @@ def kernel_pivots(
 ) -> tuple[int, ...]:
     """1-based pivot columns (size a+d) selected by rank-revealing elimination."""
     with _at(dps):
-        return _pivoted_block(rm, mu, tau, ctl, dps)[1]
+        return _pivoted_block(rm, block_M(rm, mu, tau, ctl, dps), dps)[1]
 
 
 def kernel_basis(
@@ -268,36 +266,44 @@ def kernel_basis(
     exactly singular), and also when a vector fails to annihilate the block.
     """
     with _at(dps):
-        columns, pivots, use_mp = _pivoted_block(rm, mu, tau, ctl, dps)
-        t, c = rm.trace, rm.degree
-        free = _free_columns(pivots, c)
-        order = (*pivots, *free)
-        upper, det = _lu([[columns[j - 1][i] for j in order] for i in range(t)], use_mp)
-        m_norm = float(_norm([x for col in columns for x in col], use_mp))
-        vectors = []
-        for k, q in enumerate(free, start=1):
-            x = [det * 0] * t  # B^-1 c_q by back-substitution
-            if det != 0:
-                for i in reversed(range(t)):
-                    row = upper[i]
-                    known = sum(row[j] * x[j] for j in range(i + 1, t))
-                    x[i] = (row[t + k - 1] - known) / row[i]
-            v = [det * 0] * c
-            v[q - 1] = -det
-            for p, xp in zip(pivots, x):
-                v[p - 1] = det * xp
-            top = max(abs(y) for y in v)
-            margin = abs(v[q - 1]) / top if top else 0.0
-            if margin < RANK_CUTOFF:
-                raise RankDeficient(
-                    f"kernel vector (mu={mu}, k={k}) at tau={tau}: free-column margin "
-                    f"|v_q|/max|v| = {float(margin):.3g} < RANK_CUTOFF = {RANK_CUTOFF:g}"
-                )
-            resid = [sum(columns[j][i] * v[j] for j in range(c)) for i in range(t)]
-            if float(_norm(resid, use_mp)) > 1e-9 * m_norm * float(_norm(v, use_mp)):
-                raise RankDeficient("kernel vector fails annihilation at the requested tolerance")
-            vectors.append(tuple(v))
-        return vectors
+        return _kernel_vectors(rm, block_M(rm, mu, tau, ctl, dps), dps)
+
+
+def _kernel_vectors(rm: RMData, block: BlockMatrix, dps) -> list[tuple[complex, ...]]:
+    """The kernel vectors of :func:`kernel_basis` for a block already built.
+
+    Runs under ``_at(dps)``, set by the caller.
+    """
+    columns, pivots, use_mp = _pivoted_block(rm, block, dps)
+    t, c = rm.trace, rm.degree
+    free = _free_columns(pivots, c)
+    order = (*pivots, *free)
+    upper, det = _lu([[columns[j - 1][i] for j in order] for i in range(t)], use_mp)
+    m_norm = float(_norm([x for col in columns for x in col], use_mp))
+    vectors = []
+    for k, q in enumerate(free, start=1):
+        x = [det * 0] * t  # B^-1 c_q by back-substitution
+        if det != 0:
+            for i in reversed(range(t)):
+                row = upper[i]
+                known = sum(row[j] * x[j] for j in range(i + 1, t))
+                x[i] = (row[t + k - 1] - known) / row[i]
+        v = [det * 0] * c
+        v[q - 1] = -det
+        for p, xp in zip(pivots, x):
+            v[p - 1] = det * xp
+        top = max(abs(y) for y in v)
+        margin = abs(v[q - 1]) / top if top else 0.0
+        if margin < RANK_CUTOFF:
+            raise RankDeficient(
+                f"kernel vector (mu={block.mu}, k={k}) at tau={block.tau}: free-column "
+                f"margin |v_q|/max|v| = {float(margin):.3g} < RANK_CUTOFF = {RANK_CUTOFF:g}"
+            )
+        resid = [sum(columns[j][i] * v[j] for j in range(c)) for i in range(t)]
+        if float(_norm(resid, use_mp)) > 1e-9 * m_norm * float(_norm(v, use_mp)):
+            raise RankDeficient("kernel vector fails annihilation at the requested tolerance")
+        vectors.append(tuple(v))
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +321,18 @@ def relations(
 
     Term j of relation (mu, k) carries the monomial x_{alpha(mu, j)} x_j;
     coefficients below COEFF_PRUNE_REL of the relation's largest are dropped.
+    The level row at tau (:func:`rmtorus.core._level_row`) is summed once;
+    every block is gathered from it and rank-checked as :func:`block_M` does,
+    and its kernel is :func:`kernel_basis`'s.
     """
     tau_c = complex(tau)
     rels: list[Relation] = []
     with _at(dps):
+        row = _level_row(rm, tau_c, ctl, dps)
         for mu in range(1, rm.degree + 1):
             partners = _block(rm, mu).partners
-            for k, vec in enumerate(kernel_basis(rm, mu, tau_c, ctl, dps), start=1):
+            block = _block_at(rm, mu, tau_c, row)
+            for k, vec in enumerate(_kernel_vectors(rm, block, dps), start=1):
                 top = max(float(abs(coeff)) for coeff in vec)
                 terms = tuple(
                     RelationTerm(left=partners[j - 1], right=j, coeff=coeff)

@@ -88,6 +88,7 @@ def test_present_is_byte_identical_with_caches_cold_and_warm(capsys, member):
     for norm in ("raw", "rational", "modular", "monic"):
         argv = ("present", *member, "--tau", "0.3", "1.6", "--normalize", norm)
         core._block_data.cache_clear()
+        core._level_table.cache_clear()
         cli._build_parser.cache_clear()
         cold = _run(capsys, *argv)
         assert _run(capsys, *argv) == cold

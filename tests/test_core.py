@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from rmtorus import core
@@ -198,6 +199,33 @@ def test_block_data_is_built_once_and_sums_like_theta_constants(rm6):
     assert blk.chars is chars
     assert core._block(rm6, 3).partners == tuple(alpha(rm6, 3, j) for j in range(1, 7))
     assert core._block_data.cache_info().misses == 1
+
+
+def _bits(x):
+    """The exact value of an mpmath number or a complex double, for comparison."""
+    return x._mpc_ if isinstance(x, mp.mpc) else repr(complex(x))
+
+
+FAMILY = [canonical_g(t) for t in (3, 4, 5, 6)] + [validate((7, -2, 11, -3))]
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+@pytest.mark.parametrize("rm", FAMILY, ids=lambda rm: str(rm.g))
+def test_block_entries_gathered_from_the_level_row_are_theta_constants(rm, dps):
+    # the kernel is elementwise, so the l level characteristics summed
+    # together give each block entry the bits of the block summed alone;
+    # column 0 is theta[0], the modular patch of an odd trace
+    tau = 0.3 + 1.1j
+    patch = theta_constants([(0, 0)], [rm.level * tau], dps=dps)[0]
+    assert _bits(core._level_row(rm, tau, None, dps)[0]) == _bits(patch[0])
+    for mu in range(1, rm.degree + 1):
+        chars = block_characteristics(rm, mu)
+        assert core._block(rm, mu).index.tolist() == [[int(ch * rm.level) for ch in row]
+                                                      for row in chars]
+        expected = theta_constants([(ch, 0) for row in chars for ch in row],
+                                   [rm.level * tau], dps=dps)[0]
+        got = [x for row in block_M(rm, mu, tau, dps=dps).entries for x in row]
+        assert [_bits(x) for x in got] == [_bits(x) for x in expected]
 
 
 @pytest.mark.parametrize("mu", [True, 1.0, 0, 7])

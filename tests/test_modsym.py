@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from rmtorus import modsym
-from rmtorus.core import QuadraticSurd, canonical_g
+from rmtorus.core import QuadraticSurd, block_characteristics, canonical_g, validate
 from rmtorus.errors import (
     DomainError,
     NotCuspType,
@@ -340,6 +341,7 @@ def test_coefficient_handles_match_relation_values(rm6):
 
 def test_coefficient_handles_share_one_chain_per_cusp(rm6, monkeypatch):
     modsym._blocks.cache_clear()
+    modsym._level_thetas.cache_clear()
     handles = coefficient_handles(rm6, 1, 1)
     built = []
     original = modsym._Chain.__init__
@@ -353,7 +355,7 @@ def test_coefficient_handles_share_one_chain_per_cusp(rm6, monkeypatch):
     shared = {j: [repr(h.pulled_value(cusp, sigmas).tolist()) for cusp in cusps]
               for j, h in handles.items()}
     assert len(handles) == 5 and len(built) == len(cusps)
-    # a handle built on its own shares the block of (rm, mu) and its chains
+    # a handle built on its own shares the block of (rm, mu) and the level's chains
     alone = {j: CoefficientHandle(rm6, 1, h.pivots, h.free_col, j) for j, h in handles.items()}
     for j, handle in handles.items():
         assert (alone[j].rm, alone[j].mu, alone[j].pivots, alone[j].free_col, alone[j].slot) == \
@@ -475,12 +477,13 @@ def test_averaged_ring_properties(rm6):
     assert json.dumps(payload) == json.dumps(averaged_json(averaged))
 
 
-def test_averaged_relations_build_one_chain_per_block_and_cusp(rm6, monkeypatch):
-    # The probe and live vectors of every relation of block mu share one
-    # exact chain per cusp: infinity for the probes, the segment ends for the
-    # quadrature.  The blocks last for the process, so a second run builds
-    # no chain and gives the same bits.
+def test_averaged_relations_build_one_chain_per_level_and_cusp(rm6, monkeypatch):
+    # The probe and live vectors of every relation of every block read the
+    # level row, which has one exact chain per cusp: infinity for the probes,
+    # the segment ends for the quadrature.  The chains last for the process,
+    # so a second run builds no chain and gives the same bits.
     modsym._blocks.cache_clear()
+    modsym._level_thetas.cache_clear()
     built = []
     original = modsym._Chain.__init__
 
@@ -491,7 +494,70 @@ def test_averaged_relations_build_one_chain_per_block_and_cusp(rm6, monkeypatch)
     monkeypatch.setattr(modsym._Chain, "__init__", counting)
     first = averaged_relations(rm6)
     cusps = {Cusp(1, 0)} | {c for seg in limiting_symbol(rm6.theta).segments for c in seg}
-    assert len(built) == rm6.degree * len(cusps) == 30
+    assert len(built) == len(cusps) == 5
     again = averaged_relations(rm6)
-    assert len(built) == 30
+    assert len(built) == 5
     assert repr(averaged_json(again)) == repr(averaged_json(first))
+
+
+def _bits(values):
+    """Exact values of an array of mpmath numbers or complex doubles."""
+    return [x._mpc_ if isinstance(x, mp.mpc) else repr(complex(x)) for x in np.ravel(values)]
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+@pytest.mark.parametrize("g", [canonical_g(t).g for t in (3, 4, 5, 6)] + [(7, -2, 11, -3)],
+                         ids=str)
+def test_level_row_gathers_each_block_bit_for_bit(g, dps):
+    # A block read from the level row through its index array, with column 0
+    # as the theta[0] patch of an odd trace, equals the chain evaluation of
+    # the block's own characteristics (theta[0] appended), pulled and at a point.
+    rm = validate(g)
+    level = modsym._level_thetas(rm.level)
+    sigmas, low = [0.1 + 2j, -0.3 + 5j], 0.21 + 0.03j
+    with modsym._working_precision(dps):  # the caller's precision, as the handles set it
+        rows = {cusp: level.pulled(cusp, sigmas, dps) for cusp in (Cusp(1, 0), Cusp(-5, 4))}
+        at = level.at(low, dps)
+        for mu in range(1, rm.degree + 1):
+            index = modsym._Block.of(rm, mu).index.ravel()
+            alone = modsym._LevelThetas(
+                rm.level,
+                [(r, F(0)) for row in block_characteristics(rm, mu) for r in row] + [(F(0), F(0))],
+            )
+            for cusp, row in rows.items():
+                gathered = np.concatenate([row[:, index], row[:, :1]], axis=1)
+                assert _bits(gathered) == _bits(alone.pulled(cusp, sigmas, dps))
+            gathered = np.concatenate([at[:, index], at[:, :1]], axis=1)
+            assert _bits(gathered) == _bits(alone.at(low, dps))
+
+
+def test_averaged_relations_sum_each_cusp_and_node_set_once(rm6, monkeypatch):
+    # Relations that reach the same nodes at the same cusp (the probes, the
+    # panels their bisections share) read one level row.  The rows last for
+    # one call only: a second call, and a call after one that raised, sum
+    # exactly as many rows as the first.
+    sums, reads = [], []
+    kernel_sum, coefficients = modsym._kernel_sum, modsym._RelationVector._coefficients
+
+    def counting_sum(table, taus, *args, **kwargs):
+        sums.append((id(table), np.asarray(taus).tobytes()))
+        return kernel_sum(table, taus, *args, **kwargs)
+
+    def counting_reads(self, rows, dps):
+        reads.append(len(rows))
+        return coefficients(self, rows, dps)
+
+    monkeypatch.setattr(modsym, "_kernel_sum", counting_sum)
+    monkeypatch.setattr(modsym._RelationVector, "_coefficients", counting_reads)
+    first = averaged_relations(rm6)
+    n_sums, n_reads = len(sums), len(reads)
+    assert len(set(sums)) == n_sums < n_reads // 5
+    sums.clear()
+    again = averaged_relations(rm6)
+    assert len(sums) == n_sums
+    assert repr(averaged_json(again)) == repr(averaged_json(first))
+    with pytest.raises(QuadratureFailure):
+        averaged_relations(rm6, quad=QuadratureControl(max_evals=15))
+    sums.clear()
+    assert repr(averaged_json(averaged_relations(rm6))) == repr(averaged_json(first))
+    assert len(sums) == n_sums

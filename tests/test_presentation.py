@@ -382,3 +382,30 @@ def test_non_finite_tau_error_names_the_given_point(tau):
         with pytest.raises(DomainError) as exc:
             block_M(canonical_g(4), 1, tau, dps=dps)
         assert str(exc.value) == f"point {tau} is not finite"
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+def test_relations_sum_the_level_row_once_per_call(rm6, monkeypatch, dps):
+    # all c blocks are gathered from one level row; each block alone sums it too
+    sums = []
+    original = core._kernel_sum
+
+    def counting(table, taus, *args, **kwargs):
+        sums.append(len(table.rho))
+        return original(table, taus, *args, **kwargs)
+
+    monkeypatch.setattr(core, "_kernel_sum", counting)
+    pres = relations(rm6, 0.3 + 1.6j, dps=dps)
+    assert sums == [rm6.level]
+    with mp.workdps(dps or 15):
+        for rel in pres.relations:
+            vec = kernel_basis(rm6, rel.mu, 0.3 + 1.6j, dps=dps)[rel.k - 1]
+            assert [t.coeff for t in rel.terms] == [vec[t.right - 1] for t in rel.terms]
+    assert sums == [rm6.level] * (1 + len(pres.relations))
+
+
+def test_relations_rank_check_every_block(rm6, monkeypatch):
+    # the shared row does not skip block_M's singular-value test
+    monkeypatch.setattr(core, "RANK_CUTOFF", 2.0)
+    with pytest.raises(RankDeficient, match=r"block mu=1 has numerical rank 0 < 4"):
+        relations(rm6, 2j)
