@@ -106,7 +106,6 @@ from .presentation import (
 )
 from .theta import (
     RationalChar,
-    SeriesControl,
     UpperHalfPoint,
     algebraic_theta,
     constant_fourier_term,
@@ -128,7 +127,7 @@ __all__ = [
     "TruncationExceeded", "RationalInput", "NotCuspType", "QuadratureFailure",
     "CombinatorialCap",
     # theta
-    "RationalChar", "UpperHalfPoint", "SeriesControl", "theta",
+    "RationalChar", "UpperHalfPoint", "theta",
     "theta_constant", "algebraic_theta", "kappa", "theta_zero_check",
     "constant_fourier_term", "unit_phase",
     # core

@@ -183,7 +183,7 @@ def _cmd_theta(parser, args) -> int:
     tau = _resolve_tau(parser, args)
     try:
         r, s = Fraction(args.r), Fraction(args.s)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         parser.error("--r/--s must be rational, e.g. 1/24 or 0.5")
     value = theta(RationalChar(r, s), 0.0, tau, dps=_env_dps())
     payload = {

@@ -36,7 +36,6 @@ from .errors import (
     RankDeficient,
 )
 from .theta import (
-    SeriesControl,
     _check_finite,
     _flatten_2x2,
     _kernel_sum,
@@ -381,7 +380,6 @@ def structure_constant_theta(
     beta: int,
     gamma: int,
     tau: complex,
-    ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> complex:
     """Structure constant via a single theta constant at the level point.
@@ -396,7 +394,7 @@ def structure_constant_theta(
     if (alpha_idx - rm.d * (gamma - beta)) % c != 0:
         return 0j
     char = Fraction(rm.trace * alpha_idx - gamma, l)
-    return theta_constant(char, l * complex(tau), ctl, dps)
+    return theta_constant(char, l * complex(tau), dps)
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -418,6 +416,11 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
+# The lattice sum's own truncation, kept apart from the theta route's.
+_LATTICE_TOLERANCE = 1e-15
+_LATTICE_MAX_TERMS = 1_000_000
+
+
 def structure_constant_series(
     g1,
     g2,
@@ -425,7 +428,6 @@ def structure_constant_series(
     beta: int,
     gamma: int,
     tau: complex,
-    ctl: SeriesControl | None = None,
 ) -> complex:
     """Structure constant via the congruence lattice sum.
 
@@ -434,11 +436,13 @@ def structure_constant_series(
     m = c2*d12*gamma - c12*d2*beta (mod c12*c2), where the subscripts refer to
     g1, g2, and their product.  An infeasible pair of congruences gives an
     exact zero.  This route shares nothing with the theta-constant route
-    beyond complex exponentials.
+    beyond complex exponentials, and truncates by its own constants: the sum
+    stops once its tail bound is below _LATTICE_TOLERANCE relative to the
+    partial sum, and :class:`NonConvergence` is raised past
+    _LATTICE_MAX_TERMS terms.
     """
     rm1 = g1 if isinstance(g1, RMData) else validate(g1)
     rm2 = g2 if isinstance(g2, RMData) else validate(g2)
-    ctl = ctl or SeriesControl()
     a1, b1, c1, d1 = rm1.g
     a2, b2, c2, d2 = rm2.g
     c12 = c1 * a2 + d1 * c2
@@ -477,9 +481,9 @@ def structure_constant_series(
         ring += 1
         total += term(ring) + term(-ring)
         count += 2
-        if count + 2 > ctl.max_terms:
+        if count + 2 > _LATTICE_MAX_TERMS:
             raise NonConvergence(
-                f"congruence sum did not reach tolerance within {ctl.max_terms} terms"
+                f"congruence sum did not reach tolerance within {_LATTICE_MAX_TERMS} terms"
             )
         next_min = (ring + 1) * step - abs(m0)
         if next_min <= 0:
@@ -487,7 +491,7 @@ def structure_constant_series(
         log_next = -decay * next_min * next_min
         log_rho = -decay * (2 * next_min * step)
         if log_rho < -math.log(2.0) and log_next + math.log(4.0) < math.log(
-            ctl.tolerance * (abs(total) + 1.0)
+            _LATTICE_TOLERANCE * (abs(total) + 1.0)
         ):
             return total
 
@@ -569,14 +573,14 @@ def _level_table(level: int) -> _KernelTable:
     return _kernel_table(_level_characteristics(level))
 
 
-def _level_row(rm: RMData, tau: complex, ctl: SeriesControl | None, dps: int | None):
+def _level_row(rm: RMData, tau: complex, dps: int | None):
     """theta[k/l](0, l tau) for k = 0..l-1, in one kernel sum.
 
     Every entry of every block of ``rm`` at ``tau`` is one of these values.
     ``tau`` is checked to be finite before it is scaled by l.
     """
     _check_finite(tau)
-    return _kernel_sum(_level_table(rm.level), [rm.level * tau], dps, ctl)[0]
+    return _kernel_sum(_level_table(rm.level), [rm.level * tau], dps)[0]
 
 
 def block_characteristics(rm: RMData, mu: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -593,7 +597,6 @@ def block_M(
     rm: RMData,
     mu: int,
     tau: complex,
-    ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> BlockMatrix:
     """Assemble and rank-check the mu-th relation block at tau.
@@ -605,7 +608,7 @@ def block_M(
     """
     _block(rm, mu)  # mu's index check comes before tau's
     tau_c = complex(tau)
-    return _block_at(rm, mu, tau_c, _level_row(rm, tau_c, ctl, dps))
+    return _block_at(rm, mu, tau_c, _level_row(rm, tau_c, dps))
 
 
 def _block_at(rm: RMData, mu: int, tau: complex, row) -> BlockMatrix:

@@ -47,7 +47,7 @@ from .errors import (
     OddLevel,
     RankDeficient,
 )
-from .theta import SeriesControl, theta_constant
+from .theta import theta_constant
 
 __all__ = [
     "RelationTerm",
@@ -213,15 +213,17 @@ def minor_F(
     mu: int,
     cols: tuple[int, ...],
     tau: complex,
-    ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> complex:
     """Determinant of the selected (a+d) block columns (1-based, increasing).
 
-    Computed by LU with partial pivoting.
+    Computed by LU with partial pivoting.  Every column must be an ``int``
+    (``bool`` excluded), so a non-integer column is never truncated.
     """
     t, c = rm.trace, rm.degree
-    cols = tuple(int(x) for x in cols)
+    cols = tuple(cols)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in cols):
+        raise DomainError(f"columns must be integers, got {cols}")
     if len(cols) != t:
         raise DomainError(f"need exactly {t} columns, got {len(cols)}")
     if any(not (1 <= x <= c) for x in cols):
@@ -229,7 +231,7 @@ def minor_F(
     if any(cols[i] >= cols[i + 1] for i in range(t - 1)):
         raise DomainError(f"columns must be strictly increasing, got {cols}")
     with _at(dps):
-        columns = _block_columns(block_M(rm, mu, tau, ctl, dps))
+        columns = _block_columns(block_M(rm, mu, tau, dps))
         rows = [[columns[j - 1][i] for j in cols] for i in range(t)]
         return _lu(rows, dps is not None)[1]
 
@@ -238,19 +240,17 @@ def kernel_pivots(
     rm: RMData,
     mu: int,
     tau: complex,
-    ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> tuple[int, ...]:
     """1-based pivot columns (size a+d) selected by rank-revealing elimination."""
     with _at(dps):
-        return _pivoted_block(rm, block_M(rm, mu, tau, ctl, dps), dps)[1]
+        return _pivoted_block(rm, block_M(rm, mu, tau, dps), dps)[1]
 
 
 def kernel_basis(
     rm: RMData,
     mu: int,
     tau: complex,
-    ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> list[tuple[complex, ...]]:
     """c-(a+d) kernel vectors of the mu-th block, from one LU solve.
@@ -266,7 +266,7 @@ def kernel_basis(
     exactly singular), and also when a vector fails to annihilate the block.
     """
     with _at(dps):
-        return _kernel_vectors(rm, block_M(rm, mu, tau, ctl, dps), dps)
+        return _kernel_vectors(rm, block_M(rm, mu, tau, dps), dps)
 
 
 def _kernel_vectors(rm: RMData, block: BlockMatrix, dps) -> list[tuple[complex, ...]]:
@@ -311,12 +311,7 @@ def _kernel_vectors(rm: RMData, block: BlockMatrix, dps) -> list[tuple[complex, 
 # ---------------------------------------------------------------------------
 
 
-def relations(
-    rm: RMData,
-    tau: complex,
-    ctl: SeriesControl | None = None,
-    dps: int | None = None,
-) -> Presentation:
+def relations(rm: RMData, tau: complex, dps: int | None = None) -> Presentation:
     """The raw presentation: all mu, ascending free-column index k.
 
     Term j of relation (mu, k) carries the monomial x_{alpha(mu, j)} x_j;
@@ -328,7 +323,7 @@ def relations(
     tau_c = complex(tau)
     rels: list[Relation] = []
     with _at(dps):
-        row = _level_row(rm, tau_c, ctl, dps)
+        row = _level_row(rm, tau_c, dps)
         for mu in range(1, rm.degree + 1):
             partners = _block(rm, mu).partners
             block = _block_at(rm, mu, tau_c, row)
@@ -362,41 +357,36 @@ def _scaled(p: Presentation, factor, tag: str) -> Presentation:
     return Presentation(rm=p.rm, tau=p.tau, normalization=tag, relations=rels)
 
 
-def normalize_rational(
-    p: Presentation,
-    ctl: SeriesControl | None = None,
-    dps: int | None = None,
-) -> Presentation:
+def normalize_rational(p: Presentation, dps: int | None = None) -> Presentation:
     """Divide every coefficient by theta[0](0, l tau)^(a+d).
 
     The rescaled coefficients are values of level-group-invariant functions;
-    on the imaginary axis they are real to working accuracy.
+    on the imaginary axis they are real to working accuracy.  With ``dps``
+    the power and the products run at ``dps`` digits.
     """
     _require_raw(p, "normalize_rational")
-    base = theta_constant(0, p.level * p.tau, ctl, dps)
-    if float(abs(base)) < 1e-12:
-        raise DegenerateProbe(f"|theta(0, l tau)| = {float(abs(base))} too small")
-    return _scaled(p, base ** (-p.rm.trace), "rational")
+    with _at(dps):
+        base = theta_constant(0, p.level * p.tau, dps)
+        if float(abs(base)) < 1e-12:
+            raise DegenerateProbe(f"|theta(0, l tau)| = {float(abs(base))} too small")
+        return _scaled(p, base ** (-p.rm.trace), "rational")
 
 
-def normalize_modular(
-    p: Presentation,
-    ctl: SeriesControl | None = None,
-    dps: int | None = None,
-) -> Presentation:
+def normalize_modular(p: Presentation, dps: int | None = None) -> Presentation:
     """Patch coefficients into weight-w forms for the level group.
 
     Requires an even level l.  For even a+d the coefficients are unchanged;
     for odd a+d each is multiplied by theta[0](0, l tau) so every product of
-    theta constants has even length.
+    theta constants has even length; with ``dps`` the products run at
+    ``dps`` digits.
     """
     _require_raw(p, "normalize_modular")
     if p.level % 2 != 0:
         raise OddLevel(f"level {p.level} is odd; no even-length patching exists")
-    if p.rm.trace % 2 == 0:
-        return _scaled(p, 1, "modular")
-    factor = theta_constant(0, p.level * p.tau, ctl, dps)
-    return _scaled(p, factor, "modular")
+    with _at(dps):
+        if p.rm.trace % 2 == 0:
+            return _scaled(p, 1, "modular")
+        return _scaled(p, theta_constant(0, p.level * p.tau, dps), "modular")
 
 
 def monic_ordered(p: Presentation) -> Presentation:

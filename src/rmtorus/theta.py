@@ -6,10 +6,13 @@ Evaluates
         exp(pi i (n + r)^2 tau  +  2 pi i (n + r)(z + s))
 
 for rational characteristics ``(r, s)`` by symmetric truncation with an a
-priori tail bound.  Every value comes from one batched kernel, which sums
-every characteristic at every point at once by the q-power recurrence;
-:func:`theta_constants` is its ``z = 0`` face, and :func:`theta` passes
-``z != 0`` in as the complex shift ``s + z``.  The tail bound then widens by
+priori tail bound.  The truncation is fixed: every series is summed to
+:data:`SERIES_TOLERANCE` (to 10^-dps in mpmath when that is lower), and one
+that needs more than :data:`SERIES_MAX_TERMS` terms raises
+:class:`NonConvergence` before any term is summed.  Every value comes from
+one batched kernel, which sums every characteristic at every point at once
+by the q-power recurrence; :func:`theta_constants` is its ``z = 0`` face,
+and :func:`theta` passes ``z != 0`` in as the complex shift ``s + z``.  The tail bound then widens by
 the ``|Im z|`` growth: each ring of terms is at most
 ``exp(-pi Im(tau) (k - 1/2)^2 + 2 pi |Im z| (k + 1/2))``.  In double
 precision a ``z`` whose terms pass the double range raises
@@ -51,7 +54,6 @@ from .errors import DegenerateProbe, DomainError, NonConvergence
 __all__ = [
     "RationalChar",
     "UpperHalfPoint",
-    "SeriesControl",
     "theta",
     "theta_constant",
     "theta_constants",
@@ -67,6 +69,12 @@ IM_GUARD = 1e-8
 
 #: Probe values below this magnitude are rejected as too close to a zero.
 PROBE_GUARD = 1e-8
+
+#: Every series is summed to this tail bound, or to 10^-dps when that is lower.
+SERIES_TOLERANCE = 1e-15
+
+#: A series that needs more terms than this raises NonConvergence.
+SERIES_MAX_TERMS = 1_000_000
 
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
@@ -145,23 +153,6 @@ class UpperHalfPoint:
         object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for theta series evaluation."""
-
-    tolerance: float = 1e-15
-    max_terms: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if not (self.tolerance > 0):
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_terms < 3:
-            raise DomainError(f"max_terms must be at least 3, got {self.max_terms}")
-
-
-_DEFAULT_CONTROL = SeriesControl()
-
-
 def _coerce_tau(tau: complex | UpperHalfPoint) -> complex:
     if isinstance(tau, UpperHalfPoint):
         return tau.value
@@ -189,14 +180,14 @@ def _check_height(points) -> float:
     return im_min
 
 
-def _log_tolerance(ctl: SeriesControl, dps: int | None) -> float:
-    """log of the series tolerance: ctl.tolerance, and 10^-dps in mpmath."""
+def _log_tolerance(dps: int | None) -> float:
+    """log of the series tolerance: SERIES_TOLERANCE, and 10^-dps in mpmath."""
     if dps is None:
-        return math.log(ctl.tolerance)
-    return min(math.log(ctl.tolerance), -dps * math.log(10.0))
+        return math.log(SERIES_TOLERANCE)
+    return min(math.log(SERIES_TOLERANCE), -dps * math.log(10.0))
 
 
-def _ring_count(im_min: float, log_tol: float, max_terms: int, im_z: float = 0.0) -> int:
+def _ring_count(im_min: float, log_tol: float, im_z: float = 0.0) -> int:
     """Rings K the a priori tail bound needs at height Im(tau) >= im_min.
 
     Ring k holds the terms n + r = rho + k and rho - k with |rho| <= 1/2, each
@@ -213,10 +204,11 @@ def _ring_count(im_min: float, log_tol: float, max_terms: int, im_z: float = 0.0
         math.floor((math.log(2.0) + b) / (2.0 * a)) + 1,
         math.floor(h + math.sqrt(h * h + (b + math.log(4.0) - log_tol) / a) - 0.5) + 1,
     )
-    if 2 * rings + 1 > max_terms:
+    if 2 * rings + 1 > SERIES_MAX_TERMS:
+        # the power of ten, since exp(log_tol) underflows to 0 past dps 308
         raise NonConvergence(
-            f"theta series did not reach tolerance {math.exp(log_tol):.3g} "
-            f"within {max_terms} terms"
+            f"theta series did not reach tolerance 1e{log_tol / math.log(10.0):.0f} "
+            f"within {SERIES_MAX_TERMS} terms"
         )
     return rings
 
@@ -284,27 +276,20 @@ def _kernel_table(chars) -> _KernelTable:
     return _KernelTable(rho, shift, rho_f, shift_f)
 
 
-def _kernel_sum(
-    table: _KernelTable,
-    taus,
-    dps: int | None = None,
-    ctl: SeriesControl | None = None,
-    z=0,
-):
+def _kernel_sum(table: _KernelTable, taus, dps: int | None = None, z=0):
     """theta[r, s](z, tau) for the characteristics in ``table``, z entering as s + z.
 
     In double precision a ``z`` whose terms could pass the double range, by
     the largest term exp(pi (Im z)^2 / Im(tau) + 2 pi |Im z|) times the term
     count, raises :class:`DomainError`; the mpmath sum has no such limit.
     """
-    ctl = ctl or _DEFAULT_CONTROL
     if z != 0:
         _check_finite(z)
     im_z = float(z.imag)
     if dps is None:
         tau = np.asarray(taus, dtype=complex).reshape(-1, 1)
         im_min = _check_height(tau[:, 0].tolist())
-        rings = _ring_count(im_min, _log_tolerance(ctl, None), ctl.max_terms, im_z)
+        rings = _ring_count(im_min, _log_tolerance(None), im_z)
         shift = table.shift_f
         if z != 0:
             log_peak = math.pi * im_z * im_z / im_min + 2.0 * math.pi * abs(im_z)
@@ -318,7 +303,7 @@ def _kernel_sum(
     with mp.workdps(dps + 10):
         tau = np.array([[mp.mpc(t)] for t in taus], dtype=object)
         im_min = _check_height(tau[:, 0])
-        rings = _ring_count(im_min, _log_tolerance(ctl, dps), ctl.max_terms, im_z)
+        rings = _ring_count(im_min, _log_tolerance(dps), im_z)
         shift = np.array([mp.mpf(n) / d for n, d in table.shift], dtype=object)
         return _sum_rings(
             np.array([mp.mpf(n) / d for n, d in table.rho], dtype=object),
@@ -329,12 +314,7 @@ def _kernel_sum(
         )
 
 
-def theta_constants(
-    chars,
-    taus,
-    dps: int | None = None,
-    ctl: SeriesControl | None = None,
-):
+def theta_constants(chars, taus, dps: int | None = None):
     """theta[r, s](0, tau) for every characteristic at every point, in one sum.
 
     ``chars`` holds :class:`RationalChar` values or exact ``(r, s)`` pairs and
@@ -342,21 +322,20 @@ def theta_constants(
     array of shape (len(taus), len(chars)): complex doubles when ``dps`` is
     None, otherwise mpmath numbers from a sum at ``dps`` decimal digits.
     Every series is truncated at the ring the a priori tail bound of the
-    lowest point requires for ``ctl.tolerance`` (and 10^-dps);
-    :class:`NonConvergence` is raised when that takes more than
-    ``ctl.max_terms`` terms.
+    lowest point requires for :data:`SERIES_TOLERANCE` (or 10^-dps when that
+    is lower); :class:`NonConvergence` is raised, before any summing, when
+    that takes more than :data:`SERIES_MAX_TERMS` terms.
 
     This is :func:`_kernel_table` followed by :func:`_kernel_sum`; a caller
     that sums the same characteristics again keeps the table.
     """
-    return _kernel_sum(_kernel_table(chars), taus, dps, ctl)
+    return _kernel_sum(_kernel_table(chars), taus, dps)
 
 
 def theta(
     ch: RationalChar,
     z: complex,
     tau: complex | UpperHalfPoint,
-    ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> complex:
     """theta[ch.r, ch.s](z, tau) by symmetric truncation.
@@ -370,30 +349,28 @@ def theta(
     if not isinstance(ch, RationalChar):
         ch = RationalChar(*ch) if isinstance(ch, tuple) else RationalChar(ch)
     tau_value = _coerce_tau(tau)
-    value = _kernel_sum(_kernel_table([ch]), [tau_value], dps, ctl, z)[0, 0]
+    value = _kernel_sum(_kernel_table([ch]), [tau_value], dps, z)[0, 0]
     return complex(value) if dps is None else value
 
 
 def theta_constant(
     r: RationalLike,
     tau: complex | UpperHalfPoint,
-    ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> complex:
     """theta[r, 0](0, tau); invariant under r -> -r and r -> r + 1."""
-    return theta(RationalChar(_as_fraction(r, "characteristic r")), 0.0, tau, ctl, dps)
+    return theta(RationalChar(_as_fraction(r, "characteristic r")), 0.0, tau, dps)
 
 
 def algebraic_theta(
     ch: RationalChar,
     tau: complex | UpperHalfPoint,
-    ctl: SeriesControl | None = None,
     dps: int | None = None,
 ) -> complex:
     """exp(-pi i r s) * theta[r, s](0, tau), the phase-normalized constant."""
     if not isinstance(ch, RationalChar):
         raise DomainError(f"expected RationalChar, got {ch!r}")
-    value = theta(ch, 0.0, tau, ctl, dps)
+    value = theta(ch, 0.0, tau, dps)
     x = (-ch.r * ch.s) % 2
     if isinstance(value, complex):
         return unit_phase(x) * value
@@ -405,12 +382,7 @@ def _is_parity_group_member(gamma: tuple[int, int, int, int]) -> bool:
     return a * d - b * c == 1 and (a * b) % 2 == 0 and (c * d) % 2 == 0
 
 
-def kappa(
-    gamma,
-    tau_probe: complex | UpperHalfPoint,
-    ctl: SeriesControl | None = None,
-    dps: int | None = None,
-) -> complex:
+def kappa(gamma, tau_probe: complex | UpperHalfPoint, dps: int | None = None) -> complex:
     """Normalized multiplier of the theta-constant functional equation.
 
     For gamma = [[a, b], [c, d]] with det 1 and ab, cd both even, returns
@@ -432,10 +404,10 @@ def kappa(
     # too: formed in double they would hold only 16 digits
     with _working_precision(dps):
         point = tau_value if dps is None else mp.mpc(tau_value)
-        base = _kernel_sum(table, [point], dps, ctl).item(0)
+        base = _kernel_sum(table, [point], dps).item(0)
         if abs(base) < PROBE_GUARD:
             raise DegenerateProbe(f"|theta(0, tau_probe)| = {abs(base)} < {PROBE_GUARD}")
-        lifted = _kernel_sum(table, [(a * point + b) / (c * point + d)], dps, ctl).item(0)
+        lifted = _kernel_sum(table, [(a * point + b) / (c * point + d)], dps).item(0)
         sqrt = cmath.sqrt if dps is None else mp.sqrt
         return lifted / (sqrt(c * point + d) * base)
 
@@ -464,7 +436,6 @@ def theta_zero_check(
     p: int,
     q: int,
     tau: complex | UpperHalfPoint,
-    ctl: SeriesControl | None = None,
 ) -> float:
     """|theta[r, s](z0, tau)| at the lattice zero indexed by integers (p, q).
 
@@ -476,15 +447,10 @@ def theta_zero_check(
         raise DomainError(f"expected RationalChar, got {ch!r}")
     tau_value = _coerce_tau(tau)
     z0 = (0.5 - float(ch.r) + p) * tau_value + (0.5 - float(ch.s) + q)
-    return abs(theta(ch, z0, tau_value, ctl))
+    return abs(theta(ch, z0, tau_value))
 
 
-def constant_fourier_term(
-    r: RationalLike,
-    l: int,
-    ctl: SeriesControl | None = None,
-    dps: int | None = None,
-) -> complex:
+def constant_fourier_term(r: RationalLike, l: int, dps: int | None = None) -> complex:
     """Limiting constant Fourier coefficient of theta[r, 0](0, l * i T) as T grows.
 
     Evaluates at heights ``50 l^2`` and ``100 l^2`` and Richardson-extrapolates;
@@ -493,6 +459,6 @@ def constant_fourier_term(
     r = _as_fraction(r, "characteristic r")
     if not isinstance(l, int) or l <= 0:
         raise DomainError(f"level must be a positive integer, got {l!r}")
-    v1 = theta_constant(r, complex(0.0, 50.0 * l * l), ctl, dps)
-    v2 = theta_constant(r, complex(0.0, 100.0 * l * l), ctl, dps)
+    v1 = theta_constant(r, complex(0.0, 50.0 * l * l), dps)
+    v2 = theta_constant(r, complex(0.0, 100.0 * l * l), dps)
     return 2 * v2 - v1

@@ -214,6 +214,15 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--r", "--s"])
+def test_zero_denominator_is_a_usage_error(capsys, flag):
+    argv = {"--r": "0", "--s": "0", flag: "1/0"}
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", *(x for pair in argv.items() for x in pair), "--tau", "0", "1"])
+    assert exc.value.code == 2
+    assert "--r/--s must be rational" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["present", "--trace", "3"],
     ["basis", "--trace", "3", "--degree", "2"],

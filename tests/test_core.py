@@ -217,7 +217,7 @@ def test_block_entries_gathered_from_the_level_row_are_theta_constants(rm, dps):
     # column 0 is theta[0], the modular patch of an odd trace
     tau = 0.3 + 1.1j
     patch = theta_constants([(0, 0)], [rm.level * tau], dps=dps)[0]
-    assert _bits(core._level_row(rm, tau, None, dps)[0]) == _bits(patch[0])
+    assert _bits(core._level_row(rm, tau, dps)[0]) == _bits(patch[0])
     for mu in range(1, rm.degree + 1):
         chars = block_characteristics(rm, mu)
         assert core._block(rm, mu).index.tolist() == [[int(ch * rm.level) for ch in row]

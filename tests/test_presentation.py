@@ -23,6 +23,7 @@ from rmtorus.presentation import (
     presentation_json,
     relations,
 )
+from rmtorus.theta import theta_constant
 
 TAU = 2j
 
@@ -111,6 +112,25 @@ def test_modular_normalization_keeps_support(rm6):
                [(t.left, t.right) for t in rel_mod.terms]
 
 
+def _worst_relative_error(raw, scaled, factor):
+    with mp.workdps(60):
+        return max(abs(t.coeff - r.coeff * factor) / abs(r.coeff * factor)
+                   for rel_raw, rel in zip(raw.relations, scaled.relations)
+                   for r, t in zip(rel_raw.terms, rel.terms))
+
+
+def test_normalizations_at_dps_keep_dps_digits():
+    # the power and the products run at dps, whatever the ambient precision
+    tau = 0.1 + 1.3j
+    raw = relations(canonical_g(3), tau, dps=40)
+    base = theta_constant(0, raw.level * tau, dps=40)
+    with mp.workdps(60):
+        factor = base ** -3
+    assert _worst_relative_error(raw, normalize_rational(raw, dps=40), factor) < 1e-35
+    raw = relations(canonical_g(4), tau, dps=40)
+    assert _worst_relative_error(raw, normalize_modular(raw, dps=40), 1) < 1e-35
+
+
 def test_monic_presentation_is_reduced_and_valid(rm6):
     monic = monic_ordered(relations(rm6, TAU))
     assert monic.normalization == "monic"
@@ -166,6 +186,10 @@ def test_minor_matches_block_determinant(rm6):
         assert abs(expanded - mine) <= 1e-8 * (max(abs(expanded), abs(mine)) + 1.0)
     with pytest.raises(DomainError):
         minor_F(rm6, 1, (2, 1, 3, 4), TAU)
+    # int() would read each as the minor of columns (1, 2, 3, 4)
+    for cols in ((1.5, 2, 3, 4), (True, 2, 3, 4)):
+        with pytest.raises(DomainError, match="columns must be integers"):
+            minor_F(rm6, 1, cols, TAU)
 
 
 def test_json_is_deterministic(rm6):

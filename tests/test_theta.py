@@ -5,14 +5,12 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from rmtorus.errors import DomainError, NonConvergence
 from rmtorus.modsym import GroupSpec, member
 from rmtorus.theta import (
     RationalChar,
-    SeriesControl,
     UpperHalfPoint,
     algebraic_theta,
     constant_fourier_term,
@@ -175,14 +173,14 @@ def test_algebraic_constant_is_phase_normalized():
         assert abs(algebraic_theta(ch, tau) - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
-def test_series_control_limits():
+def test_series_term_cap_raises_before_summing():
+    # at z = 1e4 i, tau = 0.04 i the tail bound needs about 5e5 rings
     ch = RationalChar(F(1, 3), F(2, 5))
-    for z in (0.0, 0.2 + 0.1j):
-        with pytest.raises(NonConvergence):
-            theta(ch, z, 0.5j, SeriesControl(max_terms=3))
-    loose = theta(ch, 0.0, 1j, SeriesControl(tolerance=1e-8))
-    tight = theta(ch, 0.0, 1j)
-    assert abs(loose - tight) < 1e-7
+    for dps, tolerance in ((None, "1e-15"), (30, "1e-30")):
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match=f"tolerance {tolerance} within 1000000 terms"):
+            theta(ch, 1e4j, 0.04j, dps=dps)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_domain_validation():
@@ -268,13 +266,15 @@ def test_batched_constants_match_jtheta_in_mpmath(dps):
                 assert abs(got[p, c] - ref) <= mp.mpf(10) ** -dps * max(1, abs(ref))
 
 
-def test_batched_constants_honour_series_control():
+def test_batched_constants_honour_the_term_cap():
     chars = [RationalChar(F(1, 3), F(2, 5)), RationalChar(F(0), F(1, 2))]
-    with pytest.raises(NonConvergence):
-        theta_constants(chars, [0.5j, 2j], ctl=SeriesControl(max_terms=3))
+    # at Im(tau) = 1e-8 and tolerance 1e-10000 the tail bound needs about
+    # 8.6e5 rings; the message names the tolerance, which exp(log) rounds to 0
+    start = time.perf_counter()
+    with pytest.raises(NonConvergence,
+                       match="did not reach tolerance 1e-10000 within 1000000 terms"):
+        theta_constants(chars, [0.5j, 1e-8j], dps=10000)
+    assert time.perf_counter() - start < 0.5
     with pytest.raises(DomainError):
         theta_constants(chars, [1j, 0.3 + 1e-9j])
-    loose = theta_constants(chars, [1j], ctl=SeriesControl(tolerance=1e-8))
-    tight = theta_constants(chars, [1j])
-    assert np.max(np.abs(loose - tight)) < 1e-7
-    assert tight[0, 0] == theta(chars[0], 0.0, 1j)
+    assert theta_constants(chars, [1j])[0, 0] == theta(chars[0], 0.0, 1j)
