@@ -515,7 +515,7 @@ class BlockMatrix:
 
 @dataclass(frozen=True, eq=False)
 class _BlockData:
-    """What the mu-th block is apart from tau: built once per (rm, mu).
+    """What the mu-th block is apart from tau.
 
     ``chars`` are the exact characteristics of :func:`block_characteristics`.
     Each is k/l for an integer k in 0..l-1, and ``index`` holds those k as an
@@ -529,6 +529,19 @@ class _BlockData:
     partners: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class _BlockStack:
+    """What every block of ``rm`` is apart from tau: built once per rm and process.
+
+    ``blocks[mu - 1]`` is the data of block mu, and ``index`` stacks their
+    index arrays as one read-only (c, a+d, c) array, so all c blocks at tau
+    are ``row[index]``.
+    """
+
+    blocks: tuple[_BlockData, ...]
+    index: np.ndarray
+
+
 def _block(rm: RMData, mu: int) -> _BlockData:
     """The tau-independent data of block mu, from the cache after mu's index check.
 
@@ -536,30 +549,36 @@ def _block(rm: RMData, mu: int) -> _BlockData:
     be served the entry of mu = 1.
     """
     _check_index("mu", mu, rm.degree)
-    return _block_data(rm, mu)
+    return _block_data(rm).blocks[mu - 1]
 
 
 @functools.cache
-def _block_data(rm: RMData, mu: int) -> _BlockData:
+def _block_data(rm: RMData) -> _BlockStack:
     t, c, l = rm.trace, rm.degree, rm.level
-    base = q_mu(rm, mu)
-    partners = tuple(alpha(rm, mu, j) for j in range(1, c + 1))
-    rows = []
-    for i in range(1, t + 1):
-        row = []
-        for j in range(1, c + 1):
-            char = (base + _lambda_entry(rm, i, j)) % 1
-            gamma = mu + (i - 1) * c
-            direct = Fraction(t * partners[j - 1] - gamma, l)
-            if (char - direct) % 1 != 0:
-                raise DomainError(
-                    f"block characteristic mismatch at (mu={mu}, i={i}, j={j})"
-                )
-            row.append(char)
-        rows.append(tuple(row))
-    index = np.array([[int(ch * l) for ch in row] for row in rows])
+    chars, partners = [], []
+    for mu in range(1, c + 1):
+        base = q_mu(rm, mu)
+        partners.append(tuple(alpha(rm, mu, j) for j in range(1, c + 1)))
+        rows = []
+        for i in range(1, t + 1):
+            row = []
+            for j in range(1, c + 1):
+                char = (base + _lambda_entry(rm, i, j)) % 1
+                gamma = mu + (i - 1) * c
+                direct = Fraction(t * partners[-1][j - 1] - gamma, l)
+                if (char - direct) % 1 != 0:
+                    raise DomainError(
+                        f"block characteristic mismatch at (mu={mu}, i={i}, j={j})"
+                    )
+                row.append(char)
+            rows.append(tuple(row))
+        chars.append(tuple(rows))
+    index = np.array([[[int(ch * l) for ch in row] for row in rows] for rows in chars])
     index.flags.writeable = False
-    return _BlockData(chars=tuple(rows), index=index, partners=partners)
+    blocks = tuple(
+        _BlockData(chars=ch, index=ix, partners=pa) for ch, ix, pa in zip(chars, index, partners)
+    )
+    return _BlockStack(blocks=blocks, index=index)
 
 
 def _level_characteristics(level: int) -> list[tuple[Fraction, Fraction]]:
@@ -588,7 +607,8 @@ def block_characteristics(rm: RMData, mu: int) -> tuple[tuple[Fraction, ...], ..
 
     An (a+d) x c nested tuple.  Each entry is cross-checked exactly against
     the structure-constant labelling with output index gamma = mu + (i-1) c
-    and input pair (alpha(mu, j), j).  Computed once per (rm, mu) and process.
+    and input pair (alpha(mu, j), j).  Computed with every other block of
+    ``rm``, once per rm and process.
     """
     return _block(rm, mu).chars
 
@@ -604,24 +624,34 @@ def block_M(
     The entries are gathered by the block's index array from the level row
     at tau: one kernel sum of the l level characteristics, whose values are
     bit for bit those of :func:`rmtorus.theta.theta_constants` of the
-    block's characteristics at l*tau.
+    block's characteristics at l*tau.  The rank check is :func:`_blocks_at`'s
+    on a stack of one.
     """
-    _block(rm, mu)  # mu's index check comes before tau's
+    data = _block(rm, mu)  # mu's index check comes before tau's
     tau_c = complex(tau)
-    return _block_at(rm, mu, tau_c, _level_row(rm, tau_c, dps))
-
-
-def _block_at(rm: RMData, mu: int, tau: complex, row) -> BlockMatrix:
-    """Block mu gathered from the level row at tau, after its SVD rank check."""
-    data = _block(rm, mu)
-    entries = row[data.index]
-    singular = np.linalg.svd(entries.astype(complex), compute_uv=False)
-    rank = int(np.sum(singular > RANK_CUTOFF * singular[0]))
-    if rank != rm.trace:
-        raise RankDeficient(
-            f"block mu={mu} has numerical rank {rank} < {rm.trace} at tau={tau}"
-        )
+    entries, failures = _blocks_at(rm, data.index[None], (mu,), tau_c, _level_row(rm, tau_c, dps))
+    if failures:
+        raise RankDeficient(failures[mu])
     return BlockMatrix(
-        mu=mu, chars=data.chars, entries=tuple(map(tuple, entries.tolist())),
-        tau=tau, level=rm.level,
+        mu=mu, chars=data.chars, entries=tuple(map(tuple, entries[0].tolist())),
+        tau=tau_c, level=rm.level,
     )
+
+
+def _blocks_at(rm: RMData, index: np.ndarray, mus, tau: complex, row):
+    """Blocks ``mus`` gathered from the level row at tau, and their rank checks.
+
+    ``index`` stacks the index arrays of the blocks ``mus``.  Returns the
+    blocks as one (len(mus), a+d, c) array and, for each block whose
+    numerical rank (singular values above RANK_CUTOFF of the largest, from
+    one stacked SVD) falls short of a+d, its error message by mu.
+    """
+    entries = row[index]
+    singular = np.linalg.svd(entries.astype(complex), compute_uv=False)
+    ranks = np.sum(singular > RANK_CUTOFF * singular[:, :1], axis=1).tolist()
+    failures = {
+        mu: f"block mu={mu} has numerical rank {rank} < {rm.trace} at tau={tau}"
+        for mu, rank in zip(mus, ranks)
+        if rank != rm.trace
+    }
+    return entries, failures

@@ -50,8 +50,8 @@ from .errors import (
 from .presentation import (
     Relation,
     RelationTerm,
+    _det,
     _free_columns,
-    _lu,
     _relations_json,
     kernel_pivots,
 )
@@ -426,8 +426,8 @@ class IntegralResult:
 def _gk15_vec(f, a: float, b: float):
     center, half = 0.5 * (a + b), 0.5 * (b - a)
     vals = f(center + half * _XGK)
-    k15 = half * np.tensordot(_WGK, vals, axes=(0, 0))
-    g7 = half * np.tensordot(_WG, vals[1::2], axes=(0, 0))
+    k15 = half * (_WGK @ vals)
+    g7 = half * (_WG @ vals[1::2])
     return k15, float(np.max(np.abs(k15 - g7))), 15
 
 
@@ -790,21 +790,9 @@ class _RelationVector:
     def _coefficients(self, rows: np.ndarray, dps: int | None) -> np.ndarray:
         """The slot values at each point, from the level rows there."""
         blocks = rows[:, self.block.index]
-        if dps is None:
-            # (points, rows, slots, cols) -> (points, slots, rows, cols)
-            minors = np.moveaxis(blocks[:, :, self._columns], 2, 1)
-            values = self._signs * np.linalg.det(minors)
-        else:
-            values = np.array(
-                [
-                    [
-                        sign * _lu([list(row[cols]) for row in block], True)[1]
-                        for cols, sign in zip(self._columns, self._signs)
-                    ]
-                    for block in blocks
-                ],
-                dtype=object,
-            )
+        # (points, rows, slots, cols) -> (points, slots, rows, cols)
+        minors = np.moveaxis(blocks[:, :, self._columns], 2, 1)
+        values = self._signs * _det(minors, dps)
         if self.block.patched:
             values = values * rows[:, :1]
         return values

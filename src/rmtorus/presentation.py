@@ -2,15 +2,27 @@
 
 For validated data ``rm`` and a point ``tau``, each label mu in {1..c}
 contributes c - (a+d) quadratic relations whose coefficient vectors span the
-kernel of the block matrix from :func:`rmtorus.core.block_M`.  A greedy
-Gram-Schmidt scan picks a+d pivot columns, so the construction stays valid
-where the leading columns degenerate.  One LU factorization of the pivot
-submatrix B, carried across the free columns, then gives each kernel vector
-det(B) (B^-1 c_q at the pivots, -1 at its free column q) by one
-back-substitution: the Cramer-minor vector, without its (c-a-d)(a+d+1)
-determinants.  Every other vector is 0 at q, so the vectors are independent
-exactly when each keeps its entry at q; the one rank check is that entry's
-share of the vector's largest, against ``core.RANK_CUTOFF``.
+kernel of the block matrix from :func:`rmtorus.core.block_M`.  All c blocks
+at tau are gathered from one level row into one (c, a+d, c) stack, and their
+kernels come from one batched pass over it; :func:`kernel_basis`,
+:func:`kernel_pivots` and :func:`minor_F` run the same code on a stack of
+one block.
+
+* A first-fit modified Gram-Schmidt scan picks a+d pivot columns per block,
+  so the construction stays valid where the leading columns degenerate.  It
+  walks the columns once for all blocks, in the rounding of scalar Python,
+  so each accept decision is the one-block scan's.
+* With B the pivot submatrix, each kernel vector is det(B) (B^-1 c_q at the
+  pivots, -1 at its free column q): the Cramer-minor vector, without its
+  (c-a-d)(a+d+1) determinants.  In double, det(B) and B^-1 F come from
+  LAPACK on the stacked pivot blocks.  In mpmath one batched elimination of
+  [B | F] with partial pivoting and one back-substitution give them, each
+  block with the operations of the one-block elimination in the same order.
+* Every other vector is 0 at q, so the vectors are independent exactly when
+  each keeps its entry at q; the rank check is that entry's share of the
+  vector's largest, against ``core.RANK_CUTOFF``, next to an annihilation
+  check.  A batch raises :class:`RankDeficient` for its lowest failing mu,
+  with the first check a loop over the blocks would fail.
 
 Four normalizations of the same ideal are provided:
 
@@ -34,12 +46,13 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 from dataclasses import dataclass
+from itertools import compress
 
 import mpmath as mp
+import numpy as np
 
-from .core import RANK_CUTOFF, BlockMatrix, RMData, _block, _block_at, _level_row, block_M
+from .core import RANK_CUTOFF, RMData, _block, _block_data, _blocks_at, _level_row, block_M
 from .errors import (
     DegenerateProbe,
     DomainError,
@@ -117,7 +130,7 @@ class HilbertData:
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers shared by the double and mpmath paths
+# batched helpers shared by the double and mpmath paths
 # ---------------------------------------------------------------------------
 
 
@@ -126,81 +139,257 @@ def _at(dps: int | None):
     return contextlib.nullcontext() if dps is None else mp.workdps(dps)
 
 
-def _norm(vec, use_mp: bool):
-    if use_mp:
-        return mp.sqrt(mp.fsum(abs(x) ** 2 for x in vec))
-    return math.sqrt(sum(abs(x) ** 2 for x in vec))
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, rounded as numpy rounds them."""
+    return np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
 
 
-def _lu(rows, use_mp: bool):
-    """Gaussian elimination with partial pivoting on a local copy of ``rows``.
+# The pivot scan's accept rule can sit within rounding of a nearly dependent
+# column, so its arithmetic keeps the bits of scalar Python: on complex
+# doubles these helpers round as Python's ``complex`` and ``float`` do, where
+# numpy's vectorized complex product, modulus and quotient round otherwise;
+# on mpmath numbers (object arrays) they are the plain operators.
 
-    The rows are n x m with m >= n; the pivots come from the leading n
-    columns and every elimination step runs across all m.  Returns the
-    eliminated rows (upper triangular on the leading square, its trailing
-    columns carried along) and the leading square's determinant, which is
-    exactly 0 when a pivot column is exactly 0 (the rows are then unfinished).
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im, its parts taken as they are."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _project(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """v - <q, v> q along the last axis, the inner product summed left to right."""
+    if v.dtype == object:
+        inner = _sum(np.conj(q) * v)
+        return v - inner[..., None] * q
+    qr, qi, vr, vi = q.real, q.imag, v.real, v.imag
+    ir = _sum(qr * vr + qi * vi)[..., None]
+    ii = _sum(qr * vi - qi * vr)[..., None]
+    return _complex(vr - (ir * qr - ii * qi), vi - (ir * qi + ii * qr))
+
+
+def _div(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """a / r elementwise, for real r."""
+    if a.dtype == object:
+        return a / r
+    return _complex(a.real / r, a.imag / r)
+
+
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """abs(a) ** 2 elementwise; in double, hypot and libm's pow."""
+    if a.dtype == object:
+        return np.abs(a) ** 2
+    return np.float_power(np.hypot(a.real, a.imag), 2)
+
+
+def _sum(a: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, added left to right as ``sum()`` adds."""
+    return np.add.accumulate(a, axis=-1)[..., -1]
+
+
+def _scan_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis: sqrt(sum(abs(x) ** 2)) per row."""
+    return np.sqrt(_sum(_abs2(a)))
+
+
+def _eliminate(rows: np.ndarray):
+    """Gaussian elimination with partial pivoting on a stack of mpmath matrices.
+
+    ``rows`` is (n, r, m) with m >= r; each matrix takes its pivots from its
+    leading r columns, and every elimination step runs across all m.
+    Returns the eliminated copy (upper triangular on each leading square,
+    the trailing columns carried along) and the leading squares'
+    determinants.  A matrix whose pivot column is exactly 0 stops there,
+    unfinished, with determinant exactly 0.  Each matrix sees the mpmath
+    operations of the one-matrix loop in the same order, so its bits do not
+    depend on the rest of the stack.
     """
-    n = len(rows)
-    mat = [list(row) for row in rows]
-    det = mp.mpc(1) if use_mp else complex(1.0)
-    sign = 1
-    for k in range(n):
-        piv = max(range(k, n), key=lambda r: abs(mat[r][k]))
-        if abs(mat[piv][k]) == 0:
-            return mat, mp.mpc(0) if use_mp else complex(0.0)
-        if piv != k:
-            mat[piv], mat[k] = mat[k], mat[piv]
-            sign = -sign
-        det *= mat[k][k]
-        for r in range(k + 1, n):
-            f = mat[r][k] / mat[k][k]
-            for c2 in range(k + 1, len(mat[r])):
-                mat[r][c2] -= f * mat[k][c2]
-    return mat, det * sign
-
-
-def _block_columns(block: BlockMatrix):
-    """Block entries as a list of c column vectors of length a+d."""
-    return [list(col) for col in zip(*block.entries)]
-
-
-def _pivoted_block(rm: RMData, block: BlockMatrix, dps):
-    """Block columns, their 1-based pivot columns, and whether mpmath is used.
-
-    The a+d pivots come from a greedy modified Gram-Schmidt scan; fewer
-    independent columns raise :class:`RankDeficient`.  ``dps`` is resolved
-    by the caller, which runs this under ``_at(dps)``.
-    """
-    use_mp = dps is not None
-    columns = _block_columns(block)
-    basis = []
-    pivots: list[int] = []
-    for j, col in enumerate(columns, start=1):
-        if len(pivots) == rm.trace:
-            break
-        v = list(col)
-        orig = _norm(v, use_mp)
-        if orig == 0:
-            continue
-        for q in basis:
-            inner = sum(qc.conjugate() * vc for qc, vc in zip(q, v))
-            v = [vc - inner * qc for qc, vc in zip(q, v)]
-        resid = _norm(v, use_mp)
-        if resid > PIVOT_RESIDUAL_REL * orig:
-            pivots.append(j)
-            basis.append([vc / resid for vc in v])
-    if len(pivots) != rm.trace:
-        raise RankDeficient(
-            f"only {len(pivots)} independent columns found for mu={block.mu} "
-            f"at tau={block.tau}"
+    mat = np.array(rows, dtype=object)
+    n, r, _ = mat.shape
+    det = np.full(n, mp.mpc(1), dtype=object)
+    sign = np.ones(n, dtype=int)
+    live = np.arange(n)
+    for k in range(r):
+        size = np.abs(mat[live, k:, k])
+        piv = np.argmax(size, axis=1)  # the first largest, as max() takes it
+        zero = size[np.arange(live.size), piv] == 0
+        det[live[zero]] = mp.mpc(0)
+        live, piv = live[~zero], piv[~zero] + k
+        moved = piv != k
+        b, p = live[moved], piv[moved]
+        mat[b, k], mat[b, p] = mat[b, p], mat[b, k]
+        sign[b] = -sign[b]
+        det[live] = det[live] * mat[live, k, k]
+        f = mat[live, k + 1:, k] / mat[live, k, k][:, None]
+        mat[live, k + 1:, k + 1:] = (
+            mat[live, k + 1:, k + 1:] - f[:, :, None] * mat[live, k, k + 1:][:, None, :]
         )
-    return columns, tuple(pivots), use_mp
+    det[live] = det[live] * sign[live]
+    return mat, det
+
+
+def _det(stack: np.ndarray, dps: int | None) -> np.ndarray:
+    """Determinants of a stack of square matrices: LAPACK in double, else :func:`_eliminate`."""
+    if dps is None:
+        return np.linalg.det(stack)
+    return _eliminate(stack.reshape(-1, *stack.shape[-2:]))[1].reshape(stack.shape[:-2])
+
+
+def _solve(pivot_blocks: np.ndarray, free_cols: np.ndarray, dps: int | None):
+    """det(B) and B^-1 F for each stacked pair (B, F), with B^-1 F = 0 where det(B) = 0.
+
+    In double both come from LAPACK.  In mpmath one elimination of [B | F]
+    gives both, and the back-substitution runs over every column of F at
+    once, each entry summed as ``sum()`` sums it.
+    """
+    if dps is None:
+        det = np.linalg.det(pivot_blocks)
+        live = det != 0
+        if live.all():
+            return det, np.linalg.solve(pivot_blocks, free_cols)
+        x = np.zeros_like(free_cols)
+        if live.any():
+            x[live] = np.linalg.solve(pivot_blocks[live], free_cols[live])
+        return det, x
+    t = pivot_blocks.shape[1]
+    upper, det = _eliminate(np.concatenate([pivot_blocks, free_cols], axis=2))
+    x = np.empty(free_cols.shape, dtype=object)
+    x[...] = (det * 0)[:, None, None]
+    live = np.flatnonzero(det != 0)
+    u, xl = upper[live], x[live]
+    for i in reversed(range(t)):
+        known = 0
+        for j in range(i + 1, t):
+            known = known + u[:, i, j, None] * xl[:, j]
+        xl[:, i] = (u[:, i, t:] - known) / u[:, i, i, None]
+    x[live] = xl
+    return det, x
+
+
+def _pivot_scan(blocks: np.ndarray, t: int):
+    """First-fit pivot columns of every block, from one modified Gram-Schmidt scan.
+
+    The columns are taken in order across all blocks at once; a block
+    accepts a column when its residual against the block's accepted columns
+    exceeds PIVOT_RESIDUAL_REL of its norm, until it holds t.  Returns the
+    1-based pivots (n, t), 0 past the last found, and the count per block.
+    Every block sees the arithmetic of the scalar scan of its columns: each
+    column is projected on the accepted columns one by one, in their order.
+    Every block scans its first t columns, so those meet each new basis
+    vector as soon as it is accepted, all in one step; a later column meets
+    the basis when its turn comes.
+    """
+    n, _, c = blocks.shape
+    cols = np.swapaxes(blocks, 1, 2).copy()  # cols[b, j] is column j of block b
+    orig = _scan_norms(cols)
+    basis = np.empty((n, t, t), dtype=blocks.dtype)
+    pivots = np.zeros((n, t), dtype=int)
+    count = np.zeros(n, dtype=int)
+    for j in range(c):
+        live = np.flatnonzero(count < t)
+        if live.size == 0:
+            break
+        v = cols[live, j]
+        if j >= t:
+            held = count[live]
+            for s in range(held.max()):
+                rows = np.flatnonzero(held > s)
+                v[rows] = _project(v[rows], basis[live[rows], s])
+        resid = _scan_norms(v)
+        take = resid > PIVOT_RESIDUAL_REL * orig[live, j]
+        b = live[take]
+        q = _div(v[take], resid[take][:, None])
+        basis[b, count[b]] = q
+        pivots[b, count[b]] = j + 1
+        count[b] += 1
+        if j + 1 < t:
+            cols[b, j + 1:t] = _project(cols[b, j + 1:t], q[:, None, :])
+    return pivots, count
 
 
 def _free_columns(pivots: tuple[int, ...], c: int) -> tuple[int, ...]:
     """The 1-based columns outside the pivots, ascending: k-th is relation k's."""
     return tuple(q for q in range(1, c + 1) if q not in pivots)
+
+
+def _raise_first(failures: dict[int, str]) -> None:
+    """Raise the failure of the lowest mu, as a loop over the blocks meets it first."""
+    if failures:
+        raise RankDeficient(failures[min(failures)])
+
+
+def _pivoted(rm: RMData, index: np.ndarray, mus, tau: complex, dps):
+    """The blocks ``mus`` at tau, stacked, their pivots and their failures by mu.
+
+    ``index`` stacks the blocks' index arrays.  Each failing block keeps the
+    first check it fails: the rank check, then the pivot count.
+    """
+    blocks, failures = _blocks_at(rm, index, mus, tau, _level_row(rm, tau, dps))
+    pivots, count = _pivot_scan(blocks, rm.trace)
+    for mu, found in zip(mus, count.tolist()):
+        if found != rm.trace:
+            failures.setdefault(
+                mu, f"only {found} independent columns found for mu={mu} at tau={tau}"
+            )
+    return blocks, pivots, failures
+
+
+def _cramer_vectors(det, x, pivots, free, c: int) -> np.ndarray:
+    """Vector k of each block: det(B) x_k at the pivots, -det(B) at free column k, else 0.
+
+    ``pivots`` and ``free`` hold 0-based columns; the result is (n, c-(a+d), c).
+    """
+    n, nf = free.shape
+    vectors = np.empty((n, nf, c), dtype=x.dtype)
+    vectors[...] = (det * 0)[:, None, None]
+    b, k = np.arange(n)[:, None], np.arange(nf)[None, :]
+    vectors[b[:, :, None], k[:, :, None], pivots[:, None, :]] = np.swapaxes(
+        det[:, None, None] * x, 1, 2
+    )
+    vectors[b, k, free] = -det[:, None]
+    return vectors
+
+
+def _kernels(rm: RMData, index: np.ndarray, mus, tau: complex, dps):
+    """The kernel vectors of :func:`kernel_basis` for the blocks ``mus``, in one pass.
+
+    Returns the vectors as one (len(mus), c-(a+d), c) array and their
+    magnitudes; raises the first failure of the lowest failing mu.  Runs
+    under ``_at(dps)``, set by the caller.
+    """
+    blocks, pivots, failures = _pivoted(rm, index, mus, tau, dps)
+    t, c = rm.trace, rm.degree
+    ok = np.flatnonzero(pivots[:, -1] > 0)  # the blocks with a+d pivots
+    blocks, pivots = blocks[ok], pivots[ok] - 1
+    n = len(ok)
+    b, rows = np.arange(n)[:, None], np.arange(t)[:, None]
+    others = np.ones((n, c), dtype=bool)
+    others[b, pivots] = False
+    free = np.nonzero(others)[1].reshape(n, c - t)  # ascending in each block
+    b = b[:, None]
+    det, x = _solve(blocks[b, rows, pivots[:, None]], blocks[b, rows, free[:, None]], dps)
+    vectors = _cramer_vectors(det, x, pivots, free, c)
+    size = np.abs(vectors)
+    top = size.max(axis=2)  # at least |det(B)|, so 0 only where det(B) is
+    margin = np.abs(det)[:, None] / np.where(top != 0, top, 1)
+    narrow = margin < RANK_CUTOFF
+    resid = _norms(np.swapaxes(blocks @ np.swapaxes(vectors, 1, 2), 1, 2)).astype(float)
+    scale = 1e-9 * _norms(blocks.reshape(n, t * c)).astype(float)
+    loose = resid > scale[:, None] * _norms(vectors).astype(float)
+    for i in np.flatnonzero(narrow.any(axis=1) | loose.any(axis=1)).tolist():
+        k = int(np.argmax(narrow[i] | loose[i]))  # the first vector to fail a check
+        mu = mus[ok[i]]
+        if narrow[i, k]:
+            message = (
+                f"kernel vector (mu={mu}, k={k + 1}) at tau={tau}: free-column margin "
+                f"|v_q|/max|v| = {float(margin[i, k]):.3g} < RANK_CUTOFF = {RANK_CUTOFF:g}"
+            )
+        else:
+            message = "kernel vector fails annihilation at the requested tolerance"
+        failures.setdefault(mu, message)
+    _raise_first(failures)
+    return vectors, size
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +406,9 @@ def minor_F(
 ) -> complex:
     """Determinant of the selected (a+d) block columns (1-based, increasing).
 
-    Computed by LU with partial pivoting.  Every column must be an ``int``
-    (``bool`` excluded), so a non-integer column is never truncated.
+    Computed by LAPACK in double and by :func:`_eliminate` (LU with partial
+    pivoting) at ``dps``.  Every column must be an ``int`` (``bool``
+    excluded), so a non-integer column is never truncated.
     """
     t, c = rm.trace, rm.degree
     cols = tuple(cols)
@@ -231,9 +421,9 @@ def minor_F(
     if any(cols[i] >= cols[i + 1] for i in range(t - 1)):
         raise DomainError(f"columns must be strictly increasing, got {cols}")
     with _at(dps):
-        columns = _block_columns(block_M(rm, mu, tau, dps))
-        rows = [[columns[j - 1][i] for j in cols] for i in range(t)]
-        return _lu(rows, dps is not None)[1]
+        block = np.array(block_M(rm, mu, tau, dps).entries)
+        det = _det(block[None, :, [j - 1 for j in cols]], dps)[0]
+    return complex(det) if dps is None else det
 
 
 def kernel_pivots(
@@ -243,8 +433,11 @@ def kernel_pivots(
     dps: int | None = None,
 ) -> tuple[int, ...]:
     """1-based pivot columns (size a+d) selected by rank-revealing elimination."""
+    data = _block(rm, mu)
     with _at(dps):
-        return _pivoted_block(rm, block_M(rm, mu, tau, dps), dps)[1]
+        _, pivots, failures = _pivoted(rm, data.index[None], (mu,), complex(tau), dps)
+    _raise_first(failures)
+    return tuple(pivots[0].tolist())
 
 
 def kernel_basis(
@@ -258,52 +451,18 @@ def kernel_basis(
     With B the pivot submatrix, vector k belongs to the k-th free column q
     (ascending) and is det(B) (B^-1 c_q on the pivots, -1 at q, 0 elsewhere):
     the Cramer vector, whose entry p_i is the minor with c_q in place of c_p_i.
-    One elimination of [B | free columns] serves every vector.
+    One solve against every free column serves every vector.
 
     Every other vector is 0 at q, so the vectors are independent exactly when
     each keeps its own entry -det(B).  One margin therefore decides the rank:
     :class:`RankDeficient` is raised when |v_q| / max|v| < RANK_CUTOFF (or B is
     exactly singular), and also when a vector fails to annihilate the block.
+    This is :func:`relations`' kernel on a stack of one block.
     """
+    data = _block(rm, mu)
     with _at(dps):
-        return _kernel_vectors(rm, block_M(rm, mu, tau, dps), dps)
-
-
-def _kernel_vectors(rm: RMData, block: BlockMatrix, dps) -> list[tuple[complex, ...]]:
-    """The kernel vectors of :func:`kernel_basis` for a block already built.
-
-    Runs under ``_at(dps)``, set by the caller.
-    """
-    columns, pivots, use_mp = _pivoted_block(rm, block, dps)
-    t, c = rm.trace, rm.degree
-    free = _free_columns(pivots, c)
-    order = (*pivots, *free)
-    upper, det = _lu([[columns[j - 1][i] for j in order] for i in range(t)], use_mp)
-    m_norm = float(_norm([x for col in columns for x in col], use_mp))
-    vectors = []
-    for k, q in enumerate(free, start=1):
-        x = [det * 0] * t  # B^-1 c_q by back-substitution
-        if det != 0:
-            for i in reversed(range(t)):
-                row = upper[i]
-                known = sum(row[j] * x[j] for j in range(i + 1, t))
-                x[i] = (row[t + k - 1] - known) / row[i]
-        v = [det * 0] * c
-        v[q - 1] = -det
-        for p, xp in zip(pivots, x):
-            v[p - 1] = det * xp
-        top = max(abs(y) for y in v)
-        margin = abs(v[q - 1]) / top if top else 0.0
-        if margin < RANK_CUTOFF:
-            raise RankDeficient(
-                f"kernel vector (mu={block.mu}, k={k}) at tau={block.tau}: free-column "
-                f"margin |v_q|/max|v| = {float(margin):.3g} < RANK_CUTOFF = {RANK_CUTOFF:g}"
-            )
-        resid = [sum(columns[j][i] * v[j] for j in range(c)) for i in range(t)]
-        if float(_norm(resid, use_mp)) > 1e-9 * m_norm * float(_norm(v, use_mp)):
-            raise RankDeficient("kernel vector fails annihilation at the requested tolerance")
-        vectors.append(tuple(v))
-    return vectors
+        vectors, _ = _kernels(rm, data.index[None], (mu,), complex(tau), dps)
+        return list(map(tuple, vectors[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +475,25 @@ def relations(rm: RMData, tau: complex, dps: int | None = None) -> Presentation:
 
     Term j of relation (mu, k) carries the monomial x_{alpha(mu, j)} x_j;
     coefficients below COEFF_PRUNE_REL of the relation's largest are dropped.
-    The level row at tau (:func:`rmtorus.core._level_row`) is summed once;
-    every block is gathered from it and rank-checked as :func:`block_M` does,
-    and its kernel is :func:`kernel_basis`'s.
+    The level row at tau (:func:`rmtorus.core._level_row`) is summed once,
+    all c blocks are gathered from it, and their rank checks and kernels are
+    :func:`kernel_basis`'s, batched over the blocks.
     """
     tau_c = complex(tau)
-    rels: list[Relation] = []
+    stack = _block_data(rm)
     with _at(dps):
-        row = _level_row(rm, tau_c, dps)
-        for mu in range(1, rm.degree + 1):
-            partners = _block(rm, mu).partners
-            block = _block_at(rm, mu, tau_c, row)
-            for k, vec in enumerate(_kernel_vectors(rm, block, dps), start=1):
-                top = max(float(abs(coeff)) for coeff in vec)
-                terms = tuple(
-                    RelationTerm(left=partners[j - 1], right=j, coeff=coeff)
-                    for j, coeff in enumerate(vec, start=1)
-                    if abs(coeff) != 0 and float(abs(coeff)) >= COEFF_PRUNE_REL * top
-                )
-                rels.append(Relation(mu=mu, k=k, terms=terms))
+        vectors, size = _kernels(rm, stack.index, range(1, rm.degree + 1), tau_c, dps)
+        top = size.max(axis=2, keepdims=True).astype(float)
+        kept = ((vectors != 0) & (size.astype(float) >= COEFF_PRUNE_REL * top)).tolist()
+    rights = range(1, rm.degree + 1)
+    rels: list[Relation] = []
+    for mu, (block, vecs, keeps) in enumerate(zip(stack.blocks, vectors.tolist(), kept), start=1):
+        for k, (vec, keep) in enumerate(zip(vecs, keeps), start=1):
+            terms = map(
+                RelationTerm,
+                compress(block.partners, keep), compress(rights, keep), compress(vec, keep),
+            )
+            rels.append(Relation(mu=mu, k=k, terms=tuple(terms)))
     return Presentation(rm=rm, tau=tau_c, normalization="raw", relations=tuple(rels))
 
 

@@ -453,12 +453,14 @@ def theta_zero_check(
 def constant_fourier_term(r: RationalLike, l: int, dps: int | None = None) -> complex:
     """Limiting constant Fourier coefficient of theta[r, 0](0, l * i T) as T grows.
 
-    Evaluates at heights ``50 l^2`` and ``100 l^2`` and Richardson-extrapolates;
-    the result is ~1 when r is an integer and below 1e-12 otherwise.
+    Evaluates at heights ``50 l^2`` and ``100 l^2`` and Richardson-extrapolates,
+    at ``dps`` digits when that is given; the result is ~1 when r is an
+    integer and below 1e-12 otherwise.
     """
     r = _as_fraction(r, "characteristic r")
     if not isinstance(l, int) or l <= 0:
         raise DomainError(f"level must be a positive integer, got {l!r}")
     v1 = theta_constant(r, complex(0.0, 50.0 * l * l), dps)
     v2 = theta_constant(r, complex(0.0, 100.0 * l * l), dps)
-    return 2 * v2 - v1
+    with _working_precision(dps):
+        return 2 * v2 - v1

@@ -1,11 +1,12 @@
 import itertools
 import json
+import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from rmtorus import core, groebner, validate
+from rmtorus import core, groebner, presentation, validate
 from rmtorus.core import alpha, canonical_g, block_M, structure_constant_theta
 from rmtorus.errors import DomainError, OddLevel, RankDeficient
 from rmtorus.presentation import (
@@ -433,3 +434,213 @@ def test_relations_rank_check_every_block(rm6, monkeypatch):
     monkeypatch.setattr(core, "RANK_CUTOFF", 2.0)
     with pytest.raises(RankDeficient, match=r"block mu=1 has numerical rank 0 < 4"):
         relations(rm6, 2j)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the scalar loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_norm(vec, use_mp):
+    if use_mp:
+        return mp.sqrt(mp.fsum(abs(x) ** 2 for x in vec))
+    return math.sqrt(sum(abs(x) ** 2 for x in vec))
+
+
+def _ref_lu(rows, use_mp):
+    """The scalar elimination: partial pivoting on a copy of the n x m rows."""
+    n = len(rows)
+    mat = [list(row) for row in rows]
+    det = mp.mpc(1) if use_mp else complex(1.0)
+    sign = 1
+    for k in range(n):
+        piv = max(range(k, n), key=lambda r: abs(mat[r][k]))
+        if abs(mat[piv][k]) == 0:
+            return mat, mp.mpc(0) if use_mp else complex(0.0)
+        if piv != k:
+            mat[piv], mat[k] = mat[k], mat[piv]
+            sign = -sign
+        det *= mat[k][k]
+        for r in range(k + 1, n):
+            f = mat[r][k] / mat[k][k]
+            for c2 in range(k + 1, len(mat[r])):
+                mat[r][c2] -= f * mat[k][c2]
+    return mat, det * sign
+
+
+def _ref_pivots(columns, t, use_mp):
+    """The scalar first-fit modified Gram-Schmidt scan over the block columns."""
+    basis, pivots = [], []
+    for j, col in enumerate(columns, start=1):
+        if len(pivots) == t:
+            break
+        v = list(col)
+        orig = _ref_norm(v, use_mp)
+        if orig == 0:
+            continue
+        for q in basis:
+            inner = sum(qc.conjugate() * vc for qc, vc in zip(q, v))
+            v = [vc - inner * qc for qc, vc in zip(q, v)]
+        resid = _ref_norm(v, use_mp)
+        if resid > presentation.PIVOT_RESIDUAL_REL * orig:
+            pivots.append(j)
+            basis.append([vc / resid for vc in v])
+    return tuple(pivots)
+
+
+def _ref_vectors(columns, pivots, use_mp):
+    """The scalar Cramer vectors: one LU of [B | free columns], one back-substitution each."""
+    t, c = len(pivots), len(columns)
+    free = [q for q in range(1, c + 1) if q not in pivots]
+    order = (*pivots, *free)
+    upper, det = _ref_lu([[columns[j - 1][i] for j in order] for i in range(t)], use_mp)
+    vectors = []
+    for k, q in enumerate(free, start=1):
+        x = [det * 0] * t
+        if det != 0:
+            for i in reversed(range(t)):
+                row = upper[i]
+                known = sum(row[j] * x[j] for j in range(i + 1, t))
+                x[i] = (row[t + k - 1] - known) / row[i]
+        v = [det * 0] * c
+        v[q - 1] = -det
+        for p, xp in zip(pivots, x):
+            v[p - 1] = det * xp
+        vectors.append(tuple(v))
+    return det, vectors
+
+
+def _columns(rm, mu, tau, dps):
+    return [list(col) for col in zip(*block_M(rm, mu, tau, dps).entries)]
+
+
+def _mpc_bits(values):
+    return [x._mpc_ for x in values]
+
+
+def test_batched_elimination_keeps_the_bits_of_the_scalar_loop():
+    rng = np.random.default_rng(16)
+    with mp.workdps(30):
+        stack = [[[mp.mpc(*rng.standard_normal(2)) * 10.0 ** int(rng.integers(-8, 8))
+                   for _ in range(7)] for _ in range(4)] for _ in range(6)]
+        stack[2] = [[row[0] * 0, *row[1:]] for row in stack[2]]  # an exactly 0 first column
+        stack[4][3] = list(stack[4][1])  # a repeated row
+        upper, det = presentation._eliminate(np.array(stack, dtype=object))
+        for rows, got_rows, got_det in zip(stack, upper, det):
+            ref_rows, ref_det = _ref_lu(rows, True)
+            assert got_det._mpc_ == ref_det._mpc_
+            for got, ref in zip(got_rows, ref_rows):
+                assert _mpc_bits(got) == _mpc_bits(ref)
+        assert det[2] == 0
+        squares = np.array(stack, dtype=object)[:, :, :4].reshape(2, 3, 4, 4)
+        dets = presentation._det(squares, 30).reshape(-1)
+        expected = [_ref_lu(rows, True)[1]._mpc_ for rows in squares.reshape(6, 4, 4)]
+        assert _mpc_bits(dets) == expected
+
+
+def test_scan_arithmetic_rounds_as_python_complex_and_float():
+    # numpy's own complex product, modulus, quotient and pairwise sums round
+    # otherwise on a share of these; the scan's helpers must not
+    rng = np.random.default_rng(1616)
+    shape = (400, 12)
+    v, q = (
+        (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        * np.exp(rng.uniform(-40, 40, shape))
+        for _ in range(2)
+    )
+    r = np.exp(rng.uniform(-40, 40, (shape[0], 1)))
+    projected = presentation._project(v, q)
+    quotient = presentation._div(v, r)
+    norms = presentation._scan_norms(v)
+    for i, (vr, qr) in enumerate(zip(v.tolist(), q.tolist())):
+        inner = sum(qc.conjugate() * vc for qc, vc in zip(qr, vr))
+        assert projected[i].tolist() == [vc - inner * qc for qc, vc in zip(qr, vr)]
+        assert quotient[i].tolist() == [vc / r[i, 0] for vc in vr]
+        assert norms[i] == math.sqrt(sum(abs(x) ** 2 for x in vr))
+
+
+@pytest.mark.parametrize("dps", [30, 40])
+@pytest.mark.parametrize("key", (3, 4, 5, 6, (7, -2, 11, -3)), ids=str)
+def test_batched_kernel_keeps_the_bits_of_the_scalar_loops_at_dps(key, dps):
+    rm = _member(key)
+    for tau in (0.1 + 1.3j, -0.2 + 1.9j):
+        pres = relations(rm, tau, dps=dps)
+        for mu in range(1, rm.degree + 1):
+            with mp.workdps(dps):
+                columns = _columns(rm, mu, tau, dps)
+                pivots = _ref_pivots(columns, rm.trace, True)
+                ref_det, ref_vectors = _ref_vectors(columns, pivots, True)
+            assert minor_F(rm, mu, pivots, tau, dps=dps)._mpc_ == ref_det._mpc_
+            vectors = kernel_basis(rm, mu, tau, dps=dps)
+            assert [_mpc_bits(v) for v in vectors] == [_mpc_bits(v) for v in ref_vectors]
+            for rel in pres.relations:
+                if rel.mu == mu:
+                    vec = vectors[rel.k - 1]
+                    assert _mpc_bits(t.coeff for t in rel.terms) == \
+                        _mpc_bits(vec[t.right - 1] for t in rel.terms)
+
+
+@pytest.mark.parametrize("key", FAMILY, ids=str)
+def test_batched_kernel_matches_the_scalar_loops_in_double(key):
+    # the pivot scan keeps the scalar bits, so every accept decision is the
+    # same, including the nearly dependent columns of the raising cases
+    rm = _member(key)
+    for tau in FAMILY_TAUS:
+        for mu in range(1, rm.degree + 1):
+            columns = _columns(rm, mu, tau, None)
+            pivots = _ref_pivots(columns, rm.trace, False)
+            assert kernel_pivots(rm, mu, tau) == pivots
+        if (key, tau) in FAMILY_RAISES:
+            continue
+        pres = relations(rm, tau)
+        for mu in range(1, rm.degree + 1):
+            columns = _columns(rm, mu, tau, None)
+            ref_det, ref_vectors = _ref_vectors(columns, kernel_pivots(rm, mu, tau), False)
+            assert abs(minor_F(rm, mu, kernel_pivots(rm, mu, tau), tau) - ref_det) <= \
+                1e-13 * abs(ref_det)
+            vectors = kernel_basis(rm, mu, tau)
+            for vec, ref in zip(vectors, ref_vectors):
+                top = max(abs(x) for x in ref)
+                assert max(abs(x - y) for x, y in zip(vec, ref)) <= 1e-13 * top
+            for rel in pres.relations:
+                if rel.mu == mu:
+                    vec = vectors[rel.k - 1]
+                    assert [t.coeff for t in rel.terms] == [vec[t.right - 1] for t in rel.terms]
+
+
+def _first_loop_failure(rm, tau):
+    """The message a loop over the blocks, one kernel_basis each, raises first."""
+    for mu in range(1, rm.degree + 1):
+        try:
+            kernel_basis(rm, mu, tau)
+        except RankDeficient as exc:
+            return mu, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("key, tau", sorted(FAMILY_RAISES, key=str), ids=str)
+def test_a_failing_batch_raises_for_its_lowest_failing_mu(key, tau):
+    rm = _member(key)
+    mu, message = _first_loop_failure(rm, tau)
+    with pytest.raises(RankDeficient) as exc:
+        relations(rm, tau)
+    assert str(exc.value) == message
+    assert f"(mu={mu}, k=" in message
+    if (key, tau) == (12, 1j):
+        assert mu == 6
+
+
+def test_a_batch_short_of_pivots_raises_the_pivot_count_of_its_lowest_mu(rm6, monkeypatch):
+    # a stricter accept rule leaves some blocks short of a+d pivots
+    monkeypatch.setattr(presentation, "PIVOT_RESIDUAL_REL", 0.9)
+    mu, message = _first_loop_failure(rm6, TAU)
+    assert message.startswith(f"only ") and f"mu={mu} at tau={TAU}" in message
+    with pytest.raises(RankDeficient) as exc:
+        relations(rm6, TAU)
+    assert str(exc.value) == message
+    with pytest.raises(RankDeficient) as exc:
+        kernel_pivots(rm6, mu, TAU)
+    assert str(exc.value) == message
+    monkeypatch.setattr(presentation, "PIVOT_RESIDUAL_REL", 2.0)  # no block keeps any column
+    with pytest.raises(RankDeficient, match=r"^only 0 independent columns found for mu=1 at"):
+        relations(rm6, TAU)

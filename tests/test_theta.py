@@ -152,6 +152,16 @@ def test_constant_fourier_term_vanishes_for_fractional_characteristics():
     assert abs(constant_fourier_term(F(0), 24) - 1) < 1e-12
 
 
+def test_constant_fourier_term_at_dps_keeps_dps_digits():
+    # the Richardson step runs at dps, whatever the ambient precision
+    v1 = theta_constant(F(1, 3), 50j, dps=40)
+    v2 = theta_constant(F(1, 3), 100j, dps=40)
+    value = constant_fourier_term(F(1, 3), 1, dps=40)
+    with mp.workdps(60):
+        expected = 2 * v2 - v1
+        assert abs(value - expected) / abs(expected) < 1e-35
+
+
 def test_unit_phase_convention():
     assert unit_phase(F(0)) == 1
     assert unit_phase(F(1, 2)) == 1j
