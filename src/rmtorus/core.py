@@ -629,7 +629,8 @@ def block_M(
     """
     data = _block(rm, mu)  # mu's index check comes before tau's
     tau_c = complex(tau)
-    entries, failures = _blocks_at(rm, data.index[None], (mu,), tau_c, _level_row(rm, tau_c, dps))
+    row = _level_row(rm, tau_c, dps)
+    entries, _, failures = _blocks_at(rm, data.index[None], (mu,), tau_c, row)
     if failures:
         raise RankDeficient(failures[mu])
     return BlockMatrix(
@@ -642,16 +643,18 @@ def _blocks_at(rm: RMData, index: np.ndarray, mus, tau: complex, row):
     """Blocks ``mus`` gathered from the level row at tau, and their rank checks.
 
     ``index`` stacks the index arrays of the blocks ``mus``.  Returns the
-    blocks as one (len(mus), a+d, c) array and, for each block whose
-    numerical rank (singular values above RANK_CUTOFF of the largest, from
-    one stacked SVD) falls short of a+d, its error message by mu.
+    blocks as one (len(mus), a+d, c) array, its complex128 copy and, for
+    each block whose numerical rank (singular values above RANK_CUTOFF of
+    the largest, from one stacked SVD of the copy) falls short of a+d, its
+    error message by mu.  The copy is taken from the row, so an mpmath row
+    converts each of its l values once.
     """
-    entries = row[index]
-    singular = np.linalg.svd(entries.astype(complex), compute_uv=False)
+    entries, doubles = row[index], row.astype(complex)[index]
+    singular = np.linalg.svd(doubles, compute_uv=False)
     ranks = np.sum(singular > RANK_CUTOFF * singular[:, :1], axis=1).tolist()
     failures = {
         mu: f"block mu={mu} has numerical rank {rank} < {rm.trace} at tau={tau}"
         for mu, rank in zip(mus, ranks)
         if rank != rm.trace
     }
-    return entries, failures
+    return entries, doubles, failures

@@ -147,6 +147,11 @@ class GroebnerState:
         return _LeadIndex(self.system)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an ``int`` other than a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_system_entry(poly: FreePoly) -> FreePoly:
     lead = poly.leading_word()
     lc = poly.terms[lead]
@@ -161,8 +166,8 @@ def groebner_state(
     zero_threshold: float = 1e-10,
 ) -> GroebnerState:
     """Initial state from a presentation (monic-ized if necessary)."""
-    if truncation_degree < 2:
-        raise DomainError(f"truncation degree must be >= 2, got {truncation_degree}")
+    if not _is_int(truncation_degree) or truncation_degree < 2:
+        raise DomainError(f"truncation degree must be an integer >= 2, got {truncation_degree!r}")
     if not (zero_threshold > 0):
         raise DomainError(f"zero threshold must be positive, got {zero_threshold}")
     if p.normalization != "monic":
@@ -354,6 +359,8 @@ def complete_to_degree(st: GroebnerState, max_degree: int) -> GroebnerState:
     skipped when its overlap word is already reducible by a leading term
     adjoined earlier at this degree (the two parents do not count).
     """
+    if not _is_int(max_degree):
+        raise DomainError(f"completion degree must be an integer, got {max_degree!r}")
     if max_degree > st.truncation_degree:
         raise TruncationExceeded(
             f"completion degree {max_degree} exceeds truncation {st.truncation_degree}"
@@ -412,7 +419,7 @@ def linear_basis(st: GroebnerState, n: int) -> list[Word]:
     lead ends at its last letter.  Extending lex-ordered prefixes by letters
     in order keeps the words lex-ordered.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
     if n > st.truncation_degree:
         raise TruncationExceeded(

@@ -660,7 +660,7 @@ class ThetaProductHandle:
     """Product of theta constants theta[r_i](0, l tau) at the level point."""
 
     def __init__(self, level: int, chars) -> None:
-        if not isinstance(level, int) or level < 1:
+        if not isinstance(level, int) or isinstance(level, bool) or level < 1:
             raise DomainError(f"level must be a positive integer, got {level!r}")
         self.level = level
         self.chars = tuple(Fraction(r) for r in chars)

@@ -8,10 +8,11 @@ kernels come from one batched pass over it; :func:`kernel_basis`,
 :func:`kernel_pivots` and :func:`minor_F` run the same code on a stack of
 one block.
 
-* A first-fit modified Gram-Schmidt scan picks a+d pivot columns per block,
-  so the construction stays valid where the leading columns degenerate.  It
-  walks the columns once for all blocks, in the rounding of scalar Python,
-  so each accept decision is the one-block scan's.
+* A first-fit Gram-Schmidt scan picks a+d pivot columns per block, so the
+  construction stays valid where the leading columns degenerate.  It walks
+  the columns once for all blocks, in complex doubles at every precision,
+  and projects each column twice (one reorthogonalization), which keeps
+  every accept decision decades away from ``PIVOT_RESIDUAL_REL``.
 * With B the pivot submatrix, each kernel vector is det(B) (B^-1 c_q at the
   pivots, -1 at its free column q): the Cramer-minor vector, without its
   (c-a-d)(a+d+1) determinants.  In double, det(B) and B^-1 F come from
@@ -29,17 +30,19 @@ Four normalizations of the same ideal are provided:
 * ``raw``       - determinant coefficients as computed;
 * ``rational``  - every coefficient divided by theta[0](0, l tau)^(a+d),
                   real on the imaginary axis;
-* ``modular``   - coefficients patched (odd trace only) by one extra theta
-                  factor so each becomes a weight-w form for the level group;
+* ``modular``   - the raw coefficients, which at the even levels it accepts
+                  (even a+d only) are weight-w forms for the level group;
 * ``monic``     - monomial slots transposed, terms sorted decreasingly, each
                   relation divided by its leading coefficient (the input order
                   for Groebner completion).
 
-All linear algebra runs in complex doubles by default and in mpmath arithmetic
-at ``dps`` digits when ``dps`` is given, whatever the ambient mpmath
-precision; downstream Groebner completion requires the high-precision path to
-keep spurious leading terms out.  A presentation computed at ``dps`` takes the
-same ``dps`` in :func:`normalize_rational` and :func:`normalize_modular`.
+The kernel vectors and determinants are computed in complex doubles by
+default and in mpmath arithmetic at ``dps`` digits when ``dps`` is given,
+whatever the ambient mpmath precision; the pivot scan and the rank checks
+read the blocks' double copy either way.  Downstream Groebner completion
+requires the high-precision path to keep spurious leading terms out.  A
+presentation computed at ``dps`` takes the same ``dps`` in
+:func:`normalize_rational` and :func:`normalize_modular`.
 """
 
 from __future__ import annotations
@@ -140,57 +143,8 @@ def _at(dps: int | None):
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, rounded as numpy rounds them."""
+    """Euclidean norms along the last axis."""
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
-
-
-# The pivot scan's accept rule can sit within rounding of a nearly dependent
-# column, so its arithmetic keeps the bits of scalar Python: on complex
-# doubles these helpers round as Python's ``complex`` and ``float`` do, where
-# numpy's vectorized complex product, modulus and quotient round otherwise;
-# on mpmath numbers (object arrays) they are the plain operators.
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex array re + i im, its parts taken as they are."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _project(v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """v - <q, v> q along the last axis, the inner product summed left to right."""
-    if v.dtype == object:
-        inner = _sum(np.conj(q) * v)
-        return v - inner[..., None] * q
-    qr, qi, vr, vi = q.real, q.imag, v.real, v.imag
-    ir = _sum(qr * vr + qi * vi)[..., None]
-    ii = _sum(qr * vi - qi * vr)[..., None]
-    return _complex(vr - (ir * qr - ii * qi), vi - (ir * qi + ii * qr))
-
-
-def _div(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """a / r elementwise, for real r."""
-    if a.dtype == object:
-        return a / r
-    return _complex(a.real / r, a.imag / r)
-
-
-def _abs2(a: np.ndarray) -> np.ndarray:
-    """abs(a) ** 2 elementwise; in double, hypot and libm's pow."""
-    if a.dtype == object:
-        return np.abs(a) ** 2
-    return np.float_power(np.hypot(a.real, a.imag), 2)
-
-
-def _sum(a: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, added left to right as ``sum()`` adds."""
-    return np.add.accumulate(a, axis=-1)[..., -1]
-
-
-def _scan_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis: sqrt(sum(abs(x) ** 2)) per row."""
-    return np.sqrt(_sum(_abs2(a)))
 
 
 def _eliminate(rows: np.ndarray):
@@ -268,43 +222,33 @@ def _solve(pivot_blocks: np.ndarray, free_cols: np.ndarray, dps: int | None):
 
 
 def _pivot_scan(blocks: np.ndarray, t: int):
-    """First-fit pivot columns of every block, from one modified Gram-Schmidt scan.
+    """First-fit pivot columns of every (t, c) block of a complex128 stack.
 
-    The columns are taken in order across all blocks at once; a block
-    accepts a column when its residual against the block's accepted columns
-    exceeds PIVOT_RESIDUAL_REL of its norm, until it holds t.  Returns the
+    The columns are taken in order across all blocks at once.  Each is
+    projected off its block's accepted columns twice, classical Gram-Schmidt
+    with one reorthogonalization, and a block accepts it when the residual
+    exceeds PIVOT_RESIDUAL_REL of its norm, until it holds t.  The second
+    pass takes the first pass's rounding out of the residual of a dependent
+    column, so the accept decisions sit far from the threshold.  Returns the
     1-based pivots (n, t), 0 past the last found, and the count per block.
-    Every block sees the arithmetic of the scalar scan of its columns: each
-    column is projected on the accepted columns one by one, in their order.
-    Every block scans its first t columns, so those meet each new basis
-    vector as soon as it is accepted, all in one step; a later column meets
-    the basis when its turn comes.
     """
     n, _, c = blocks.shape
-    cols = np.swapaxes(blocks, 1, 2).copy()  # cols[b, j] is column j of block b
-    orig = _scan_norms(cols)
-    basis = np.empty((n, t, t), dtype=blocks.dtype)
+    basis = np.zeros((n, t, t), dtype=complex)  # accepted unit columns, zero-padded
     pivots = np.zeros((n, t), dtype=int)
     count = np.zeros(n, dtype=int)
+    orig = _norms(np.swapaxes(blocks, 1, 2))
     for j in range(c):
-        live = np.flatnonzero(count < t)
-        if live.size == 0:
-            break
-        v = cols[live, j]
-        if j >= t:
-            held = count[live]
-            for s in range(held.max()):
-                rows = np.flatnonzero(held > s)
-                v[rows] = _project(v[rows], basis[live[rows], s])
-        resid = _scan_norms(v)
-        take = resid > PIVOT_RESIDUAL_REL * orig[live, j]
-        b = live[take]
-        q = _div(v[take], resid[take][:, None])
-        basis[b, count[b]] = q
+        v = blocks[:, :, j, None]
+        adjoint = np.conj(np.swapaxes(basis, 1, 2))
+        for _ in range(2):
+            v = v - basis @ (adjoint @ v)
+        resid = _norms(v[..., 0])
+        b = np.flatnonzero((count < t) & (resid > PIVOT_RESIDUAL_REL * orig[:, j]))
+        basis[b, :, count[b]] = v[b, :, 0] / resid[b, None]
         pivots[b, count[b]] = j + 1
         count[b] += 1
-        if j + 1 < t:
-            cols[b, j + 1:t] = _project(cols[b, j + 1:t], q[:, None, :])
+        if (count == t).all():
+            break
     return pivots, count
 
 
@@ -322,11 +266,12 @@ def _raise_first(failures: dict[int, str]) -> None:
 def _pivoted(rm: RMData, index: np.ndarray, mus, tau: complex, dps):
     """The blocks ``mus`` at tau, stacked, their pivots and their failures by mu.
 
-    ``index`` stacks the blocks' index arrays.  Each failing block keeps the
-    first check it fails: the rank check, then the pivot count.
+    ``index`` stacks the blocks' index arrays.  The pivots are scanned on
+    the blocks' complex128 copy, also at ``dps``.  Each failing block keeps
+    the first check it fails: the rank check, then the pivot count.
     """
-    blocks, failures = _blocks_at(rm, index, mus, tau, _level_row(rm, tau, dps))
-    pivots, count = _pivot_scan(blocks, rm.trace)
+    blocks, doubles, failures = _blocks_at(rm, index, mus, tau, _level_row(rm, tau, dps))
+    pivots, count = _pivot_scan(doubles, rm.trace)
     for mu, found in zip(mus, count.tolist()):
         if found != rm.trace:
             failures.setdefault(
@@ -432,10 +377,13 @@ def kernel_pivots(
     tau: complex,
     dps: int | None = None,
 ) -> tuple[int, ...]:
-    """1-based pivot columns (size a+d) selected by rank-revealing elimination."""
+    """1-based pivot columns (size a+d), first fit, from :func:`_pivot_scan`.
+
+    The blocks are evaluated at ``dps`` when it is given; the scan reads
+    their complex128 copy.
+    """
     data = _block(rm, mu)
-    with _at(dps):
-        _, pivots, failures = _pivoted(rm, data.index[None], (mu,), complex(tau), dps)
+    _, pivots, failures = _pivoted(rm, data.index[None], (mu,), complex(tau), dps)
     _raise_first(failures)
     return tuple(pivots[0].tolist())
 
@@ -532,20 +480,18 @@ def normalize_rational(p: Presentation, dps: int | None = None) -> Presentation:
 
 
 def normalize_modular(p: Presentation, dps: int | None = None) -> Presentation:
-    """Patch coefficients into weight-w forms for the level group.
+    """The coefficients as weight-w forms for the level group.
 
-    Requires an even level l.  For even a+d the coefficients are unchanged;
-    for odd a+d each is multiplied by theta[0](0, l tau) so every product of
-    theta constants has even length; with ``dps`` the products run at
-    ``dps`` digits.
+    Requires an even level l.  That leaves only even a+d: with det 1, an odd
+    a+d makes ad even, bc = ad - 1 odd and so c odd, and l = c(a+d) odd.  Every
+    product of theta constants then has even length already, and each
+    coefficient is kept (taken times 1, at ``dps`` digits when given).
     """
     _require_raw(p, "normalize_modular")
     if p.level % 2 != 0:
         raise OddLevel(f"level {p.level} is odd; no even-length patching exists")
     with _at(dps):
-        if p.rm.trace % 2 == 0:
-            return _scaled(p, 1, "modular")
-        return _scaled(p, theta_constant(0, p.level * p.tau, dps), "modular")
+        return _scaled(p, 1, "modular")
 
 
 def monic_ordered(p: Presentation) -> Presentation:

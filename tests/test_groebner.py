@@ -266,6 +266,16 @@ def test_linear_basis_rejects_degrees_that_are_not_nonnegative_ints(completed_st
         linear_basis(completed_states[0], n)
 
 
+@pytest.mark.parametrize("degree", [2.5, 3.0, "3", True, None])
+def test_degrees_of_state_and_completion_must_be_ints(rm6, completed_states, degree):
+    # 2.5 passed the old ">= 2" check and "3" raised a bare TypeError from it
+    monic = monic_ordered(relations(rm6, TAU))
+    with pytest.raises(DomainError, match=r"truncation degree must be an integer >= 2"):
+        groebner_state(monic, truncation_degree=degree)
+    with pytest.raises(DomainError, match=r"completion degree must be an integer"):
+        complete_to_degree(completed_states[0], degree)
+
+
 @pytest.mark.parametrize("trace, lead_counts, n_words", [
     (3, {3: 5, 4: 5}, 105),
     (4, {3: 6, 4: 0}, 336),

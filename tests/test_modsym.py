@@ -267,6 +267,9 @@ def test_cusp_type_classification():
     assert not is_cusp_numeric(ThetaProductHandle(24, (F(0),)), [INF])
     with pytest.raises(DomainError):
         ThetaProductHandle(24, ())
+    for level in (True, 24.0, "24", 0):
+        with pytest.raises(DomainError, match="level must be a positive integer"):
+            ThetaProductHandle(level, PLAIN_CHARS)
 
 
 # ------------------------------------------------------ geodesic integrals

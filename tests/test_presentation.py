@@ -132,6 +132,15 @@ def test_normalizations_at_dps_keep_dps_digits():
     assert _worst_relative_error(raw, normalize_modular(raw, dps=40), 1) < 1e-35
 
 
+@pytest.mark.parametrize("trace", (3, 5, 7, 9))
+def test_modular_normalization_of_an_odd_trace_meets_an_odd_level(trace):
+    # det 1 and an odd a+d force an odd c, so the level c(a+d) is odd
+    raw = relations(canonical_g(trace), 1j)  # no trace here raises at i
+    assert raw.level % 2 == 1
+    with pytest.raises(OddLevel, match=f"level {raw.level} is odd"):
+        normalize_modular(raw)
+
+
 def test_monic_presentation_is_reduced_and_valid(rm6):
     monic = monic_ordered(relations(rm6, TAU))
     assert monic.normalization == "monic"
@@ -218,8 +227,7 @@ FAMILY_TAUS = (1j, 2j, 2.5j, 3j, 0.3 + 2.4j)
 # first failing block of each is well conditioned (sigma_min / sigma_max > 0.2).
 FAMILY_RAISES = {
     (5, 3j), (6, 3j),
-    *((t, tau) for t in (7, 8, 9, 10, 11) for tau in FAMILY_TAUS[1:]),
-    *((12, tau) for tau in FAMILY_TAUS),
+    *((t, tau) for t in (7, 8, 9, 10, 11, 12) for tau in FAMILY_TAUS[1:]),
 }
 
 MARGIN_MESSAGE = r"free-column margin \|v_q\|/max\|v\| = \S+ < RANK_CUTOFF = 1e-08"
@@ -318,7 +326,8 @@ def _check_cramer_parity(rm, mus, n_vectors, dps, bound):
 
 @pytest.mark.parametrize("key", (3, (7, -2, 11, -3)), ids=str)
 def test_dps_sets_the_precision_of_the_linear_algebra(key):
-    # no enclosing mp.workdps: the LU and Gram-Schmidt must still run at dps 40
+    # no enclosing mp.workdps: the elimination must still run at dps 40 (the
+    # pivot scan runs in double at every precision)
     rm = _member(key)
     c = rm.degree
     assert mp.mp.dps == 15
@@ -468,9 +477,13 @@ def _ref_lu(rows, use_mp):
     return mat, det * sign
 
 
-def _ref_pivots(columns, t, use_mp):
-    """The scalar first-fit modified Gram-Schmidt scan over the block columns."""
-    basis, pivots = [], []
+def _ref_scan(columns, t, use_mp):
+    """The scalar first-fit scan: classical Gram-Schmidt with one reorthogonalization.
+
+    Returns the pivots and, for every column scanned, its residual ratio
+    resid / orig and whether it was accepted.
+    """
+    basis, pivots, ratios = [], [], []
     for j, col in enumerate(columns, start=1):
         if len(pivots) == t:
             break
@@ -478,14 +491,22 @@ def _ref_pivots(columns, t, use_mp):
         orig = _ref_norm(v, use_mp)
         if orig == 0:
             continue
-        for q in basis:
-            inner = sum(qc.conjugate() * vc for qc, vc in zip(q, v))
-            v = [vc - inner * qc for qc, vc in zip(q, v)]
+        for _ in range(2):
+            inners = [sum(qc.conjugate() * vc for qc, vc in zip(q, v)) for q in basis]
+            v = [vc - sum(inner * q[i] for inner, q in zip(inners, basis))
+                 for i, vc in enumerate(v)]
         resid = _ref_norm(v, use_mp)
-        if resid > presentation.PIVOT_RESIDUAL_REL * orig:
+        accepted = resid > presentation.PIVOT_RESIDUAL_REL * orig
+        ratios.append((resid / orig, accepted))
+        if accepted:
             pivots.append(j)
             basis.append([vc / resid for vc in v])
-    return tuple(pivots)
+    return tuple(pivots), ratios
+
+
+def _ref_pivots(columns, t, use_mp):
+    """The pivots of :func:`_ref_scan`."""
+    return _ref_scan(columns, t, use_mp)[0]
 
 
 def _ref_vectors(columns, pivots, use_mp):
@@ -538,27 +559,6 @@ def test_batched_elimination_keeps_the_bits_of_the_scalar_loop():
         assert _mpc_bits(dets) == expected
 
 
-def test_scan_arithmetic_rounds_as_python_complex_and_float():
-    # numpy's own complex product, modulus, quotient and pairwise sums round
-    # otherwise on a share of these; the scan's helpers must not
-    rng = np.random.default_rng(1616)
-    shape = (400, 12)
-    v, q = (
-        (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        * np.exp(rng.uniform(-40, 40, shape))
-        for _ in range(2)
-    )
-    r = np.exp(rng.uniform(-40, 40, (shape[0], 1)))
-    projected = presentation._project(v, q)
-    quotient = presentation._div(v, r)
-    norms = presentation._scan_norms(v)
-    for i, (vr, qr) in enumerate(zip(v.tolist(), q.tolist())):
-        inner = sum(qc.conjugate() * vc for qc, vc in zip(qr, vr))
-        assert projected[i].tolist() == [vc - inner * qc for qc, vc in zip(qr, vr)]
-        assert quotient[i].tolist() == [vc / r[i, 0] for vc in vr]
-        assert norms[i] == math.sqrt(sum(abs(x) ** 2 for x in vr))
-
-
 @pytest.mark.parametrize("dps", [30, 40])
 @pytest.mark.parametrize("key", (3, 4, 5, 6, (7, -2, 11, -3)), ids=str)
 def test_batched_kernel_keeps_the_bits_of_the_scalar_loops_at_dps(key, dps):
@@ -582,14 +582,17 @@ def test_batched_kernel_keeps_the_bits_of_the_scalar_loops_at_dps(key, dps):
 
 @pytest.mark.parametrize("key", FAMILY, ids=str)
 def test_batched_kernel_matches_the_scalar_loops_in_double(key):
-    # the pivot scan keeps the scalar bits, so every accept decision is the
-    # same, including the nearly dependent columns of the raising cases
+    # with the reorthogonalization every residual ratio sits at least two
+    # decades from PIVOT_RESIDUAL_REL, so rounding moves no accept decision
     rm = _member(key)
+    threshold = presentation.PIVOT_RESIDUAL_REL
     for tau in FAMILY_TAUS:
         for mu in range(1, rm.degree + 1):
             columns = _columns(rm, mu, tau, None)
-            pivots = _ref_pivots(columns, rm.trace, False)
+            pivots, ratios = _ref_scan(columns, rm.trace, False)
             assert kernel_pivots(rm, mu, tau) == pivots
+            assert min(r for r, accepted in ratios if accepted) >= 100 * threshold, (tau, mu)
+            assert max((r for r, accepted in ratios if not accepted), default=0) <= threshold / 100
         if (key, tau) in FAMILY_RAISES:
             continue
         pres = relations(rm, tau)
@@ -626,8 +629,6 @@ def test_a_failing_batch_raises_for_its_lowest_failing_mu(key, tau):
         relations(rm, tau)
     assert str(exc.value) == message
     assert f"(mu={mu}, k=" in message
-    if (key, tau) == (12, 1j):
-        assert mu == 6
 
 
 def test_a_batch_short_of_pivots_raises_the_pivot_count_of_its_lowest_mu(rm6, monkeypatch):
