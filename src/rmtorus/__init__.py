@@ -67,7 +67,6 @@ from .groebner import (
     state_for,
 )
 from .modsym import (
-    AveragedPresentation,
     CFExpansion,
     CoefficientHandle,
     Cusp,
@@ -147,7 +146,7 @@ __all__ = [
     # modular symbols
     "Cusp", "GroupSpec", "CFExpansion", "SymbolChain", "QuadratureControl",
     "IntegralResult", "ThetaProductHandle", "CoefficientHandle",
-    "AveragedPresentation", "member", "cf_expand", "convergents", "lyapunov",
+    "member", "cf_expand", "convergents", "lyapunov",
     "lyapunov_empirical", "limiting_symbol", "is_cusp_numeric",
     "integrate_geodesic", "averaged_relations", "averaged_json",
     "coefficient_handles", "relation_values",

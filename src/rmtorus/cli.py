@@ -198,9 +198,8 @@ def _cmd_theta(parser, args) -> int:
 
 def _cmd_average(parser, args) -> int:
     rm = _resolve_rm(parser, args)
-    quad = modsym.QuadratureControl(rel_tol=args.tol)
-    av = modsym.averaged_relations(rm, quad=quad)
-    _emit(modsym.averaged_json(av), args.out)
+    av = modsym.averaged_relations(rm, quad=modsym.QuadratureControl(rel_tol=args.tol))
+    _emit(presentation.presentation_document(av), args.out)
     return 0
 
 

@@ -275,11 +275,16 @@ def validate(g) -> RMData:
     """Check g and assemble its real-multiplication data.
 
     Raises :class:`NotSL2` when det != 1, :class:`NotHyperbolic` when
-    a + d <= 2, and :class:`DegreeTooSmall` when c < a + d + 2.
+    a + d <= 2, and :class:`DegreeTooSmall` when c < a + d + 2.  The data is
+    cached per integer matrix, after the entry check; failures are not kept.
     """
-    if isinstance(g, RMData):
-        g = g.g
-    a, b, c, d = _flatten_2x2(g)
+    return _validated(_flatten_2x2(g.g if isinstance(g, RMData) else g))
+
+
+@functools.cache
+def _validated(g: tuple[int, int, int, int]) -> RMData:
+    """The data of :func:`validate` for a flattened integer matrix."""
+    a, b, c, d = g
     if a * d - b * c != 1:
         raise NotSL2(f"det {a * d - b * c} != 1 for {(a, b, c, d)}")
     t = a + d

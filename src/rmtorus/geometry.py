@@ -12,7 +12,6 @@ including a seeded alternating-least-squares search for such pairs.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .core import alpha
 from .errors import CombinatorialCap, DomainError
-from .presentation import Presentation, _complex_json, _float_text, _ints_text
+from .presentation import Presentation, _complex_json, _float_text, _head_text, _ints_text
 
 __all__ = [
     "BiformRelation",
@@ -463,13 +462,9 @@ def minors_document(head: dict, minors) -> str:
     minors have one fixed shape, so each minor's monomials are written in one
     pass from a template per exponent tuple, with floats written by
     ``float.__repr__`` as :mod:`json` writes them (``_float_text`` only in a
-    minor that holds a non-finite value).  The small ``head`` values go
-    through :func:`json.dumps`.
+    minor that holds a non-finite value).  The ``head`` fields are written
+    by :func:`rmtorus.presentation._head_text`, as a presentation's are.
     """
-    fields = [
-        f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
-        for key, value in head.items()
-    ]
     templates = _Templates()
     parts = []
     for poly in minors:
@@ -490,5 +485,5 @@ def minors_document(head: dict, minors) -> str:
             for (exps, _), x, y in zip(monos, map(text, re), map(text, im))
         ])
         parts.append(f"[\n{body}\n      ]\n    }}")
-    lead = "{\n" + "".join(field + ",\n" for field in fields) + '  "minors": '
+    lead = _head_text(head) + '  "minors": '
     return "".join([lead, "[", *parts, "\n  ]\n}"]) if parts else lead + "[]\n}"

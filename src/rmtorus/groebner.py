@@ -28,6 +28,7 @@ import mpmath as mp
 from .core import RMData
 from .errors import DomainError, TruncationExceeded
 from .presentation import Presentation, monic_ordered, relations
+from .theta import _is_int
 
 __all__ = [
     "Word",
@@ -145,11 +146,6 @@ class GroebnerState:
     @cached_property
     def _index(self) -> _LeadIndex:
         return _LeadIndex(self.system)
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an ``int`` other than a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_system_entry(poly: FreePoly) -> FreePoly:

@@ -22,7 +22,7 @@ Four layers, bottom up:
 
 The final consumer is :func:`averaged_relations`, which integrates every
 modular-normalized presentation coefficient over the limiting symbol of the
-fixed surd, producing a presentation-shaped object independent of tau.
+fixed surd, producing a presentation that does not depend on tau.
 """
 
 from __future__ import annotations
@@ -48,16 +48,18 @@ from .errors import (
     RationalInput,
 )
 from .presentation import (
+    Presentation,
     Relation,
     RelationTerm,
     _det,
     _free_columns,
-    _relations_json,
     kernel_pivots,
+    presentation_json,
 )
 from .theta import (
     _check_finite,
     _flatten_2x2,
+    _is_int,
     _kernel_sum,
     _kernel_table,
     _unit_phase_mp,
@@ -74,7 +76,6 @@ __all__ = [
     "IntegralResult",
     "ThetaProductHandle",
     "CoefficientHandle",
-    "AveragedPresentation",
     "member",
     "cf_expand",
     "convergents",
@@ -104,7 +105,7 @@ class Cusp:
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, q)):
+        if not (_is_int(p) and _is_int(q)):
             raise DomainError(f"cusp entries must be integers, got ({p!r}, {q!r})")
         if p == 0 and q == 0:
             raise DomainError("cusp (0, 0) is not a projective point")
@@ -146,12 +147,12 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("principal", "igusa", "bracket"):
             raise DomainError(f"unknown group kind {self.kind!r}")
-        if self.n < 1:
-            raise DomainError(f"group level must be positive, got {self.n}")
+        if not _is_int(self.n) or self.n < 1:
+            raise DomainError(f"group level must be a positive integer, got {self.n!r}")
         if self.kind == "bracket":
-            if self.m is None or self.m < 1 or self.m % 2 != 0:
+            if not _is_int(self.m) or self.m < 1 or self.m % 2 != 0:
                 raise DomainError(
-                    f"bracket conjugation parameter must be a positive even integer, got {self.m}"
+                    f"bracket conjugation parameter must be a positive even integer, got {self.m!r}"
                 )
         elif self.m is not None:
             raise DomainError(f"{self.kind} group takes no second parameter")
@@ -222,8 +223,8 @@ class CFExpansion:
 
     def quotient(self, n: int) -> int:
         """The n-th partial quotient, 1-based."""
-        if n < 1:
-            raise DomainError(f"quotient index must be >= 1, got {n}")
+        if not _is_int(n) or n < 1:
+            raise DomainError(f"quotient index must be an integer >= 1, got {n!r}")
         if n <= len(self.preperiod):
             return self.preperiod[n - 1]
         return self.period[(n - len(self.preperiod) - 1) % len(self.period)]
@@ -261,8 +262,8 @@ def cf_expand(theta: QuadraticSurd, max_states: int = 100_000) -> CFExpansion:
 
 def convergents(cf: CFExpansion, n: int) -> tuple[int, int, tuple[tuple[int, int], tuple[int, int]]]:
     """(p_n, q_n, g_n) for the fractional part, with g_n = [[p_{n-1}, p_n], [q_{n-1}, q_n]]."""
-    if n < 0:
-        raise DomainError(f"convergent index must be >= 0, got {n}")
+    if not _is_int(n) or n < 0:
+        raise DomainError(f"convergent index must be an integer >= 0, got {n!r}")
     p_prev, p_cur = 1, 0
     q_prev, q_cur = 0, 1
     for i in range(1, n + 1):
@@ -299,6 +300,8 @@ def lyapunov_empirical(theta: QuadraticSurd, n1: int = 50, n2_max: int = 200) ->
     The endpoints are taken a whole number of periods apart so the periodic
     fluctuation of log q_n - n*lambda cancels exactly.
     """
+    if not (_is_int(n1) and _is_int(n2_max)):
+        raise DomainError(f"n1 and n2_max must be integers, got {n1!r} and {n2_max!r}")
     cf = cf_expand(theta)
     m = len(cf.period)
     n2 = n2_max - ((n2_max - n1) % m)
@@ -344,8 +347,10 @@ def limiting_symbol(
     With ``hyperbolic`` set to an integer matrix fixing theta (hyperbolic, and
     a member of ``spec`` when one is given), the single segment from 0 to its
     image under the matrix is used instead, scaled by 1/log of the dominant
-    eigenvalue.
+    eigenvalue.  ``spec`` constrains only that matrix and needs one.
     """
+    if hyperbolic is None and spec is not None:
+        raise DomainError("spec constrains a hyperbolic matrix; none was given")
     if hyperbolic is not None:
         x, y, z, w = _flatten_2x2(hyperbolic)
         if x * w - y * z != 1:
@@ -410,8 +415,8 @@ class QuadratureControl:
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0):
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_evals < 15:
-            raise DomainError(f"max_evals must be at least 15, got {self.max_evals}")
+        if not _is_int(self.max_evals) or self.max_evals < 15:
+            raise DomainError(f"max_evals must be an integer >= 15, got {self.max_evals!r}")
 
 
 @dataclass(frozen=True)
@@ -660,7 +665,7 @@ class ThetaProductHandle:
     """Product of theta constants theta[r_i](0, l tau) at the level point."""
 
     def __init__(self, level: int, chars) -> None:
-        if not isinstance(level, int) or isinstance(level, bool) or level < 1:
+        if not _is_int(level) or level < 1:
             raise DomainError(f"level must be a positive integer, got {level!r}")
         self.level = level
         self.chars = tuple(Fraction(r) for r in chars)
@@ -681,63 +686,34 @@ class ThetaProductHandle:
 PIVOT_TAU = 2j
 
 
-class _Block:
-    """The mu-th relation block as a function of tau: one per (rm, mu) and process.
-
-    ``index`` is the block's index array (:func:`rmtorus.core._block`): entry
-    (i, j) is read from column index[i][j] of the level row of
-    :func:`_level_thetas`, and when a+d is odd (``patched``) every
-    coefficient is multiplied by column 0, theta[0], the modular patch.  The
-    pivot and free columns are selected at :data:`PIVOT_TAU` in double, once
-    per block.  Reach a block through :meth:`of`.
-    """
-
-    def __init__(self, rm: RMData, mu: int) -> None:
-        self.rm = rm
-        self.mu = mu
-        self.n_relations = rm.degree - rm.trace
-        self.patched = rm.trace % 2 == 1
-        self.index = _block(rm, mu).index
-
-    @staticmethod
-    def of(rm: RMData, mu: int) -> _Block:
-        """The block of (rm, mu) from the per-process cache, after mu's index check.
-
-        The check comes first: ``True`` and ``1.0`` hash as 1 and would
-        otherwise be served the block of mu = 1.
-        """
-        _check_index("mu", mu, rm.degree)
-        return _blocks(rm, mu)
-
-    @functools.cached_property
-    def pivots(self) -> tuple[int, ...]:
-        """The pivot columns of the block at PIVOT_TAU, in double."""
-        return kernel_pivots(self.rm, self.mu, PIVOT_TAU)
-
-    def relation(self, k: int) -> _RelationVector:
-        """Relation (mu, k) on its whole support: the pivots and free column k."""
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise DomainError(f"relation index k must be an integer, got {k!r}")
-        if not (1 <= k <= self.n_relations):
-            raise DomainError(f"k = {k} outside 1..{self.n_relations}")
-        q = _free_columns(self.pivots, self.rm.degree)[k - 1]
-        return _RelationVector(self, self.pivots, q, sorted((*self.pivots, q)))
-
-
 @functools.cache
-def _blocks(rm: RMData, mu: int) -> _Block:
-    return _Block(rm, mu)
+def _pivots(rm: RMData, mu: int) -> tuple[int, ...]:
+    """Block mu's pivots at PIVOT_TAU in double; after mu's check, as ``True`` hashes as 1."""
+    return kernel_pivots(rm, mu, PIVOT_TAU)
+
+
+def _relation(rm: RMData, mu: int, k: int) -> _RelationVector:
+    """Relation (mu, k) on its whole support: the pivots at PIVOT_TAU and free column k."""
+    _check_index("mu", mu, rm.degree)
+    if not _is_int(k):
+        raise DomainError(f"relation index k must be an integer, got {k!r}")
+    if not (1 <= k <= rm.degree - rm.trace):
+        raise DomainError(f"k = {k} outside 1..{rm.degree - rm.trace}")
+    pivots = _pivots(rm, mu)
+    q = _free_columns(pivots, rm.degree)[k - 1]
+    return _RelationVector(rm, mu, pivots, q, sorted((*pivots, q)))
 
 
 class _RelationVector:
-    """Coefficients of one relation of a block on the given slots, as a vector form.
+    """Coefficients of one relation of block mu on the given slots, as a vector form.
 
     The coefficient on slot j is a Cramer determinant of the block over the
     pivot columns, with the free column swapped in for j (or the negated
-    pivot minor when j is the free column itself), times theta[0](0, l tau)
-    when the block is patched.  Values come one row per point, one column
-    per slot; a whole quadrature panel takes one kernel call and one stacked
-    determinant.
+    pivot minor when j is the free column itself), read from the level row
+    through the block's :func:`rmtorus.core._block` index, and times column
+    0, theta[0](0, l tau), when a+d is odd.  Values come one row per point,
+    one column per slot; a whole quadrature panel takes one kernel call and
+    one stacked determinant.
 
     Each slot keeps its own determinant rather than one solve against the
     pivot minor: along a pulled ray the pivot minor underflows to exactly 0
@@ -745,8 +721,9 @@ class _RelationVector:
     fails on a singular matrix.
     """
 
-    def __init__(self, block: _Block, pivots, free_col: int, slots) -> None:
-        t, columns = block.rm.trace, range(1, block.rm.degree + 1)
+    def __init__(self, rm: RMData, mu: int, pivots, free_col: int, slots) -> None:
+        self.index = _block(rm, mu).index
+        t, columns = rm.trace, range(1, rm.degree + 1)
         pivots = tuple(pivots)
         if (
             len(pivots) != t
@@ -756,12 +733,7 @@ class _RelationVector:
             raise DomainError(
                 f"pivots must be {t} increasing columns in 1..{len(columns)}, got {pivots}"
             )
-        if (
-            not isinstance(free_col, int)
-            or isinstance(free_col, bool)
-            or free_col in pivots
-            or free_col not in columns
-        ):
+        if not _is_int(free_col) or free_col in pivots or free_col not in columns:
             raise DomainError(
                 f"free column {free_col!r} must be an integer in 1..{len(columns)} "
                 "outside the pivots"
@@ -770,7 +742,7 @@ class _RelationVector:
             if j != free_col and j not in pivots:
                 raise DomainError(f"slot {j} outside the support of this relation")
         pivots = tuple(int(p) for p in pivots)  # exact: each is one of the columns
-        self.block = block
+        self.rm, self.mu = rm, mu
         self.pivots = pivots
         self.free_col = free_col
         self.slots = tuple(slots)
@@ -780,20 +752,20 @@ class _RelationVector:
 
     def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
         with _working_precision(dps):
-            rows = _level_thetas(self.block.rm.level).pulled(cusp, sigmas, dps)
+            rows = _level_thetas(self.rm.level).pulled(cusp, sigmas, dps)
             return self._coefficients(rows, dps)
 
     def value(self, tau, dps: int | None = None) -> np.ndarray:
         with _working_precision(dps):
-            return self._coefficients(_level_thetas(self.block.rm.level).at(tau, dps), dps)[0]
+            return self._coefficients(_level_thetas(self.rm.level).at(tau, dps), dps)[0]
 
     def _coefficients(self, rows: np.ndarray, dps: int | None) -> np.ndarray:
         """The slot values at each point, from the level rows there."""
-        blocks = rows[:, self.block.index]
+        blocks = rows[:, self.index]
         # (points, rows, slots, cols) -> (points, slots, rows, cols)
         minors = np.moveaxis(blocks[:, :, self._columns], 2, 1)
         values = self._signs * _det(minors, dps)
-        if self.block.patched:
+        if self.rm.trace % 2:
             values = values * rows[:, :1]
         return values
 
@@ -808,8 +780,8 @@ class CoefficientHandle(_RelationVector):
     def __init__(
         self, rm: RMData, mu: int, pivots: tuple[int, ...], free_col: int, slot: int
     ) -> None:
-        super().__init__(_Block.of(rm, mu), pivots, free_col, (slot,))
-        self.rm, self.mu, self.slot = rm, mu, slot
+        super().__init__(rm, mu, pivots, free_col, (slot,))
+        self.slot = slot
 
     def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
         """The coefficient at A(sigma) for the cusp's matrix A, at each sigma."""
@@ -821,7 +793,7 @@ class CoefficientHandle(_RelationVector):
 
 def coefficient_handles(rm: RMData, mu: int, k: int) -> dict[int, CoefficientHandle]:
     """Handles for every support slot of relation (mu, k), pivots chosen at PIVOT_TAU."""
-    vector = _Block.of(rm, mu).relation(k)
+    vector = _relation(rm, mu, k)
     return {
         j: CoefficientHandle(rm, mu, vector.pivots, vector.free_col, j)
         for j in vector.slots
@@ -835,7 +807,7 @@ def relation_values(rm: RMData, mu: int, k: int, tau, dps: int | None = None) ->
     the economical way to probe a whole relation (e.g. when checking the
     transformation law).
     """
-    vector = _Block.of(rm, mu).relation(k)
+    vector = _relation(rm, mu, k)
     return dict(zip(vector.slots, vector.value(tau, dps)))
 
 
@@ -945,17 +917,6 @@ def integrate_geodesic(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AveragedPresentation:
-    """Presentation-shaped coefficients integrated over a limiting symbol."""
-
-    rm: RMData
-    group: GroupSpec
-    scale: float
-    relations: tuple[Relation, ...]
-    quadrature_error: float
-
-
 #: Reference points at which identically-zero coefficient functions are detected.
 _ZERO_PROBES = (2j, 0.31 + 1.7j)
 
@@ -963,13 +924,11 @@ _ZERO_PROBES = (2j, 0.31 + 1.7j)
 _ZERO_PROBE_REL = 1e-10
 
 
-def averaged_relations(
-    rm: RMData,
-    spec: GroupSpec | None = None,
-    quad: QuadratureControl | None = None,
-) -> AveragedPresentation:
+def averaged_relations(rm: RMData, quad: QuadratureControl | None = None) -> Presentation:
     """Integrate every modular coefficient over the limiting symbol of the surd.
 
+    Returns a :class:`Presentation` with normalization ``"averaged"``, no
+    ``tau``, the symbol's ``scale`` and the group label bracket(l^2, l).
     Requires even level and even weight.  Pivot columns are selected once at
     :data:`PIVOT_TAU` and held fixed, making the run deterministic; coefficient
     functions that vanish at the reference probes are identically zero by
@@ -985,10 +944,8 @@ def averaged_relations(
         raise OddLevel(f"level {rm.level} is odd")
     if rm.weight % 2 != 0:
         raise OddWeight(f"weight {rm.weight} is odd")
-    if spec is None:
-        spec = GroupSpec.bracket(rm.level * rm.level, rm.level)
     quad = quad or QuadratureControl()
-    chain = limiting_symbol(rm.theta, spec)
+    chain = limiting_symbol(rm.theta)
     level = _level_thetas(rm.level)
     rows: dict[tuple[Cusp, bytes], np.ndarray] = {}
 
@@ -1001,9 +958,8 @@ def averaged_relations(
     relations_out: list[Relation] = []
     worst_error = 0.0
     for mu in range(1, rm.degree + 1):
-        block = _Block.of(rm, mu)
-        for k in range(1, block.n_relations + 1):
-            vector = block.relation(k)
+        for k in range(1, rm.degree - rm.trace + 1):
+            vector = _relation(rm, mu, k)
             probes = vector._coefficients(level_rows(Cusp(1, 0), _ZERO_PROBES), None)
             top = float(np.max(np.abs(probes)))
             live = [
@@ -1011,7 +967,7 @@ def averaged_relations(
                 for i, j in enumerate(vector.slots)
                 if float(np.max(np.abs(probes[:, i]))) > _ZERO_PROBE_REL * top
             ]
-            live_vector = _RelationVector(block, vector.pivots, vector.free_col, live)
+            live_vector = _RelationVector(rm, mu, vector.pivots, vector.free_col, live)
 
             def pulled(cusp: Cusp, sigmas) -> np.ndarray:
                 return live_vector._coefficients(level_rows(cusp, sigmas), None)
@@ -1032,24 +988,11 @@ def averaged_relations(
                 for pos, j in enumerate(live)
             )
             relations_out.append(Relation(mu=mu, k=k, terms=terms))
-    return AveragedPresentation(
-        rm=rm,
-        group=spec,
-        scale=chain.scale,
-        relations=tuple(relations_out),
-        quadrature_error=worst_error,
-    )
+    group = GroupSpec.bracket(rm.level * rm.level, rm.level)
+    return Presentation(rm, None, "averaged", tuple(relations_out), group=group,
+                        scale=chain.scale, quadrature_error=worst_error)
 
 
-def averaged_json(av: AveragedPresentation) -> dict:
-    """Deterministic JSON-ready dict mirroring the presentation layout."""
-    return {
-        "g": list(av.rm.g),
-        "normalization": "averaged",
-        "l": av.rm.level,
-        "w": av.rm.weight,
-        "group": av.group.describe(),
-        "scale": av.scale,
-        "quadrature_error": av.quadrature_error,
-        "relations": _relations_json(av.relations),
-    }
+def averaged_json(av: Presentation) -> dict:
+    """:func:`rmtorus.presentation.presentation_json` of an averaged presentation."""
+    return presentation_json(av)

@@ -49,8 +49,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
+from typing import TYPE_CHECKING
 
 import mpmath as mp
 import numpy as np
@@ -64,6 +65,9 @@ from .errors import (
     RankDeficient,
 )
 from .theta import theta_constant
+
+if TYPE_CHECKING:
+    from .modsym import GroupSpec
 
 __all__ = [
     "RelationTerm",
@@ -109,12 +113,19 @@ class Relation:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A full set of c(c-a-d) quadratic relations in one normalization."""
+    """A full set of c(c-a-d) quadratic relations in one normalization.
+
+    An average (:func:`rmtorus.modsym.averaged_relations`) has no ``tau`` but
+    a ``group``, ``scale`` and ``quadrature_error``.
+    """
 
     rm: RMData
-    tau: complex
+    tau: complex | None
     normalization: str
     relations: tuple[Relation, ...]
+    group: GroupSpec | None = None
+    scale: float | None = None
+    quadrature_error: float | None = None
 
     @property
     def level(self) -> int:
@@ -461,7 +472,7 @@ def _scaled(p: Presentation, factor, tag: str) -> Presentation:
         )
         for rel in p.relations
     )
-    return Presentation(rm=p.rm, tau=p.tau, normalization=tag, relations=rels)
+    return replace(p, normalization=tag, relations=rels)
 
 
 def normalize_rational(p: Presentation, dps: int | None = None) -> Presentation:
@@ -522,7 +533,7 @@ def monic_ordered(p: Presentation) -> Presentation:
         terms = [RelationTerm(w[0], w[1], cf / lead_coeff) for w, cf in kept]
         terms[0] = RelationTerm(terms[0].left, terms[0].right, complex(1.0))
         rels.append(Relation(mu=rel.mu, k=rel.k, terms=tuple(terms)))
-    return Presentation(rm=p.rm, tau=p.tau, normalization="monic", relations=tuple(rels))
+    return replace(p, normalization="monic", relations=tuple(rels))
 
 
 def hilbert_coeffs(rm: RMData, n: int) -> HilbertData:
@@ -604,16 +615,48 @@ def _relations_json(relations) -> list[dict]:
     ]
 
 
-def presentation_json(p: Presentation) -> dict:
-    """Deterministic JSON-ready dict (fixed field and term ordering)."""
-    return {
+def _head(p: Presentation) -> dict:
+    """The fields before the relations, each of tau, group, scale and quadrature_error if set."""
+    head = {
         "g": list(p.rm.g),
-        "tau": _complex_json(p.tau),
+        "tau": None if p.tau is None else _complex_json(p.tau),
         "normalization": p.normalization,
         "l": p.level,
         "w": p.weight,
-        "relations": _relations_json(p.relations),
+        "group": None if p.group is None else p.group.describe(),
+        "scale": p.scale,
+        "quadrature_error": p.quadrature_error,
     }
+    return {key: value for key, value in head.items() if value is not None}
+
+
+def _head_text(head: dict) -> str:
+    """The opening of ``json.dumps({**head, ...}, indent=2)``, through the fields of ``head``.
+
+    Ints, int lists and {"re", "im"} float pairs come from templates, the rest from :mod:`json`.
+    """
+    fields = ["{\n"]
+    for key, value in head.items():
+        kind = type(value)
+        if kind is int:
+            text = int.__repr__(value)
+        elif kind is str:
+            text = json.dumps(value)
+        elif kind is list and set(map(type, value)) <= {int}:
+            text = _ints_text(value, "  ")
+        elif kind is dict and list(value) == ["re", "im"] and (
+            type(value["re"]) is type(value["im"]) is float
+        ):
+            text = _complex_text(complex(value["re"], value["im"]), "  ")
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text},\n")
+    return "".join(fields)
+
+
+def presentation_json(p: Presentation) -> dict:
+    """Deterministic JSON-ready dict (fixed field and term ordering)."""
+    return {**_head(p), "relations": _relations_json(p.relations)}
 
 
 def presentation_document(p: Presentation) -> str:
@@ -638,11 +681,4 @@ def presentation_document(p: Presentation) -> str:
             f'      "k": {int.__repr__(rel.k)},\n'
             f'      "terms": {_list_text(terms, "      ")}\n    }}'
         )
-    return (
-        f'{{\n  "g": {_ints_text(p.rm.g, "  ")},\n'
-        f'  "tau": {_complex_text(p.tau, "  ")},\n'
-        f'  "normalization": {json.dumps(p.normalization)},\n'
-        f'  "l": {int.__repr__(p.level)},\n'
-        f'  "w": {int.__repr__(p.weight)},\n'
-        f'  "relations": {_list_text(relations_text, "  ")}\n}}'
-    )
+    return f'{_head_text(_head(p))}  "relations": {_list_text(relations_text, "  ")}\n}}'

@@ -412,6 +412,11 @@ def kappa(gamma, tau_probe: complex | UpperHalfPoint, dps: int | None = None) ->
         return lifted / (sqrt(c * point + d) * base)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an ``int`` other than a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _flatten_2x2(gamma) -> tuple[int, int, int, int]:
     """Entries (a, b, c, d) of [[a, b], [c, d]] given nested or flat.
 
@@ -426,7 +431,7 @@ def _flatten_2x2(gamma) -> tuple[int, int, int, int]:
         except (TypeError, ValueError) as exc:
             raise DomainError(f"expected a 2x2 integer matrix, got {gamma!r}") from exc
     entries = (a, b, c, d)
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
+    if not all(map(_is_int, entries)):
         raise DomainError(f"matrix entries must be integers, got {entries}")
     return entries
 
@@ -458,7 +463,7 @@ def constant_fourier_term(r: RationalLike, l: int, dps: int | None = None) -> co
     integer and below 1e-12 otherwise.
     """
     r = _as_fraction(r, "characteristic r")
-    if not isinstance(l, int) or l <= 0:
+    if not _is_int(l) or l <= 0:
         raise DomainError(f"level must be a positive integer, got {l!r}")
     v1 = theta_constant(r, complex(0.0, 50.0 * l * l), dps)
     v2 = theta_constant(r, complex(0.0, 100.0 * l * l), dps)

@@ -5,6 +5,7 @@ import pytest
 from rmtorus import cli, core, geometry
 from rmtorus.cli import main
 from rmtorus.core import canonical_g
+from rmtorus.modsym import averaged_relations
 from rmtorus.presentation import _complex_json, presentation_document, relations
 
 
@@ -87,6 +88,7 @@ def test_present_is_byte_identical_with_caches_cold_and_warm(capsys, member):
     odd_level = member in (("--trace", "3"), ("--trace", "5"))
     for norm in ("raw", "rational", "modular", "monic"):
         argv = ("present", *member, "--tau", "0.3", "1.6", "--normalize", norm)
+        core._validated.cache_clear()
         core._block_data.cache_clear()
         core._level_table.cache_clear()
         cli._build_parser.cache_clear()
@@ -122,6 +124,13 @@ def test_average_reports_quadrature_error(capsys):
                         "--tol", "1e-6")
     assert payload["quadrature_error"] < 1e-4
     assert len(payload["relations"]) == 12
+
+
+@pytest.mark.parametrize("trace", [4, 8])
+def test_average_writes_the_presentation_document(capsys, trace):
+    code, out, err = _run(capsys, "average", "--trace", str(trace))
+    assert (code, err) == (0, "")
+    assert out == presentation_document(averaged_relations(canonical_g(trace))) + "\n"
 
 
 def test_geom_counts_and_cap(capsys):

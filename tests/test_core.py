@@ -90,6 +90,30 @@ def test_validate_rejections():
         validate((1, 2, 3))
 
 
+def test_validate_builds_the_data_of_a_matrix_once(monkeypatch):
+    core._validated.cache_clear()
+    first = validate((5, -1, 6, -1))
+    built = []
+    post_init = QuadraticSurd.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(QuadraticSurd, "__post_init__", counting)
+    assert validate([[5, -1], [6, -1]]) is first
+    assert canonical_g(4) is first
+    assert built == []
+    # the entries are checked before the cache is read, and failures are not kept
+    for g in ((5.0, -1, 6, -1), (5, -1, 6, True), [[5, -1], [6.0, -1]]):
+        with pytest.raises(DomainError, match="must be integers"):
+            validate(g)
+    for _ in range(2):
+        with pytest.raises(NotSL2):
+            validate((5, -1, 6, 1))
+    assert core._validated.cache_info().currsize == 1
+
+
 def test_canonical_family():
     assert canonical_g(3).g == (4, -1, 5, -1)
     assert canonical_g(4).g == (5, -1, 6, -1)

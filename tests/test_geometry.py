@@ -306,7 +306,9 @@ def _document_reference(head, minors):
 
 def test_minors_document_matches_json_dumps():
     head = {"g": [5, -1, 6, -1], "tau": _complex_json(0.3 + 1.5j), "cap": 10, "count": 3,
-            "note": "a\nb"}
+            "note": "a\nb", "scale": -0.0, "group": {"kind": "bracket", "n": 576, "m": 24},
+            "flags": [True, 2], "pair": {"re": 1, "im": 2.0}, "swapped": {"im": 1.0, "re": 2.0},
+            "rows": [], "none": None}
     nan, inf = float("nan"), float("inf")
     cases = [
         (),

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rmtorus import modsym
+from rmtorus import core, modsym
 from rmtorus.core import QuadraticSurd, block_characteristics, canonical_g, validate
 from rmtorus.errors import (
     DomainError,
@@ -36,7 +36,9 @@ from rmtorus.modsym import (
     member,
     relation_values,
 )
-from rmtorus.presentation import kernel_pivots, relations
+from rmtorus.geometry import omega_matrix
+from rmtorus.groebner import complete_to_degree, groebner_state, linear_basis
+from rmtorus.presentation import Presentation, kernel_pivots, monic_ordered, relations
 
 F = Fraction
 
@@ -90,6 +92,14 @@ def test_group_spec_validation():
     spec = GroupSpec.bracket(576, 24)
     assert (spec.kind, spec.n, spec.m) == ("bracket", 576, 24)
     assert spec.describe() == {"kind": "bracket", "n": 576, "m": 24}
+
+
+def test_group_spec_parameters_must_be_integers():
+    for build in (lambda: GroupSpec.igusa(2.5), lambda: GroupSpec.principal(True),
+                  lambda: GroupSpec("igusa", "3"), lambda: GroupSpec.bracket(576, 24.0),
+                  lambda: GroupSpec.bracket(576, True), lambda: GroupSpec("bracket", 4, "2")):
+        with pytest.raises(DomainError, match="integer"):
+            build()
 
 
 def test_membership_basic_cases():
@@ -151,6 +161,19 @@ def test_convergents_of_the_example(rm6):
     assert (p, q) == (4, 19)
     assert (pp, pc, qp, qc) == (3, 4, 14, 19)
     assert pp * qc - pc * qp in (-1, 1)
+
+
+def test_continued_fraction_indices_must_be_integers(rm6):
+    cf = cf_expand(rm6.theta)
+    for n in (2.0, True):
+        with pytest.raises(DomainError, match="must be an integer"):
+            convergents(cf, n)
+    for n in (1.0, True):
+        with pytest.raises(DomainError, match="must be an integer"):
+            cf.quotient(n)
+    for n1, n2_max in ((50.0, 200), (50, 200.0), (True, 200), (50, True)):
+        with pytest.raises(DomainError, match="must be integers"):
+            lyapunov_empirical(rm6.theta, n1, n2_max)
 
 
 def _random_surd(rng):
@@ -239,6 +262,11 @@ def test_limiting_symbol_hyperbolic_route(rm6):
     assert abs(sym.scale - expected) <= 1e-12 * expected
 
 
+def test_limiting_symbol_rejects_a_spec_without_a_hyperbolic_matrix(rm6):
+    with pytest.raises(DomainError, match="none was given"):
+        limiting_symbol(rm6.theta, GroupSpec.bracket(576, 24))
+
+
 def test_limiting_symbol_hyperbolic_rejections(rm6):
     spec = GroupSpec.bracket(576, 24)
     with pytest.raises(NotHyperbolic):
@@ -302,6 +330,13 @@ def test_geodesic_tolerance_stability():
     assert abs(loose - tight) < 2e-8
 
 
+def test_quadrature_control_takes_an_integer_budget():
+    assert QuadratureControl(max_evals=15).max_evals == 15
+    for max_evals in (15.5, 100.0, True, 14):
+        with pytest.raises(DomainError, match="max_evals"):
+            QuadratureControl(max_evals=max_evals)
+
+
 def test_geodesic_guards():
     plain = ThetaProductHandle(24, PLAIN_CHARS)
     with pytest.raises(NotCuspType):
@@ -343,7 +378,7 @@ def test_coefficient_handles_match_relation_values(rm6):
 
 
 def test_coefficient_handles_share_one_chain_per_cusp(rm6, monkeypatch):
-    modsym._blocks.cache_clear()
+    modsym._pivots.cache_clear()
     modsym._level_thetas.cache_clear()
     handles = coefficient_handles(rm6, 1, 1)
     built = []
@@ -409,7 +444,7 @@ def test_relation_values_select_pivots_once_per_block_and_precision(monkeypatch)
         return kernel_pivots(*args, **kwargs)
 
     monkeypatch.setattr(modsym, "kernel_pivots", counting)
-    modsym._blocks.cache_clear()
+    modsym._pivots.cache_clear()
     first = relation_values(rm, 2, 1, 0.3 + 1.7j)
     for _ in range(3):
         for mu, k in ((2, 1), (2, 2), (3, 1)):
@@ -480,12 +515,27 @@ def test_averaged_ring_properties(rm6):
     assert json.dumps(payload) == json.dumps(averaged_json(averaged))
 
 
+def test_averaged_presentation_reaches_the_groebner_and_geometry_layers(rm6):
+    averaged = averaged_relations(rm6)
+    assert isinstance(averaged, Presentation)
+    assert (averaged.tau, averaged.normalization) == (None, "averaged")
+    monic = monic_ordered(averaged)
+    assert monic.normalization == "monic"
+    assert (monic.rm, monic.tau, monic.group, monic.scale, monic.quadrature_error) == \
+        (averaged.rm, None, averaged.group, averaged.scale, averaged.quadrature_error)
+    c, t = rm6.degree, rm6.trace
+    assert len(omega_matrix(averaged).entries) == c * (c - t)
+    state = complete_to_degree(groebner_state(averaged, truncation_degree=3), 3)
+    # the RM ring has 24 and 90: the average keeps no degree-3 syzygy
+    assert [len(linear_basis(state, n)) for n in (2, 3)] == [24, 72]
+
+
 def test_averaged_relations_build_one_chain_per_level_and_cusp(rm6, monkeypatch):
     # The probe and live vectors of every relation of every block read the
     # level row, which has one exact chain per cusp: infinity for the probes,
     # the segment ends for the quadrature.  The chains last for the process,
     # so a second run builds no chain and gives the same bits.
-    modsym._blocks.cache_clear()
+    modsym._pivots.cache_clear()
     modsym._level_thetas.cache_clear()
     built = []
     original = modsym._Chain.__init__
@@ -522,7 +572,7 @@ def test_level_row_gathers_each_block_bit_for_bit(g, dps):
         rows = {cusp: level.pulled(cusp, sigmas, dps) for cusp in (Cusp(1, 0), Cusp(-5, 4))}
         at = level.at(low, dps)
         for mu in range(1, rm.degree + 1):
-            index = modsym._Block.of(rm, mu).index.ravel()
+            index = core._block(rm, mu).index.ravel()
             alone = modsym._LevelThetas(
                 rm.level,
                 [(r, F(0)) for row in block_characteristics(rm, mu) for r in row] + [(F(0), F(0))],

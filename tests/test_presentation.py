@@ -9,6 +9,7 @@ import pytest
 from rmtorus import core, groebner, presentation, validate
 from rmtorus.core import alpha, canonical_g, block_M, structure_constant_theta
 from rmtorus.errors import DomainError, OddLevel, RankDeficient
+from rmtorus.modsym import averaged_relations
 from rmtorus.presentation import (
     hilbert_coeffs,
     kernel_basis,
@@ -386,6 +387,16 @@ def test_presentation_document_is_json_dumps(g):
             seen.add(p.normalization)
             assert presentation_document(p) == json.dumps(presentation_json(p), indent=2)
     assert seen >= {"raw", "rational", "monic"}
+
+
+@pytest.mark.parametrize("trace", [4, 8])
+def test_presentation_document_is_json_dumps_for_averaged_presentations(trace):
+    averaged = averaged_relations(canonical_g(trace))
+    for p in (averaged, monic_ordered(averaged)):
+        assert presentation_document(p) == json.dumps(presentation_json(p), indent=2)
+    assert list(presentation_json(averaged)) == [
+        "g", "normalization", "l", "w", "group", "scale", "quadrature_error", "relations"
+    ]
 
 
 def test_presentation_document_writes_every_float_as_json_does():

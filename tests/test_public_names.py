@@ -1,5 +1,6 @@
-"""Every exported name and every traced layer boundary resolves."""
+"""Every exported name and every traced layer boundary resolves; no import is unused."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -37,3 +38,32 @@ def test_tracer_boundaries_resolve():
     for module_name, function in _boundaries():
         module = importlib.import_module(f"rmtorus.{module_name}")
         assert callable(getattr(module, function, None)), f"{module_name}.{function}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_unused_import_check_sees_plain_from_and_aliased_imports():
+    source = "import os, numpy as np\nfrom json import dumps, loads\n__all__ = ['loads']\nnp.pi\n"
+    assert _unused_imports(source) == ["dumps", "os"]
+
+
+@pytest.mark.parametrize("name", ["__init__", *SUBMODULES])
+def test_every_import_is_used(name):
+    path = Path(rmtorus.__file__).resolve().parent / f"{name}.py"
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

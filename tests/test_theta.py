@@ -152,6 +152,12 @@ def test_constant_fourier_term_vanishes_for_fractional_characteristics():
     assert abs(constant_fourier_term(F(0), 24) - 1) < 1e-12
 
 
+def test_constant_fourier_term_level_must_be_an_integer():
+    for level in (True, 24.0, 0):
+        with pytest.raises(DomainError, match="level must be a positive integer"):
+            constant_fourier_term(F(1, 24), level)
+
+
 def test_constant_fourier_term_at_dps_keeps_dps_digits():
     # the Richardson step runs at dps, whatever the ambient precision
     v1 = theta_constant(F(1, 3), 50j, dps=40)
