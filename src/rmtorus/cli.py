@@ -53,27 +53,21 @@ def _emit(payload: dict | str, out: str | None) -> None:
             fh.write("\n")
 
 
-def _add_g_flags(sub: argparse.ArgumentParser, allow_trace: bool = True) -> None:
-    if allow_trace:
-        group = sub.add_mutually_exclusive_group(required=True)
-        group.add_argument(
-            "--g", nargs=4, type=int, metavar=("A", "B", "C", "D"),
-            help="matrix entries a b c d",
-        )
-        group.add_argument(
-            "--trace", type=int, metavar="T",
-            help="use the canonical matrix of this trace",
-        )
-    else:
-        sub.add_argument(
-            "--g", nargs=4, type=int, required=True, metavar=("A", "B", "C", "D"),
-            help="matrix entries a b c d",
-        )
+def _add_g_flags(sub: argparse.ArgumentParser) -> None:
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument(
+        "--g", nargs=4, type=int, metavar=("A", "B", "C", "D"),
+        help="matrix entries a b c d",
+    )
+    group.add_argument(
+        "--trace", type=int, metavar="T",
+        help="use the canonical matrix of this trace",
+    )
 
 
-def _add_tau_flag(sub: argparse.ArgumentParser, required: bool = True) -> None:
+def _add_tau_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--tau", nargs=2, type=float, required=required, metavar=("RE", "IM"),
+        "--tau", nargs=2, type=float, required=True, metavar=("RE", "IM"),
         help="point of the upper half-plane",
     )
 
@@ -82,7 +76,7 @@ def _add_out_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
 
 
-def _resolve_rm(parser: argparse.ArgumentParser, args) -> RMData:
+def _resolve_rm(args) -> RMData:
     if getattr(args, "g", None) is not None:
         return validate(tuple(args.g))
     return canonical_g(args.trace)
@@ -127,32 +121,30 @@ def _rm_json(rm: RMData) -> dict:
 
 
 def _cmd_validate(parser, args) -> int:
-    rm = _resolve_rm(parser, args)
+    rm = _resolve_rm(args)
     _emit(_rm_json(rm), args.out)
     return 0
 
 
-#: Each normalization as f(presentation, dps=...).
+#: Each normalization as f(presentation), at the presentation's dps.
 _NORMALIZERS = {
-    "raw": lambda p, dps: p,
+    "raw": lambda p: p,
     "rational": presentation.normalize_rational,
     "modular": presentation.normalize_modular,
-    "monic": lambda p, dps: presentation.monic_ordered(p),
+    "monic": presentation.monic_ordered,
 }
 
 
 def _cmd_present(parser, args) -> int:
-    rm = _resolve_rm(parser, args)
+    rm = _resolve_rm(args)
     tau = _resolve_tau(parser, args)
-    dps = _env_dps()
-    pres = presentation.relations(rm, tau, dps=dps)
-    pres = _NORMALIZERS[args.normalize](pres, dps=dps)
+    pres = _NORMALIZERS[args.normalize](presentation.relations(rm, tau, dps=_env_dps()))
     _emit(presentation.presentation_document(pres), args.out)
     return 0
 
 
 def _cmd_basis(parser, args) -> int:
-    rm = _resolve_rm(parser, args)
+    rm = _resolve_rm(args)
     tau = _resolve_tau(parser, args)
     state = groebner.state_for(rm, tau, truncation_degree=max(args.degree, 2), dps=_env_dps())
     words = groebner.linear_basis(state, args.degree)
@@ -168,7 +160,7 @@ def _cmd_basis(parser, args) -> int:
 
 
 def _cmd_hilbert(parser, args) -> int:
-    rm = _resolve_rm(parser, args)
+    rm = _resolve_rm(args)
     data = presentation.hilbert_coeffs(rm, args.n)
     payload = {
         "g": list(rm.g),
@@ -197,14 +189,14 @@ def _cmd_theta(parser, args) -> int:
 
 
 def _cmd_average(parser, args) -> int:
-    rm = _resolve_rm(parser, args)
+    rm = _resolve_rm(args)
     av = modsym.averaged_relations(rm, quad=modsym.QuadratureControl(rel_tol=args.tol))
     _emit(presentation.presentation_document(av), args.out)
     return 0
 
 
 def _cmd_geom(parser, args) -> int:
-    rm = _resolve_rm(parser, args)
+    rm = _resolve_rm(args)
     tau = _resolve_tau(parser, args)
     pres = presentation.relations(rm, tau, dps=_env_dps())
     matrix = geometry.omega_matrix(pres)

@@ -463,7 +463,8 @@ def minors_document(head: dict, minors) -> str:
     pass from a template per exponent tuple, with floats written by
     ``float.__repr__`` as :mod:`json` writes them (``_float_text`` only in a
     minor that holds a non-finite value).  The ``head`` fields are written
-    by :func:`rmtorus.presentation._head_text`, as a presentation's are.
+    by :func:`rmtorus.presentation._head_text`, as a presentation's are;
+    every ``head`` key must be a ``str`` (another raises :class:`DomainError`).
     """
     templates = _Templates()
     parts = []

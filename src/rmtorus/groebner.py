@@ -9,11 +9,12 @@ linear basis of the graded quotient.
 
 Coefficients are inexact, so reductions carry condition tracking: the largest
 intermediate magnitude seen during a reduction defines the scale against which
-the relative ``zero_threshold`` prunes.  Double precision is insufficient for
-the completions that arise here (catastrophic cancellation promotes noise into
-fake leading terms); build states from presentations computed at 40+ decimal
-digits (see :func:`state_for`), where the default threshold leaves a wide
-margin.
+the relative ``zero_threshold`` prunes: 10^-(dps-15) at the presentation's
+``dps`` (1e-10 in double and below 25 digits), where a state runs its
+arithmetic whatever the ambient mpmath precision.  Double precision is
+insufficient for the completions that arise here (catastrophic cancellation
+promotes noise into fake leading terms); build states from presentations
+computed at 40+ decimal digits, as :func:`state_for` does.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import mpmath as mp
 
 from .core import RMData
 from .errors import DomainError, TruncationExceeded
-from .presentation import Presentation, monic_ordered, relations
+from .presentation import Presentation, _at, monic_ordered, relations
 from .theta import _is_int
 
 __all__ = [
@@ -131,7 +132,7 @@ class _LeadIndex:
 
 @dataclass(frozen=True)
 class GroebnerState:
-    """An ordered monic reduction system, completed up to ``completed_degree``."""
+    """An ordered monic reduction system at ``dps`` digits, completed up to ``completed_degree``."""
 
     system: tuple[FreePoly, ...]
     truncation_degree: int
@@ -139,6 +140,7 @@ class GroebnerState:
     n_generators: int
     completed_degree: int = 2
     new_leads_by_degree: dict[int, tuple[Word, ...]] = field(default_factory=dict)
+    dps: int | None = None
 
     def leads(self) -> list[Word]:
         return [p.leading_word() for p in self.system]
@@ -156,28 +158,24 @@ def _as_system_entry(poly: FreePoly) -> FreePoly:
     return FreePoly({w: c / lc for w, c in poly.terms.items()})
 
 
-def groebner_state(
-    p: Presentation,
-    truncation_degree: int = 4,
-    zero_threshold: float = 1e-10,
-) -> GroebnerState:
-    """Initial state from a presentation (monic-ized if necessary)."""
+def groebner_state(p: Presentation, truncation_degree: int = 4) -> GroebnerState:
+    """Initial state from a presentation (monic-ized if necessary), at its ``dps``."""
     if not _is_int(truncation_degree) or truncation_degree < 2:
         raise DomainError(f"truncation degree must be an integer >= 2, got {truncation_degree!r}")
-    if not (zero_threshold > 0):
-        raise DomainError(f"zero threshold must be positive, got {zero_threshold}")
-    if p.normalization != "monic":
-        p = monic_ordered(p)
-    polys = []
-    for rel in p.relations:
-        terms = {(t.left, t.right): t.coeff for t in rel.terms}
-        polys.append(_as_system_entry(FreePoly(terms)))
+    with _at(p.dps):
+        if p.normalization != "monic":
+            p = monic_ordered(p)
+        polys = []
+        for rel in p.relations:
+            terms = {(t.left, t.right): t.coeff for t in rel.terms}
+            polys.append(_as_system_entry(FreePoly(terms)))
     polys.sort(key=lambda q: deglex_key(q.leading_word()))
     return GroebnerState(
         system=tuple(polys),
         truncation_degree=truncation_degree,
-        zero_threshold=zero_threshold,
+        zero_threshold=1e-10 if p.dps is None else min(1e-10, 10.0 ** -(p.dps - 15)),
         n_generators=p.rm.degree,
+        dps=p.dps,
     )
 
 
@@ -264,62 +262,63 @@ def normal_form(f: FreePoly, st: GroebnerState) -> FreePoly:
                 f"term of degree {len(word)} exceeds truncation {st.truncation_degree}"
             )
     index = st._index
-    # Relative width of the bands that are checked exactly.  The two routes to
-    # a magnitude round once at the working precision and a few times in
-    # double, so they differ by a few units in the last place of the coarser
-    # one; eps leaves 10 bits on top of that.
-    eps = 2.0 ** (10 - min(mp.mp.prec, 53))
-    mags = {w: _magnitude(c) for w, c in terms.items()}
-    condition = _top(terms, mags, list(terms), eps)
-    _prune(terms, mags, condition * st.zero_threshold, list(terms), eps)
-    heap = [_heap_entry(w) for w in terms]
-    heapq.heapify(heap)
-    queued = set(terms)
-    while heap:
-        word = heapq.heappop(heap)[2]
-        if word not in terms:
-            continue
-        hit = index.find(word)
-        if hit is None:
-            continue
-        lead, poly, pos = hit
-        coeff = terms.pop(word)
-        del mags[word]
-        prefix, suffix = word[:pos], word[pos + len(lead) :]
-        changed = []
-        for w2, c2 in poly.terms.items():
-            if w2 == lead:
+    with _at(st.dps):
+        # Relative width of the bands that are checked exactly.  The two routes to
+        # a magnitude round once at the working precision and a few times in
+        # double, so they differ by a few units in the last place of the coarser
+        # one; eps leaves 10 bits on top of that.
+        eps = 2.0 ** (10 - min(mp.mp.prec, 53))
+        mags = {w: _magnitude(c) for w, c in terms.items()}
+        condition = _top(terms, mags, list(terms), eps)
+        _prune(terms, mags, condition * st.zero_threshold, list(terms), eps)
+        heap = [_heap_entry(w) for w in terms]
+        heapq.heapify(heap)
+        queued = set(terms)
+        while heap:
+            word = heapq.heappop(heap)[2]
+            if word not in terms:
                 continue
-            new_word = prefix + w2 + suffix
-            if len(new_word) > st.truncation_degree:
-                raise TruncationExceeded(
-                    f"reduction produced degree {len(new_word)} beyond truncation"
-                )
-            product = coeff * c2
-            old = terms.get(new_word)
-            if old is not None:
-                value = old - product
-            elif isinstance(product, _MPC):
-                value = -product
-            else:
-                value = 0 - product  # -x would flip the sign of a zero part
-            if not value:
-                terms.pop(new_word, None)
-                mags.pop(new_word, None)
+            hit = index.find(word)
+            if hit is None:
                 continue
-            terms[new_word] = value
-            mags[new_word] = _magnitude(value)
-            changed.append(new_word)
-            if new_word not in queued:
-                queued.add(new_word)
-                heapq.heappush(heap, _heap_entry(new_word))
-        top = max((mags[w] for w in changed), default=0.0)
-        if top * (1 + eps) > condition:
-            top = _top(terms, mags, changed, eps)
-            if top > condition:
-                condition = top
-                changed = list(terms)  # a higher floor may drop any term
-        _prune(terms, mags, condition * st.zero_threshold, changed, eps)
+            lead, poly, pos = hit
+            coeff = terms.pop(word)
+            del mags[word]
+            prefix, suffix = word[:pos], word[pos + len(lead) :]
+            changed = []
+            for w2, c2 in poly.terms.items():
+                if w2 == lead:
+                    continue
+                new_word = prefix + w2 + suffix
+                if len(new_word) > st.truncation_degree:
+                    raise TruncationExceeded(
+                        f"reduction produced degree {len(new_word)} beyond truncation"
+                    )
+                product = coeff * c2
+                old = terms.get(new_word)
+                if old is not None:
+                    value = old - product
+                elif isinstance(product, _MPC):
+                    value = -product
+                else:
+                    value = 0 - product  # -x would flip the sign of a zero part
+                if not value:
+                    terms.pop(new_word, None)
+                    mags.pop(new_word, None)
+                    continue
+                terms[new_word] = value
+                mags[new_word] = _magnitude(value)
+                changed.append(new_word)
+                if new_word not in queued:
+                    queued.add(new_word)
+                    heapq.heappush(heap, _heap_entry(new_word))
+            top = max((mags[w] for w in changed), default=0.0)
+            if top * (1 + eps) > condition:
+                top = _top(terms, mags, changed, eps)
+                if top > condition:
+                    condition = top
+                    changed = list(terms)  # a higher floor may drop any term
+            _prune(terms, mags, condition * st.zero_threshold, changed, eps)
     return FreePoly(terms)
 
 
@@ -363,43 +362,44 @@ def complete_to_degree(st: GroebnerState, max_degree: int) -> GroebnerState:
         )
     system = list(st.system)
     new_by_degree = dict(st.new_leads_by_degree)
-    for degree in range(st.completed_degree + 1, max_degree + 1):
-        state = replace(
-            st,
-            system=tuple(system),
-            completed_degree=degree - 1,
-            new_leads_by_degree=new_by_degree,
-        )
-        first_adjoined = len(system)
-        adjoined: list[FreePoly] = []
-        for f1, f2, k in _s_pairs_for_degree(system, degree):
-            l1, l2 = f1.leading_word(), f2.leading_word()
-            overlap = l1 + l2[k:]
-            if state._index.find(overlap, first_adjoined, skip=(l1, l2)) is not None:
-                continue
-            suffix, prefix = l2[k:], l1[: len(l1) - k]
-            s_terms: dict[Word, complex] = {}
-            for w1, c1 in f1.terms.items():
-                word = w1 + suffix
-                s_terms[word] = s_terms.get(word, 0) + c1
-            for w2, c2 in f2.terms.items():
-                word = prefix + w2
-                value = s_terms.get(word, 0) - c2
-                if not value:
-                    s_terms.pop(word, None)
-                else:
-                    s_terms[word] = value
-            reduced = normal_form(FreePoly(s_terms), state)
-            if reduced.is_zero():
-                continue
-            entry = _as_system_entry(reduced)
-            adjoined.append(entry)
-            system.append(entry)
-            state = replace(state, system=tuple(system))
-        system.sort(key=lambda q: deglex_key(q.leading_word()))
-        new_by_degree[degree] = tuple(
-            sorted((q.leading_word() for q in adjoined), key=deglex_key)
-        )
+    with _at(st.dps):
+        for degree in range(st.completed_degree + 1, max_degree + 1):
+            state = replace(
+                st,
+                system=tuple(system),
+                completed_degree=degree - 1,
+                new_leads_by_degree=new_by_degree,
+            )
+            first_adjoined = len(system)
+            adjoined: list[FreePoly] = []
+            for f1, f2, k in _s_pairs_for_degree(system, degree):
+                l1, l2 = f1.leading_word(), f2.leading_word()
+                overlap = l1 + l2[k:]
+                if state._index.find(overlap, first_adjoined, skip=(l1, l2)) is not None:
+                    continue
+                suffix, prefix = l2[k:], l1[: len(l1) - k]
+                s_terms: dict[Word, complex] = {}
+                for w1, c1 in f1.terms.items():
+                    word = w1 + suffix
+                    s_terms[word] = s_terms.get(word, 0) + c1
+                for w2, c2 in f2.terms.items():
+                    word = prefix + w2
+                    value = s_terms.get(word, 0) - c2
+                    if not value:
+                        s_terms.pop(word, None)
+                    else:
+                        s_terms[word] = value
+                reduced = normal_form(FreePoly(s_terms), state)
+                if reduced.is_zero():
+                    continue
+                entry = _as_system_entry(reduced)
+                adjoined.append(entry)
+                system.append(entry)
+                state = replace(state, system=tuple(system))
+            system.sort(key=lambda q: deglex_key(q.leading_word()))
+            new_by_degree[degree] = tuple(
+                sorted((q.leading_word() for q in adjoined), key=deglex_key)
+            )
     return replace(
         st,
         system=tuple(system),
@@ -447,16 +447,9 @@ def state_for(
 ) -> GroebnerState:
     """Build and complete a state from scratch at safe precision.
 
-    Computes the monic presentation at ``max(dps, 40)`` decimal digits (40
-    with ``dps=None``), sets the relative zero threshold to 10^-(dps-15), and
-    completes to the truncation degree.
+    Computes the presentation at ``max(dps, 40)`` decimal digits (40 with
+    ``dps=None``), from which the state takes its precision and zero
+    threshold, and completes to the truncation degree.
     """
-    dps = max(dps or 0, 40)
-    with mp.workdps(dps):
-        pres = monic_ordered(relations(rm, tau, dps=dps))
-        st = groebner_state(
-            pres,
-            truncation_degree=truncation_degree,
-            zero_threshold=10.0 ** (-(dps - 15)),
-        )
-        return complete_to_degree(st, truncation_degree)
+    pres = relations(rm, tau, dps=max(dps or 0, 40))
+    return complete_to_degree(groebner_state(pres, truncation_degree), truncation_degree)

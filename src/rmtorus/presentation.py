@@ -41,8 +41,7 @@ default and in mpmath arithmetic at ``dps`` digits when ``dps`` is given,
 whatever the ambient mpmath precision; the pivot scan and the rank checks
 read the blocks' double copy either way.  Downstream Groebner completion
 requires the high-precision path to keep spurious leading terms out.  A
-presentation computed at ``dps`` takes the same ``dps`` in
-:func:`normalize_rational` and :func:`normalize_modular`.
+presentation carries its ``dps``, and the normalizations run at it.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from .errors import (
     OddLevel,
     RankDeficient,
 )
-from .theta import theta_constant
+from .theta import _is_int, theta_constant
 
 if TYPE_CHECKING:
     from .modsym import GroupSpec
@@ -115,14 +114,16 @@ class Relation:
 class Presentation:
     """A full set of c(c-a-d) quadratic relations in one normalization.
 
-    An average (:func:`rmtorus.modsym.averaged_relations`) has no ``tau`` but
-    a ``group``, ``scale`` and ``quadrature_error``.
+    ``dps`` is the precision :func:`relations` computed the coefficients at,
+    None in double.  An average (:func:`rmtorus.modsym.averaged_relations`)
+    has no ``tau`` or ``dps`` but a ``group``, ``scale`` and ``quadrature_error``.
     """
 
     rm: RMData
     tau: complex | None
     normalization: str
     relations: tuple[Relation, ...]
+    dps: int | None = None
     group: GroupSpec | None = None
     scale: float | None = None
     quadrature_error: float | None = None
@@ -149,8 +150,12 @@ class HilbertData:
 
 
 def _at(dps: int | None):
-    """mpmath working precision ``dps`` for the linear algebra; none in double."""
-    return contextlib.nullcontext() if dps is None else mp.workdps(dps)
+    """mpmath working precision ``dps``; none in double.  ``dps`` must be a positive int."""
+    if dps is None:
+        return contextlib.nullcontext()
+    if not _is_int(dps) or dps < 1:
+        raise DomainError(f"dps must be a positive integer, got {dps!r}")
+    return mp.workdps(dps)
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -394,7 +399,8 @@ def kernel_pivots(
     their complex128 copy.
     """
     data = _block(rm, mu)
-    _, pivots, failures = _pivoted(rm, data.index[None], (mu,), complex(tau), dps)
+    with _at(dps):
+        _, pivots, failures = _pivoted(rm, data.index[None], (mu,), complex(tau), dps)
     _raise_first(failures)
     return tuple(pivots[0].tolist())
 
@@ -453,7 +459,7 @@ def relations(rm: RMData, tau: complex, dps: int | None = None) -> Presentation:
                 compress(block.partners, keep), compress(rights, keep), compress(vec, keep),
             )
             rels.append(Relation(mu=mu, k=k, terms=tuple(terms)))
-    return Presentation(rm=rm, tau=tau_c, normalization="raw", relations=tuple(rels))
+    return Presentation(rm=rm, tau=tau_c, normalization="raw", relations=tuple(rels), dps=dps)
 
 
 def _require_raw(p: Presentation, op: str) -> None:
@@ -475,33 +481,32 @@ def _scaled(p: Presentation, factor, tag: str) -> Presentation:
     return replace(p, normalization=tag, relations=rels)
 
 
-def normalize_rational(p: Presentation, dps: int | None = None) -> Presentation:
-    """Divide every coefficient by theta[0](0, l tau)^(a+d).
+def normalize_rational(p: Presentation) -> Presentation:
+    """Divide every coefficient by theta[0](0, l tau)^(a+d), at the presentation's ``dps``.
 
     The rescaled coefficients are values of level-group-invariant functions;
-    on the imaginary axis they are real to working accuracy.  With ``dps``
-    the power and the products run at ``dps`` digits.
+    on the imaginary axis they are real to working accuracy.
     """
     _require_raw(p, "normalize_rational")
-    with _at(dps):
-        base = theta_constant(0, p.level * p.tau, dps)
+    with _at(p.dps):
+        base = theta_constant(0, p.level * p.tau, p.dps)
         if float(abs(base)) < 1e-12:
             raise DegenerateProbe(f"|theta(0, l tau)| = {float(abs(base))} too small")
         return _scaled(p, base ** (-p.rm.trace), "rational")
 
 
-def normalize_modular(p: Presentation, dps: int | None = None) -> Presentation:
+def normalize_modular(p: Presentation) -> Presentation:
     """The coefficients as weight-w forms for the level group.
 
     Requires an even level l.  That leaves only even a+d: with det 1, an odd
     a+d makes ad even, bc = ad - 1 odd and so c odd, and l = c(a+d) odd.  Every
     product of theta constants then has even length already, and each
-    coefficient is kept (taken times 1, at ``dps`` digits when given).
+    coefficient is kept (taken times 1, at the presentation's ``dps``).
     """
     _require_raw(p, "normalize_modular")
     if p.level % 2 != 0:
         raise OddLevel(f"level {p.level} is odd; no even-length patching exists")
-    with _at(dps):
+    with _at(p.dps):
         return _scaled(p, 1, "modular")
 
 
@@ -511,28 +516,30 @@ def monic_ordered(p: Presentation) -> Presentation:
     Term j becomes the monomial x_j x_{alpha(mu, j)}; the leading term of
     relation (mu, k) is the degree-lexicographically largest surviving
     monomial, generically x_q x_{alpha(mu, q)} for the k-th non-pivot column
-    q.  Accepts any normalization (the per-relation scale divides out).
+    q.  Accepts any normalization (the per-relation scale divides out); the
+    division runs at the presentation's ``dps``.
     """
     rels: list[Relation] = []
-    for rel in p.relations:
-        swapped: list[tuple[tuple[int, int], complex]] = []
-        for t in rel.terms:
-            if p.normalization == "monic":
-                word = (t.left, t.right)
-            else:
-                word = (t.right, t.left)
-            swapped.append((word, t.coeff))
-        top = max(float(abs(coeff)) for _, coeff in swapped)
-        if top < 1e-250:
-            raise LeadingCoeffBelowThreshold(
-                f"relation (mu={rel.mu}, k={rel.k}) has no usable leading coefficient"
-            )
-        kept = [(w, cf) for w, cf in swapped if float(abs(cf)) >= COEFF_PRUNE_REL * top]
-        kept.sort(key=lambda item: item[0], reverse=True)
-        lead_coeff = kept[0][1]
-        terms = [RelationTerm(w[0], w[1], cf / lead_coeff) for w, cf in kept]
-        terms[0] = RelationTerm(terms[0].left, terms[0].right, complex(1.0))
-        rels.append(Relation(mu=rel.mu, k=rel.k, terms=tuple(terms)))
+    with _at(p.dps):
+        for rel in p.relations:
+            swapped: list[tuple[tuple[int, int], complex]] = []
+            for t in rel.terms:
+                if p.normalization == "monic":
+                    word = (t.left, t.right)
+                else:
+                    word = (t.right, t.left)
+                swapped.append((word, t.coeff))
+            top = max(float(abs(coeff)) for _, coeff in swapped)
+            if top < 1e-250:
+                raise LeadingCoeffBelowThreshold(
+                    f"relation (mu={rel.mu}, k={rel.k}) has no usable leading coefficient"
+                )
+            kept = [(w, cf) for w, cf in swapped if float(abs(cf)) >= COEFF_PRUNE_REL * top]
+            kept.sort(key=lambda item: item[0], reverse=True)
+            lead_coeff = kept[0][1]
+            terms = [RelationTerm(w[0], w[1], cf / lead_coeff) for w, cf in kept]
+            terms[0] = RelationTerm(terms[0].left, terms[0].right, complex(1.0))
+            rels.append(Relation(mu=rel.mu, k=rel.k, terms=tuple(terms)))
     return replace(p, normalization="monic", relations=tuple(rels))
 
 
@@ -634,9 +641,12 @@ def _head_text(head: dict) -> str:
     """The opening of ``json.dumps({**head, ...}, indent=2)``, through the fields of ``head``.
 
     Ints, int lists and {"re", "im"} float pairs come from templates, the rest from :mod:`json`.
+    A key that is not a ``str`` raises :class:`DomainError`.
     """
     fields = ["{\n"]
     for key, value in head.items():
+        if not isinstance(key, str):
+            raise DomainError(f"head keys must be strings, got {key!r}")
         kind = type(value)
         if kind is int:
             text = int.__repr__(value)

@@ -336,6 +336,13 @@ def test_minors_document_matches_json_dumps():
             assert same  # a bool: a diff of megabytes would not help
 
 
+@pytest.mark.parametrize("key", [1, 2.5, None, ("g",)])
+def test_minors_document_rejects_head_keys_that_are_not_strings(key):
+    # json.dumps writes the key 1 as "1", where the template writer would write it bare
+    with pytest.raises(DomainError, match="head keys must be strings"):
+        minors_document({key: 2}, ())
+
+
 def test_planted_zero_is_found_and_certified():
     rels, u_star, v_star = _planted_system(seed=3)
     peak = max(abs(r.evaluate(u_star, v_star)) for r in rels)

@@ -50,6 +50,19 @@ def test_basis_sizes_match_graded_dimensions(rm5, rm6):
     assert [len(linear_basis(st6, n)) for n in (2, 3, 4)] == [24, 90, 336]
 
 
+def test_state_takes_dps_and_threshold_from_the_presentation(rm6):
+    # no enclosing mp.workdps: the state runs at its own 40 digits; at the
+    # ambient 15 this completion finds h_3 = 89 (72 with the 1e-25 threshold)
+    assert mp.mp.dps == 15
+    st = groebner_state(relations(rm6, TAU, dps=DPS), 3)
+    assert (st.dps, st.zero_threshold) == (DPS, 10.0 ** -(DPS - 15))
+    st = complete_to_degree(st, 3)
+    assert [len(linear_basis(st, n)) for n in (2, 3)] == [24, 90]
+    assert st == state_for(rm6, TAU, truncation_degree=3)
+    double = groebner_state(relations(rm6, TAU), 3)
+    assert (double.dps, double.zero_threshold) == (None, 1e-10)
+
+
 def test_basis_is_deglex_sorted_and_lead_free(rm6):
     st = state_for(rm6, TAU)
     words = linear_basis(st, 3)
@@ -197,12 +210,7 @@ def _reference_completion(st, max_degree):
 @pytest.fixture(scope="module")
 def initial_states(rm5, rm6):
     """Uncompleted dps-40 states for traces 3 and 4, as state_for builds them."""
-    out = []
-    with mp.workdps(DPS):
-        for rm in (rm5, rm6):
-            pres = monic_ordered(relations(rm, TAU, dps=DPS))
-            out.append(groebner_state(pres, 4, 10.0 ** (-(DPS - 15))))
-    return out
+    return [groebner_state(relations(rm, TAU, dps=DPS), 4) for rm in (rm5, rm6)]
 
 
 @pytest.fixture(scope="module")
@@ -367,11 +375,10 @@ def _assert_same_reduction(f, st):
 @pytest.fixture(scope="module")
 def dps40_initial_states(initial_states):
     """Traces 3 and 4 at 2i, trace 5 at 2i and (7,-2,11,-3) at 1.2i, with degrees."""
-    extra = []
-    with mp.workdps(DPS):
-        for g, tau in (((6, -1, 7, -1), TAU), ((7, -2, 11, -3), 1.2j)):
-            pres = monic_ordered(relations(validate(g), tau, dps=DPS))
-            extra.append(groebner_state(pres, 3, 10.0 ** (-(DPS - 15))))
+    extra = [
+        groebner_state(relations(validate(g), tau, dps=DPS), 3)
+        for g, tau in (((6, -1, 7, -1), TAU), ((7, -2, 11, -3), 1.2j))
+    ]
     return [(st, 4) for st in initial_states] + [(st, 3) for st in extra]
 
 
@@ -465,7 +472,7 @@ def test_normal_form_matches_full_precision_at_other_precisions(completed_states
     rng = random.Random(dps)
     with mp.workdps(dps):
         for st in completed_states:
-            st = replace(st, zero_threshold=10.0 ** -(dps - 5))
+            st = replace(st, dps=dps, zero_threshold=10.0 ** -(dps - 5))
             c = st.n_generators
             for _ in range(12):
                 terms = {}

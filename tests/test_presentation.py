@@ -122,15 +122,53 @@ def _worst_relative_error(raw, scaled, factor):
 
 
 def test_normalizations_at_dps_keep_dps_digits():
-    # the power and the products run at dps, whatever the ambient precision
+    # the power and the products run at the presentation's dps, whatever the
+    # ambient precision
     tau = 0.1 + 1.3j
     raw = relations(canonical_g(3), tau, dps=40)
     base = theta_constant(0, raw.level * tau, dps=40)
     with mp.workdps(60):
         factor = base ** -3
-    assert _worst_relative_error(raw, normalize_rational(raw, dps=40), factor) < 1e-35
+    assert _worst_relative_error(raw, normalize_rational(raw), factor) < 1e-35
     raw = relations(canonical_g(4), tau, dps=40)
-    assert _worst_relative_error(raw, normalize_modular(raw, dps=40), 1) < 1e-35
+    assert _worst_relative_error(raw, normalize_modular(raw), 1) < 1e-35
+
+
+def test_normalizers_keep_the_dps_of_the_presentation():
+    # no enclosing mp.workdps: at the ambient precision the normalizers would
+    # keep only 53 bits of this trace-4 presentation (3.5e-17 relative)
+    assert mp.mp.dps == 15
+    raw = relations(canonical_g(4), TAU, dps=40)
+    base = theta_constant(0, raw.level * TAU, dps=40)
+    with mp.workdps(60):
+        factor = base ** -4
+    rational, modular, monic = normalize_rational(raw), normalize_modular(raw), monic_ordered(raw)
+    assert [p.dps for p in (raw, rational, modular, monic)] == [40] * 4
+    assert relations(canonical_g(4), TAU).dps is None
+    assert _worst_relative_error(raw, rational, factor) < 1e-35
+    assert _worst_relative_error(raw, modular, 1) < 1e-35
+    with mp.workdps(60):
+        for rel_raw, rel in zip(raw.relations, monic.relations):
+            coeffs = {(t.right, t.left): t.coeff for t in rel_raw.terms}
+            lead = coeffs[rel.terms[0].left, rel.terms[0].right]
+            for t in rel.terms[1:]:
+                want = coeffs[t.left, t.right] / lead
+                assert abs(t.coeff - want) < 1e-35 * abs(want)
+
+
+@pytest.mark.parametrize("dps", [0, -3, 2.5, True, "40"])
+def test_dps_must_be_a_positive_int(dps):
+    # a DomainError, not a RankDeficient from the annihilation check
+    rm = canonical_g(3)
+    calls = (
+        lambda: relations(rm, TAU, dps=dps),
+        lambda: kernel_basis(rm, 1, TAU, dps=dps),
+        lambda: kernel_pivots(rm, 1, TAU, dps=dps),
+        lambda: minor_F(rm, 1, (1, 2, 3), TAU, dps=dps),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="dps must be a positive integer"):
+            call()
 
 
 @pytest.mark.parametrize("trace", (3, 5, 7, 9))
