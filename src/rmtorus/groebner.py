@@ -7,6 +7,15 @@ relations, overlap obstructions are resolved degree by degree up to a
 truncation bound, and the surviving irreducible words of each degree form a
 linear basis of the graded quotient.
 
+A state built from a presentation at a point carries the ring's graded
+dimensions h_0..h_N (``dimensions``, from :func:`hilbert_coeffs`), and its
+completion is Hilbert-driven (Traverso, "Hilbert functions and the
+Buchberger algorithm", J. Symbolic Comput. 22, 1996): once the degree-n
+words that no lead divides are down to h_n, the rest of that degree's
+obstructions are skipped.  In exact arithmetic every one of them would
+reduce to zero.  An average and a hand-built state carry None and reduce
+every obstruction.
+
 Coefficients are inexact, so reductions carry condition tracking: the largest
 intermediate magnitude seen during a reduction defines the scale against which
 the relative ``zero_threshold`` prunes: 10^-(dps-15) at the presentation's
@@ -28,7 +37,7 @@ import mpmath as mp
 
 from .core import RMData
 from .errors import DomainError, TruncationExceeded
-from .presentation import Presentation, _at, monic_ordered, relations
+from .presentation import Presentation, _at, hilbert_coeffs, monic_ordered, relations
 from .theta import _is_int
 
 __all__ = [
@@ -132,7 +141,11 @@ class _LeadIndex:
 
 @dataclass(frozen=True)
 class GroebnerState:
-    """An ordered monic reduction system at ``dps`` digits, completed up to ``completed_degree``."""
+    """An ordered monic reduction system at ``dps`` digits, completed up to ``completed_degree``.
+
+    ``dimensions`` holds the graded dimensions h_0..h_N of the ring the
+    system presents, or None when they are not known.
+    """
 
     system: tuple[FreePoly, ...]
     truncation_degree: int
@@ -141,6 +154,7 @@ class GroebnerState:
     completed_degree: int = 2
     new_leads_by_degree: dict[int, tuple[Word, ...]] = field(default_factory=dict)
     dps: int | None = None
+    dimensions: tuple[int, ...] | None = None
 
     def leads(self) -> list[Word]:
         return [p.leading_word() for p in self.system]
@@ -159,7 +173,11 @@ def _as_system_entry(poly: FreePoly) -> FreePoly:
 
 
 def groebner_state(p: Presentation, truncation_degree: int = 4) -> GroebnerState:
-    """Initial state from a presentation (monic-ized if necessary), at its ``dps``."""
+    """Initial state from a presentation (monic-ized if necessary), at its ``dps``.
+
+    A presentation at a point gives the state the ring's graded dimensions up
+    to the truncation degree; an average (``tau`` None) gives None.
+    """
     if not _is_int(truncation_degree) or truncation_degree < 2:
         raise DomainError(f"truncation degree must be an integer >= 2, got {truncation_degree!r}")
     with _at(p.dps):
@@ -176,6 +194,9 @@ def groebner_state(p: Presentation, truncation_degree: int = 4) -> GroebnerState
         zero_threshold=1e-10 if p.dps is None else min(1e-10, 10.0 ** -(p.dps - 15)),
         n_generators=p.rm.degree,
         dps=p.dps,
+        dimensions=(
+            None if p.tau is None else hilbert_coeffs(p.rm, truncation_degree).coefficients
+        ),
     )
 
 
@@ -346,13 +367,21 @@ def _s_pairs_for_degree(system, degree: int):
 
 
 def complete_to_degree(st: GroebnerState, max_degree: int) -> GroebnerState:
-    """Resolve all overlap obstructions degree by degree up to max_degree.
+    """Resolve the overlap obstructions degree by degree up to max_degree.
 
     For each obstruction, taken in deglex order of its overlap word, the
     S-element f1*suffix - prefix*f2 is reduced; a nonzero normal form is
     adjoined (monic) and participates in later reductions.  An obstruction is
     skipped when its overlap word is already reducible by a leading term
     adjoined earlier at this degree (the two parents do not count).
+
+    With ``st.dimensions`` set, a degree stops early.  At its start the
+    degree-n words that no lead divides are counted; each adjoined element
+    takes one of them, its leading word, away.  Once h_n are left, the
+    remaining obstructions of the degree are skipped: the system then spans
+    c^n - h_n dimensions of the degree-n part of the ideal, which has no
+    more, so in exact arithmetic every skipped S-element reduces to zero.  A
+    count that never reaches h_n changes nothing.
     """
     if not _is_int(max_degree):
         raise DomainError(f"completion degree must be an integer, got {max_degree!r}")
@@ -372,7 +401,13 @@ def complete_to_degree(st: GroebnerState, max_degree: int) -> GroebnerState:
             )
             first_adjoined = len(system)
             adjoined: list[FreePoly] = []
+            surplus = math.inf
+            if st.dimensions is not None:
+                free = len(_irreducible_words(state._index, st.n_generators, degree))
+                surplus = free - st.dimensions[degree]
             for f1, f2, k in _s_pairs_for_degree(system, degree):
+                if surplus == 0:
+                    break
                 l1, l2 = f1.leading_word(), f2.leading_word()
                 overlap = l1 + l2[k:]
                 if state._index.find(overlap, first_adjoined, skip=(l1, l2)) is not None:
@@ -396,6 +431,7 @@ def complete_to_degree(st: GroebnerState, max_degree: int) -> GroebnerState:
                 adjoined.append(entry)
                 system.append(entry)
                 state = replace(state, system=tuple(system))
+                surplus -= 1
             system.sort(key=lambda q: deglex_key(q.leading_word()))
             new_by_degree[degree] = tuple(
                 sorted((q.leading_word() for q in adjoined), key=deglex_key)
@@ -408,13 +444,27 @@ def complete_to_degree(st: GroebnerState, max_degree: int) -> GroebnerState:
     )
 
 
-def linear_basis(st: GroebnerState, n: int) -> list[Word]:
-    """All degree-n words with no system leading word as a factor, deglex order.
+def _irreducible_words(index: _LeadIndex, n_generators: int, n: int) -> list[Word]:
+    """All degree-n words with no leading word of ``index`` as a factor, lex order.
 
     Grown letter by letter: a word is irreducible when its prefix is and no
     lead ends at its last letter.  Extending lex-ordered prefixes by letters
     in order keeps the words lex-ordered.
     """
+    words: list[Word] = [()]
+    for _ in range(n):
+        grown = []
+        for word in words:
+            for letter in range(1, n_generators + 1):
+                longer = word + (letter,)
+                if not index.ends_in_lead(longer):
+                    grown.append(longer)
+        words = grown
+    return words
+
+
+def linear_basis(st: GroebnerState, n: int) -> list[Word]:
+    """All degree-n words with no system leading word as a factor, deglex order."""
     if not _is_int(n) or n < 0:
         raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
     if n > st.truncation_degree:
@@ -426,17 +476,7 @@ def linear_basis(st: GroebnerState, n: int) -> list[Word]:
             f"state completed to degree {st.completed_degree}; "
             f"call complete_to_degree({n}) first"
         )
-    index = st._index
-    words: list[Word] = [()]
-    for _ in range(n):
-        grown = []
-        for word in words:
-            for letter in range(1, st.n_generators + 1):
-                longer = word + (letter,)
-                if not index.ends_in_lead(longer):
-                    grown.append(longer)
-        words = grown
-    return words
+    return _irreducible_words(st._index, st.n_generators, n)
 
 
 def state_for(
@@ -448,8 +488,9 @@ def state_for(
     """Build and complete a state from scratch at safe precision.
 
     Computes the presentation at ``max(dps, 40)`` decimal digits (40 with
-    ``dps=None``), from which the state takes its precision and zero
-    threshold, and completes to the truncation degree.
+    ``dps=None``), from which the state takes its precision, zero threshold
+    and graded dimensions, and completes to the truncation degree, each
+    degree stopping once h_n words are left.
     """
     pres = relations(rm, tau, dps=max(dps or 0, 40))
     return complete_to_degree(groebner_state(pres, truncation_degree), truncation_degree)

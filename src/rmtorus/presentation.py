@@ -63,7 +63,7 @@ from .errors import (
     OddLevel,
     RankDeficient,
 )
-from .theta import _is_int, theta_constant
+from .theta import _check_dps, theta_constant
 
 if TYPE_CHECKING:
     from .modsym import GroupSpec
@@ -151,11 +151,8 @@ class HilbertData:
 
 def _at(dps: int | None):
     """mpmath working precision ``dps``; none in double.  ``dps`` must be a positive int."""
-    if dps is None:
-        return contextlib.nullcontext()
-    if not _is_int(dps) or dps < 1:
-        raise DomainError(f"dps must be a positive integer, got {dps!r}")
-    return mp.workdps(dps)
+    _check_dps(dps)
+    return contextlib.nullcontext() if dps is None else mp.workdps(dps)
 
 
 def _norms(a: np.ndarray) -> np.ndarray:

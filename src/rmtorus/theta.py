@@ -159,8 +159,15 @@ def _coerce_tau(tau: complex | UpperHalfPoint) -> complex:
     return UpperHalfPoint(complex(tau)).value
 
 
+def _check_dps(dps) -> None:
+    """Raise DomainError unless ``dps`` is None or a positive ``int`` (``bool`` excluded)."""
+    if dps is not None and (not _is_int(dps) or dps < 1):
+        raise DomainError(f"dps must be a positive integer, got {dps!r}")
+
+
 def _working_precision(dps: int | None):
     """mpmath context with guard digits for ``dps``; none for complex double."""
+    _check_dps(dps)
     return contextlib.nullcontext() if dps is None else mp.workdps(dps + 10)
 
 
@@ -300,7 +307,7 @@ def _kernel_sum(table: _KernelTable, taus, dps: int | None = None, z=0):
                 )
             shift = shift + complex(z)
         return _sum_rings(table.rho_f, shift, tau, rings, lambda x: np.exp(1j * np.pi * x))
-    with mp.workdps(dps + 10):
+    with _working_precision(dps):
         tau = np.array([[mp.mpc(t)] for t in taus], dtype=object)
         im_min = _check_height(tau[:, 0])
         rings = _ring_count(im_min, _log_tolerance(dps), im_z)

@@ -252,6 +252,12 @@ def test_block_entries_gathered_from_the_level_row_are_theta_constants(rm, dps):
         assert [_bits(x) for x in got] == [_bits(x) for x in expected]
 
 
+@pytest.mark.parametrize("dps", [0, -3, 2.5, True])
+def test_block_M_dps_must_be_a_positive_int(rm6, dps):
+    with pytest.raises(DomainError, match="dps must be a positive integer"):
+        block_M(rm6, 1, 2j, dps=dps)
+
+
 @pytest.mark.parametrize("mu", [True, 1.0, 0, 7])
 def test_block_cache_checks_mu_before_the_lookup(rm6, mu):
     # True and 1.0 hash as 1, so a lookup before the check would return mu = 1;

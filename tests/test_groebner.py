@@ -24,7 +24,8 @@ from rmtorus.groebner import (
     normal_form,
     state_for,
 )
-from rmtorus.presentation import monic_ordered, relations
+from rmtorus.modsym import averaged_relations
+from rmtorus.presentation import hilbert_coeffs, monic_ordered, relations
 
 TAU = 2j
 DPS = 40
@@ -174,13 +175,29 @@ def _reference_normal_form(terms, system, zero_threshold):
                 terms[new_word] = value
 
 
+def _free_words(system, c, n):
+    """Degree-n words over 1..c with no leading word of the system as a factor."""
+    leads = [_lead(poly.terms) for poly in system]
+    return {
+        w for w in itertools.product(range(1, c + 1), repeat=n)
+        if not any(w[pos : pos + len(lead)] == lead
+                   for lead in leads for pos in range(n - len(lead) + 1))
+    }
+
+
 def _reference_completion(st, max_degree):
-    """(new leads by degree, system leads, S-elements reduced) by the reference."""
+    """(new leads by degree, system leads, reductions) by the reference.
+
+    Every obstruction not skipped by the adjoined-lead test is reduced, with
+    no stop.  A reduction is (degree, free, nonzero): free counts the
+    degree-n words that no lead divided before it.
+    """
     system = list(st.system)
     new_by_degree = {}
-    n_reduced = 0
+    reductions = []
     for degree in range(st.completed_degree + 1, max_degree + 1):
         adjoined = []
+        free = _free_words(system, st.n_generators, degree)
         for f1, f2, k in _s_pairs_for_degree(system, degree):
             l1, l2 = _lead(f1.terms), _lead(f2.terms)
             if _first_fit(l1 + l2[k:], adjoined, skip=(l1, l2)) is not None:
@@ -196,15 +213,17 @@ def _reference_completion(st, max_degree):
                 else:
                     s_terms[word] = value
             reduced = _reference_normal_form(s_terms, system, st.zero_threshold)
-            n_reduced += 1
+            reductions.append((degree, len(free), bool(reduced)))
             if reduced:
                 entry = _as_system_entry(FreePoly(reduced))
+                # the lead of a normal form is a free word of the degree
+                free.remove(_lead(entry.terms))
                 adjoined.append(entry)
                 system.append(entry)
         system.sort(key=lambda q: deglex_key(_lead(q.terms)))
         new_by_degree[degree] = tuple(
             sorted((_lead(q.terms) for q in adjoined), key=deglex_key))
-    return new_by_degree, [_lead(q.terms) for q in system], n_reduced
+    return new_by_degree, [_lead(q.terms) for q in system], reductions
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +239,9 @@ def completed_states(initial_states):
 
 
 def test_completion_matches_reference_completion(initial_states, monkeypatch):
+    # the reference reduces every obstruction; the completion stops a degree
+    # once h_n free words are left, and everything the reference reduces
+    # after that point must be zero
     calls = []
 
     def counted(f, st):
@@ -231,10 +253,35 @@ def test_completion_matches_reference_completion(initial_states, monkeypatch):
         for st in initial_states:
             calls.clear()
             done = complete_to_degree(st, 4)
-            new_by_degree, leads, n_reduced = _reference_completion(st, 4)
+            new_by_degree, leads, reductions = _reference_completion(st, 4)
             assert done.new_leads_by_degree == new_by_degree
             assert done.leads() == leads
-            assert len(calls) == n_reduced
+            h = st.dimensions
+            before = [r for r in reductions if r[1] > h[r[0]]]
+            after = [r for r in reductions if r[1] <= h[r[0]]]
+            assert len(calls) == len(before)
+            assert after and not any(nonzero for _, _, nonzero in after)
+
+
+def test_an_average_carries_no_dimensions_and_reduces_every_obstruction(rm6, monkeypatch):
+    calls = []
+
+    def counted(f, st):
+        calls.append(f)
+        return normal_form(f, st)
+
+    monkeypatch.setattr(groebner, "normal_form", counted)
+    st = groebner_state(averaged_relations(rm6), 3)
+    assert st.dimensions is None
+    outcomes = []
+    for dimensions in (None, hilbert_coeffs(rm6, 3).coefficients):
+        calls.clear()
+        done = complete_to_degree(replace(st, dimensions=dimensions), 3)
+        outcomes.append(([len(linear_basis(done, n)) for n in (2, 3)], len(calls)))
+    # 24 reductions: every obstruction the skip test leaves, as with no stop
+    assert outcomes[0] == ([24, 72], 24)
+    # the RM ring's h_3 = 90 would stop the average's degree 3 short of its 72
+    assert outcomes[1][0] == [24, 90]
 
 
 def test_normal_form_matches_reference_reducer(completed_states):
@@ -299,6 +346,28 @@ def test_leads_and_basis_independent_of_tau_and_precision(
     assert {d: len(ws) for d, ws in leads.items()} == lead_counts
     assert len(words) == n_words
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+DRIFT_TAUS = (1.4j, 1.6j, 2j, 0.3 + 2.4j, 2.5j)
+
+# Points where the dps-40 completion of (7,-2,11,-3) keeps h_3 = 165 words,
+# but not the words of dps 80 and 120, which agree with each other.
+WORDS_DRIFT = {0.3 + 2.4j, 2.5j}
+
+
+@pytest.mark.parametrize("tau", DRIFT_TAUS)
+def test_noncanonical_words_at_dps_40_match_higher_precision_or_drift(tau):
+    # the completion stops a degree at h_3 words, so a precision drift shows
+    # in which words are left, not in how many
+    rm = validate((7, -2, 11, -3))
+    h3 = hilbert_coeffs(rm, 3).coefficients[3]
+    words = {
+        dps: linear_basis(state_for(rm, tau, truncation_degree=3, dps=dps), 3)
+        for dps in (40, 80, 120)
+    }
+    assert [len(w) for w in words.values()] == [h3] * 3
+    assert words[80] == words[120]
+    assert (words[40] != words[80]) == (tau in WORDS_DRIFT)
 
 
 # ---------------------------------------------------------------------------

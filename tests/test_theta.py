@@ -294,3 +294,18 @@ def test_batched_constants_honour_the_term_cap():
     with pytest.raises(DomainError):
         theta_constants(chars, [1j, 0.3 + 1e-9j])
     assert theta_constants(chars, [1j])[0, 0] == theta(chars[0], 0.0, 1j)
+
+
+@pytest.mark.parametrize("dps", [0, -3, 2.5, True])
+@pytest.mark.parametrize("call", [
+    lambda dps: theta(RationalChar(F(1, 3), F(1, 5)), 0.1, 2j, dps=dps),
+    lambda dps: theta_constant(0, 2j, dps=dps),
+    lambda dps: theta_constants([(0, 0)], [2j], dps=dps),
+    lambda dps: algebraic_theta(RationalChar(F(1, 3), F(1, 5)), 2j, dps=dps),
+    lambda dps: kappa((1, 2, 0, 1), 0.1 + 0.7j, dps=dps),
+    lambda dps: constant_fourier_term(F(1, 3), 1, dps=dps),
+], ids=["theta", "theta_constant", "theta_constants", "algebraic_theta", "kappa",
+        "constant_fourier_term"])
+def test_dps_must_be_a_positive_int(call, dps):
+    with pytest.raises(DomainError, match="dps must be a positive integer"):
+        call(dps)
