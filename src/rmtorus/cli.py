@@ -21,6 +21,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 from decimal import Decimal
 from fractions import Fraction
 
@@ -42,14 +43,17 @@ def _fraction_json(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
-def _emit(payload: dict | str, out: str | None) -> None:
-    """Write a payload, or its already rendered JSON text, with a final newline."""
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+def _emit(payload: dict | str | Iterable[str], out: str | None) -> None:
+    """Write a payload, or its rendered JSON text whole or in chunks, with a final newline."""
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, indent=2)
+    chunks = [payload] if isinstance(payload, str) else payload
     if out is None:
-        print(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
             fh.write("\n")
 
 
@@ -207,7 +211,7 @@ def _cmd_geom(parser, args) -> int:
         "cap": args.cap,
         "count": len(minors),
     }
-    _emit(geometry.minors_document(head, minors), args.out)
+    _emit(geometry._minor_chunks(head, minors), args.out)
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,6 +455,52 @@ class _Templates(dict):
         return text
 
 
+def _minor_texts(lead: str, minors, texts: list[str]) -> Iterator[str]:
+    """The document's chunks: ``lead`` and the list's opening, one per minor, the close.
+
+    ``texts`` holds the real and imaginary part of every monomial, in order.
+    """
+    templates = _Templates()
+    yield lead + "["
+    at, sep = 0, ""
+    for poly in minors:
+        opening = (f"{sep}\n    {{\n      \"rows\": "
+                   f"{_ints_text(poly.rows, '      ')},\n      \"monomials\": ")
+        sep = ","
+        monos = poly.monomials
+        if not monos:
+            yield opening + "[]\n    }"
+            continue
+        end = at + 2 * len(monos)
+        body = ",\n".join([
+            f'{templates[exps]}{x},\n            "im": {y}\n          }}\n        }}'
+            for (exps, _), x, y in zip(monos, texts[at:end:2], texts[at + 1:end:2])
+        ])
+        at = end
+        yield f"{opening}[\n{body}\n      ]\n    }}"
+    yield "\n  ]\n}"
+
+
+def _minor_chunks(head: dict, minors) -> Iterator[str]:
+    """The text of :func:`minors_document` in chunks: the head, then one per minor.
+
+    A coefficient value recurs in several minors (on trace 4 only about a
+    quarter of the parts are distinct), so each distinct part is written
+    once and its text shared.  Parts are told apart by their bits, since a
+    float key would write ``-0.0`` as ``0.0``.  The head and every part are
+    written before this returns, so whatever raises does so before a caller
+    opens its file.
+    """
+    minors = tuple(minors)
+    lead = _head_text(head) + '  "minors": '
+    if not minors:
+        return iter([lead + "[]\n}"])
+    parts = np.array([cf for poly in minors for _, cf in poly.monomials], dtype=complex)
+    bits, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(_float_text, bits.view(float).tolist())), dtype=object)
+    return _minor_texts(lead, minors, texts[inverse].tolist())
+
+
 def minors_document(head: dict, minors) -> str:
     """``json.dumps({**head, "minors": minors_json(minors)}, indent=2)``, written directly.
 
@@ -461,30 +508,9 @@ def minors_document(head: dict, minors) -> str:
     which spends as long on a trace-4 payload as the expansion does.  The
     minors have one fixed shape, so each minor's monomials are written in one
     pass from a template per exponent tuple, with floats written by
-    ``float.__repr__`` as :mod:`json` writes them (``_float_text`` only in a
-    minor that holds a non-finite value).  The ``head`` fields are written
-    by :func:`rmtorus.presentation._head_text`, as a presentation's are;
-    every ``head`` key must be a ``str`` (another raises :class:`DomainError`).
+    ``_float_text`` as :mod:`json` writes them, once per distinct bit
+    pattern.  The ``head`` fields are written by
+    :func:`rmtorus.presentation._head_text`, as a presentation's are; every
+    ``head`` key must be a ``str`` (another raises :class:`DomainError`).
     """
-    templates = _Templates()
-    parts = []
-    for poly in minors:
-        parts.append(
-            f"{',' if parts else ''}\n    {{\n      \"rows\": "
-            f"{_ints_text(poly.rows, '      ')},\n      \"monomials\": "
-        )
-        monos = poly.monomials
-        if not monos:
-            parts.append("[]\n    }")
-            continue
-        re = [cf.real for _, cf in monos]
-        im = [cf.imag for _, cf in monos]
-        text = (float.__repr__ if all(map(math.isfinite, re)) and all(map(math.isfinite, im))
-                else _float_text)
-        body = ",\n".join([
-            f'{templates[exps]}{x},\n            "im": {y}\n          }}\n        }}'
-            for (exps, _), x, y in zip(monos, map(text, re), map(text, im))
-        ])
-        parts.append(f"[\n{body}\n      ]\n    }}")
-    lead = _head_text(head) + '  "minors": '
-    return "".join([lead, "[", *parts, "\n  ]\n}"]) if parts else lead + "[]\n}"
+    return "".join(_minor_chunks(head, minors))

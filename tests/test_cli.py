@@ -153,6 +153,14 @@ def test_geom_default_cap_stops_trace_5(capsys):
     assert "default 1000" in capsys.readouterr().out
 
 
+def test_failing_geom_writes_no_file(capsys, tmp_path):
+    target = tmp_path / "minors.json"
+    code, out, err = _run(capsys, "geom", "--trace", "5", "--tau", "0", "2", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("CombinatorialCap:")
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("trace", [3, 4])
 def test_geom_output_is_json_dumps_of_the_minors(capsys, tmp_path, trace):
     target = tmp_path / "minors.json"

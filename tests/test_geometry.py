@@ -14,6 +14,7 @@ from rmtorus.geometry import (
     BiformRelation,
     LinearFormMatrix,
     MinorPoly,
+    _minor_chunks,
     graph_member,
     graph_point_search,
     minor_equations,
@@ -294,10 +295,13 @@ def test_combinatorial_cap(rm5):
         minor_equations(matrix, cap=100)
 
 
-def test_minors_json_deterministic(rm5):
-    matrix = omega_matrix(relations(rm5, TAU))
-    minors = minor_equations(matrix, cap=1000)
-    assert json.dumps(minors_json(minors)) == json.dumps(minors_json(minors))
+def test_minors_document_is_byte_identical_across_expansions(rm5):
+    head = {"g": list(rm5.g), "count": 252}
+    first, second = (
+        minors_document(head, minor_equations(omega_matrix(relations(rm5, TAU)), cap=1000))
+        for _ in range(2)
+    )
+    assert first == second  # a bool: a diff of megabytes would not help
 
 
 def _document_reference(head, minors):
@@ -334,6 +338,35 @@ def test_minors_document_matches_json_dumps():
             minors = minor_equations(omega_matrix(relations(canonical_g(trace), tau)), cap=1000)
             same = minors_document(head, minors) == _document_reference(head, minors)
             assert same  # a bool: a diff of megabytes would not help
+
+
+def test_minors_document_writes_each_bit_pattern_as_json_does():
+    # one value in several minors, and 0.0 and -0.0 under the same exponents in
+    # two minors: a cache keyed on float values would write both zeros alike
+    nan, inf = float("nan"), float("inf")
+    shared = complex(0.1, -2.5)
+    minors = (
+        MinorPoly(rows=(1, 2), monomials=(((0, 2), shared), ((1, 1), complex(0.0, -0.0)))),
+        MinorPoly(rows=(1, 3), monomials=(((0, 2), shared), ((1, 1), complex(-0.0, 0.0)))),
+        MinorPoly(rows=(1, 4), monomials=()),
+        MinorPoly(rows=(2, 3), monomials=(((0, 2), complex(nan, -nan)),
+                                          ((1, 1), complex(-nan, inf)),
+                                          ((2, 0), complex(-inf, 1e16)))),
+        MinorPoly(rows=(2, 4), monomials=(((1, 1), complex(1e16, -1e16)), ((2, 0), shared))),
+    )
+    head = {"count": len(minors)}
+    text = minors_document(head, minors)
+    assert text == _document_reference(head, minors)
+    written = json.loads(text)["minors"]
+    zeros = [written[i]["monomials"][1]["coeff"] for i in (0, 1)]
+    assert [math.copysign(1.0, z[part]) for z in zeros for part in ("re", "im")] == [1, -1, -1, 1]
+    assert text.count('"re": 0.1,') == 3 and text.count("NaN") == 3
+
+
+def test_minor_chunks_raise_before_the_first_chunk():
+    # the CLI opens its file only after the call returns
+    with pytest.raises(DomainError, match="head keys must be strings"):
+        _minor_chunks({1: 2}, ())
 
 
 @pytest.mark.parametrize("key", [1, 2.5, None, ("g",)])
