@@ -21,6 +21,7 @@ import numpy as np
 from .core import alpha
 from .errors import CombinatorialCap, DomainError
 from .presentation import Presentation, _complex_json, _float_text, _head_text, _ints_text
+from .theta import _is_int
 
 __all__ = [
     "BiformRelation",
@@ -227,8 +228,11 @@ def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPol
     its own largest coefficient; a minor whose largest coefficient is
     negligible against the row-scale product (a Hadamard-style bound) is
     emitted with no monomials rather than dropped.  Monomials are keyed by
-    64-bit integers, which bounds ``count * (c+1)**c``.
+    64-bit integers, which bounds ``count * (c+1)**c``.  ``cap`` must be a
+    nonnegative ``int`` (``bool`` excluded).
     """
+    if not _is_int(cap) or cap < 0:
+        raise DomainError(f"cap must be a nonnegative integer, got {cap!r}")
     c = m.n_vars
     n = m.n_rows
     count = math.comb(n, c)

@@ -37,8 +37,10 @@ import mpmath as mp
 
 from .core import RMData
 from .errors import DomainError, TruncationExceeded
-from .presentation import Presentation, _at, hilbert_coeffs, monic_ordered, relations
-from .theta import _is_int
+from .presentation import (
+    Presentation, _at, _band, _magnitude, hilbert_coeffs, monic_ordered, relations,
+)
+from .theta import _check_dps, _is_int
 
 __all__ = [
     "Word",
@@ -205,33 +207,6 @@ def _heap_entry(word: Word) -> tuple:
     return (-len(word), tuple(-i for i in word), word)
 
 
-#: Range in which a double-precision magnitude is used as it is.  Inside it the
-#: bands below, of relative width eps, stay normal doubles.
-_CHEAP_RANGE = (2.0**-1000, 2.0**1000)
-
-
-def _magnitude(c) -> float:
-    """``float(abs(c))``, or a double within a few ulps of it.
-
-    For an mpmath complex the two parts are read from ``_mpc_`` as
-    ``ldexp(man, exp)`` and joined by ``math.hypot``.  A special part (nan,
-    inf), a value outside ``_CHEAP_RANGE`` and any other type take the exact
-    route, which for a Python complex costs no more.
-    """
-    parts = getattr(c, "_mpc_", None)
-    if parts is not None:
-        (_, man_re, exp_re, _), (_, man_im, exp_im, _) = parts
-        # a special mpf has a zero mantissa and a nonzero exponent
-        if (man_re or not exp_re) and (man_im or not exp_im):
-            try:
-                mag = math.hypot(math.ldexp(man_re, exp_re), math.ldexp(man_im, exp_im))
-            except OverflowError:
-                mag = 0.0
-            if _CHEAP_RANGE[0] <= mag <= _CHEAP_RANGE[1]:
-                return mag
-    return float(abs(c))
-
-
 def _top(terms: dict, mags: dict, words, eps: float) -> float:
     """``max(float(abs(terms[w])) for w in words)``, with default 0.0.
 
@@ -284,11 +259,7 @@ def normal_form(f: FreePoly, st: GroebnerState) -> FreePoly:
             )
     index = st._index
     with _at(st.dps):
-        # Relative width of the bands that are checked exactly.  The two routes to
-        # a magnitude round once at the working precision and a few times in
-        # double, so they differ by a few units in the last place of the coarser
-        # one; eps leaves 10 bits on top of that.
-        eps = 2.0 ** (10 - min(mp.mp.prec, 53))
+        eps = _band()  # relative width of the bands that are checked exactly
         mags = {w: _magnitude(c) for w, c in terms.items()}
         condition = _top(terms, mags, list(terms), eps)
         _prune(terms, mags, condition * st.zero_threshold, list(terms), eps)
@@ -488,9 +459,11 @@ def state_for(
     """Build and complete a state from scratch at safe precision.
 
     Computes the presentation at ``max(dps, 40)`` decimal digits (40 with
-    ``dps=None``), from which the state takes its precision, zero threshold
-    and graded dimensions, and completes to the truncation degree, each
-    degree stopping once h_n words are left.
+    ``dps=None``; any other ``dps`` must be a positive int), from which the
+    state takes its precision, zero threshold and graded dimensions, and
+    completes to the truncation degree, each degree stopping once h_n words
+    are left.
     """
+    _check_dps(dps)
     pres = relations(rm, tau, dps=max(dps or 0, 40))
     return complete_to_degree(groebner_state(pres, truncation_degree), truncation_degree)

@@ -24,6 +24,11 @@ one block.
   vector's largest, against ``core.RANK_CUTOFF``, next to an annihilation
   check.  A batch raises :class:`RankDeficient` for its lowest failing mu,
   with the first check a loop over the blocks would fail.
+* Both checks, and the pruning of :func:`relations`, read complex128 copies
+  of the blocks and vectors.  At ``dps`` a decision is taken again on the
+  values only where the copy's rounding could move it: within a band around
+  its threshold, or out of the copy's range.  The thresholds sit far above
+  double rounding, so that is rare, and every decision is the one at ``dps``.
 
 Four normalizations of the same ideal are provided:
 
@@ -38,8 +43,8 @@ Four normalizations of the same ideal are provided:
 
 The kernel vectors and determinants are computed in complex doubles by
 default and in mpmath arithmetic at ``dps`` digits when ``dps`` is given,
-whatever the ambient mpmath precision; the pivot scan and the rank checks
-read the blocks' double copy either way.  Downstream Groebner completion
+whatever the ambient mpmath precision; the pivot scan reads the blocks'
+double copy either way.  Downstream Groebner completion
 requires the high-precision path to keep spurious leading terms out.  A
 presentation carries its ``dps``, and the normalizations run at it.
 """
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from dataclasses import dataclass, replace
 from itertools import compress
 from typing import TYPE_CHECKING
@@ -158,6 +164,59 @@ def _at(dps: int | None):
 def _norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis."""
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
+
+
+#: Range in which a double-precision magnitude is used as it is.  Inside it the
+#: bands of relative width :func:`_band` stay normal doubles.
+_CHEAP_RANGE = (2.0**-1000, 2.0**1000)
+
+#: Range of the double norms 1e-9 |B| and |v| in which the checks read the
+#: copies: no square in a norm, or in a residual near its bound, leaves the
+#: normal doubles, and neither does |v_q| at a margin near RANK_CUTOFF.
+_NORM_RANGE = (2.0**-200, 2.0**200)
+
+_MPC_ZERO = mp.mpc(0)._mpc_
+
+
+def _unit() -> float:
+    """Unit roundoff of the coarser of double and the working precision."""
+    return 2.0 ** -min(mp.mp.prec, 53)
+
+
+def _band() -> float:
+    """Relative width of the band around a threshold in which a double magnitude decides nothing.
+
+    It and ``float(abs(c))`` differ by a few units of the coarser precision;
+    the band leaves 10 bits on top of that.
+    """
+    return 2.0**10 * _unit()
+
+
+def _within(x: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """Where ``x`` lies in the closed range ``bounds`` (never where it is nan)."""
+    return (bounds[0] <= x) & (x <= bounds[1])
+
+
+def _magnitude(c) -> float:
+    """``float(abs(c))``, or a double within a few ulps of it.
+
+    For an mpmath complex the two parts are read from ``_mpc_`` as
+    ``ldexp(man, exp)`` and joined by ``math.hypot``.  A special part (nan,
+    inf), a value outside ``_CHEAP_RANGE`` and any other type take the exact
+    route, which for a Python complex costs no more.
+    """
+    parts = getattr(c, "_mpc_", None)
+    if parts is not None:
+        (_, man_re, exp_re, _), (_, man_im, exp_im, _) = parts
+        # a special mpf has a zero mantissa and a nonzero exponent
+        if (man_re or not exp_re) and (man_im or not exp_im):
+            try:
+                mag = math.hypot(math.ldexp(man_re, exp_re), math.ldexp(man_im, exp_im))
+            except OverflowError:
+                mag = 0.0
+            if _CHEAP_RANGE[0] <= mag <= _CHEAP_RANGE[1]:
+                return mag
+    return float(abs(c))
 
 
 def _eliminate(rows: np.ndarray):
@@ -277,11 +336,11 @@ def _raise_first(failures: dict[int, str]) -> None:
 
 
 def _pivoted(rm: RMData, index: np.ndarray, mus, tau: complex, dps):
-    """The blocks ``mus`` at tau, stacked, their pivots and their failures by mu.
+    """The blocks ``mus`` at tau, stacked, their complex128 copy, pivots and failures by mu.
 
     ``index`` stacks the blocks' index arrays.  The pivots are scanned on
-    the blocks' complex128 copy, also at ``dps``.  Each failing block keeps
-    the first check it fails: the rank check, then the pivot count.
+    the copy, also at ``dps``.  Each failing block keeps the first check it
+    fails: the rank check, then the pivot count.
     """
     blocks, doubles, failures = _blocks_at(rm, index, mus, tau, _level_row(rm, tau, dps))
     pivots, count = _pivot_scan(doubles, rm.trace)
@@ -290,7 +349,7 @@ def _pivoted(rm: RMData, index: np.ndarray, mus, tau: complex, dps):
             failures.setdefault(
                 mu, f"only {found} independent columns found for mu={mu} at tau={tau}"
             )
-    return blocks, pivots, failures
+    return blocks, doubles, pivots, failures
 
 
 def _cramer_vectors(det, x, pivots, free, c: int) -> np.ndarray:
@@ -309,17 +368,75 @@ def _cramer_vectors(det, x, pivots, free, c: int) -> np.ndarray:
     return vectors
 
 
+def _margins(size: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Free-column margins |v_q| / max|v| of each vector, from its magnitudes ``size``."""
+    n, nf, _ = size.shape
+    top = size.max(axis=2)  # at least |v_q| = |det(B)|, so 0 only where det(B) is
+    held = size[np.arange(n)[:, None], np.arange(nf)[None, :], free]
+    return held / np.where(top != 0, top, 1)
+
+
+def _annihilation(blocks: np.ndarray, vectors: np.ndarray):
+    """Residuals |Bv|, the scales 1e-9 |B| (Frobenius) and the lengths |v|, as doubles.
+
+    A vector fails when its residual exceeds scale * length.
+    """
+    n, t, c = blocks.shape
+    resid = _norms(np.swapaxes(blocks @ np.swapaxes(vectors, 1, 2), 1, 2)).astype(float)
+    scale = 1e-9 * _norms(blocks.reshape(n, t * c)).astype(float)
+    return resid, scale, _norms(vectors).astype(float)
+
+
+def _checks(blocks: np.ndarray, doubles: np.ndarray, vectors: np.ndarray, free: np.ndarray):
+    """The rank and annihilation checks of every kernel vector of a stack of blocks.
+
+    ``doubles`` is the blocks' complex128 copy and ``free`` the 0-based free
+    column of each vector.  Returns which vectors fail the rank check
+    (``narrow``) and the annihilation check (``loose``), the free-column
+    margins and the magnitudes of the vectors' complex128 copy.
+
+    Both checks read the copies.  For mpmath vectors, a block is checked
+    again on its values when one of its vectors fails, sits within the band
+    (:func:`_band`) of RANK_CUTOFF or within the rounding bound of the
+    annihilation bound, or lies outside the range where the copy decides:
+    the decisions and the margins of failing blocks are those at the
+    working precision.
+    """
+    copy = np.asarray(vectors, dtype=complex)  # the vectors themselves in double
+    size = np.abs(copy)
+    margin = _margins(size, free)
+    resid, scale, lengths = _annihilation(doubles, copy)
+    bound = scale[:, None] * lengths
+    narrow, loose = margin < RANK_CUTOFF, resid > bound
+    if vectors.dtype == object:
+        eps, c = _band(), blocks.shape[2]
+        near = (
+            (margin * (1 + eps) >= RANK_CUTOFF) & (margin <= RANK_CUTOFF * (1 + eps))
+            # the residuals of the copies and of the values differ by at most
+            # ((c+1) sqrt(2) + 2) (u + u_dps) |B| |v| (Higham, 2002, 3.6),
+            # under 4(c+2) units of the coarser precision
+            | (np.abs(resid - bound) <= 4 * (c + 2) * _unit() / 1e-9 * bound)
+            | ~(_within(scale, _NORM_RANGE)[:, None] & _within(lengths, _NORM_RANGE))
+        )
+        again = np.flatnonzero((near | narrow | loose).any(axis=1))
+        exact = _margins(np.abs(vectors[again]), free[again])
+        resid, scale, lengths = _annihilation(blocks[again], vectors[again])
+        narrow[again], loose[again] = exact < RANK_CUTOFF, resid > scale[:, None] * lengths
+        margin[again] = exact.astype(float)
+    return narrow, loose, margin, size
+
+
 def _kernels(rm: RMData, index: np.ndarray, mus, tau: complex, dps):
     """The kernel vectors of :func:`kernel_basis` for the blocks ``mus``, in one pass.
 
-    Returns the vectors as one (len(mus), c-(a+d), c) array and their
-    magnitudes; raises the first failure of the lowest failing mu.  Runs
-    under ``_at(dps)``, set by the caller.
+    Returns the vectors as one (len(mus), c-(a+d), c) array and the
+    magnitudes of their complex128 copy; raises the first failure of the
+    lowest failing mu.  Runs under ``_at(dps)``, set by the caller.
     """
-    blocks, pivots, failures = _pivoted(rm, index, mus, tau, dps)
+    blocks, doubles, pivots, failures = _pivoted(rm, index, mus, tau, dps)
     t, c = rm.trace, rm.degree
     ok = np.flatnonzero(pivots[:, -1] > 0)  # the blocks with a+d pivots
-    blocks, pivots = blocks[ok], pivots[ok] - 1
+    blocks, doubles, pivots = blocks[ok], doubles[ok], pivots[ok] - 1
     n = len(ok)
     b, rows = np.arange(n)[:, None], np.arange(t)[:, None]
     others = np.ones((n, c), dtype=bool)
@@ -328,13 +445,7 @@ def _kernels(rm: RMData, index: np.ndarray, mus, tau: complex, dps):
     b = b[:, None]
     det, x = _solve(blocks[b, rows, pivots[:, None]], blocks[b, rows, free[:, None]], dps)
     vectors = _cramer_vectors(det, x, pivots, free, c)
-    size = np.abs(vectors)
-    top = size.max(axis=2)  # at least |det(B)|, so 0 only where det(B) is
-    margin = np.abs(det)[:, None] / np.where(top != 0, top, 1)
-    narrow = margin < RANK_CUTOFF
-    resid = _norms(np.swapaxes(blocks @ np.swapaxes(vectors, 1, 2), 1, 2)).astype(float)
-    scale = 1e-9 * _norms(blocks.reshape(n, t * c)).astype(float)
-    loose = resid > scale[:, None] * _norms(vectors).astype(float)
+    narrow, loose, margin, size = _checks(blocks, doubles, vectors, free)
     for i in np.flatnonzero(narrow.any(axis=1) | loose.any(axis=1)).tolist():
         k = int(np.argmax(narrow[i] | loose[i]))  # the first vector to fail a check
         mu = mus[ok[i]]
@@ -348,6 +459,28 @@ def _kernels(rm: RMData, index: np.ndarray, mus, tau: complex, dps):
         failures.setdefault(mu, message)
     _raise_first(failures)
     return vectors, size
+
+
+def _kept(vectors: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The coefficients :func:`relations` keeps: nonzero, at least COEFF_PRUNE_REL of the largest.
+
+    ``size`` holds the magnitudes of the vectors' complex128 copy.  As in the
+    Groebner pruning, ``float(abs(v))`` is taken only where that magnitude is
+    within the band of the vector's largest or of the floor, or outside
+    ``_CHEAP_RANGE``.  A zero is read from ``_mpc_``: the copy rounds a part
+    below the double range to 0.0.
+    """
+    top = size.max(axis=2, keepdims=True)
+    if vectors.dtype != object:
+        return (vectors != 0) & (size >= COEFF_PRUNE_REL * top)
+    nonzero = np.array([v._mpc_ != _MPC_ZERO for v in vectors.flat]).reshape(size.shape)
+    eps, mags = _band(), size.copy()
+    peak = nonzero & (~_within(size, _CHEAP_RANGE) | (size * (1 + 2 * eps) >= top))
+    mags[peak] = [float(abs(v)) for v in vectors[peak]]
+    floor = COEFF_PRUNE_REL * mags.max(axis=2, keepdims=True)
+    near = nonzero & ~peak & (size * (1 + eps) >= floor) & (size <= floor * (1 + eps))
+    mags[near] = [float(abs(v)) for v in vectors[near]]
+    return nonzero & (mags >= floor)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +530,7 @@ def kernel_pivots(
     """
     data = _block(rm, mu)
     with _at(dps):
-        _, pivots, failures = _pivoted(rm, data.index[None], (mu,), complex(tau), dps)
+        _, _, pivots, failures = _pivoted(rm, data.index[None], (mu,), complex(tau), dps)
     _raise_first(failures)
     return tuple(pivots[0].tolist())
 
@@ -445,8 +578,7 @@ def relations(rm: RMData, tau: complex, dps: int | None = None) -> Presentation:
     stack = _block_data(rm)
     with _at(dps):
         vectors, size = _kernels(rm, stack.index, range(1, rm.degree + 1), tau_c, dps)
-        top = size.max(axis=2, keepdims=True).astype(float)
-        kept = ((vectors != 0) & (size.astype(float) >= COEFF_PRUNE_REL * top)).tolist()
+        kept = _kept(vectors, size).tolist()
     rights = range(1, rm.degree + 1)
     rels: list[Relation] = []
     for mu, (block, vecs, keeps) in enumerate(zip(stack.blocks, vectors.tolist(), kept), start=1):

@@ -161,6 +161,15 @@ def test_failing_geom_writes_no_file(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_geom_rejects_a_negative_cap(capsys, tmp_path):
+    target = tmp_path / "minors.json"
+    code, out, err = _run(capsys, "geom", "--trace", "3", "--tau", "0", "2", "--cap", "-5",
+                          "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == "DomainError: cap must be a nonnegative integer, got -5\n"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("trace", [3, 4])
 def test_geom_output_is_json_dumps_of_the_minors(capsys, tmp_path, trace):
     target = tmp_path / "minors.json"

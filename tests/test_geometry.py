@@ -295,6 +295,14 @@ def test_combinatorial_cap(rm5):
         minor_equations(matrix, cap=100)
 
 
+@pytest.mark.parametrize("cap", [float("nan"), None, "x", True, -1, 2.5])
+def test_cap_must_be_a_nonnegative_int(cap):
+    # nan would admit every minor (count > nan is False), True would act as 1
+    matrix = omega_matrix(relations(canonical_g(3), 2j))
+    with pytest.raises(DomainError, match=r"cap must be a nonnegative integer, got "):
+        minor_equations(matrix, cap=cap)
+
+
 def test_minors_document_is_byte_identical_across_expansions(rm5):
     head = {"g": list(rm5.g), "count": 252}
     first, second = (

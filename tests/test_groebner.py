@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 
 from rmtorus import groebner, validate
+from rmtorus.core import canonical_g
 from rmtorus.errors import DomainError, TruncationExceeded
 from rmtorus.groebner import (
     FreePoly,
@@ -49,6 +50,13 @@ def test_basis_sizes_match_graded_dimensions(rm5, rm6):
     st5, st6 = state_for(rm5, TAU), state_for(rm6, TAU)
     assert [len(linear_basis(st5, n)) for n in (2, 3, 4)] == [15, 40, 105]
     assert [len(linear_basis(st6, n)) for n in (2, 3, 4)] == [24, 90, 336]
+
+
+@pytest.mark.parametrize("dps", [True, 0, -3, 2.5, "40"])
+def test_state_for_checks_dps_before_its_floor_of_40(dps):
+    # max(dps or 0, 40) would take all but "40" for 40 digits
+    with pytest.raises(DomainError, match="dps must be a positive integer"):
+        state_for(canonical_g(3), 2j, 3, dps=dps)
 
 
 def test_state_takes_dps_and_threshold_from_the_presentation(rm6):

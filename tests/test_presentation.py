@@ -694,3 +694,184 @@ def test_a_batch_short_of_pivots_raises_the_pivot_count_of_its_lowest_mu(rm6, mo
     monkeypatch.setattr(presentation, "PIVOT_RESIDUAL_REL", 2.0)  # no block keeps any column
     with pytest.raises(RankDeficient, match=r"^only 0 independent columns found for mu=1 at"):
         relations(rm6, TAU)
+
+
+# ---------------------------------------------------------------------------
+# decisions read from the double copies, against the checks at dps
+# ---------------------------------------------------------------------------
+
+DECISION_KEYS = (3, 4, 5, 6, 7, 8, (7, -2, 11, -3))
+
+
+def _ref_margin(vec, q):
+    """|v_q| / max|v| at the working precision."""
+    top = max(abs(x) for x in vec)
+    return abs(vec[q - 1]) / (top if top != 0 else 1)
+
+
+def _ref_loose(rows, vec):
+    """The annihilation check at the working precision, from scalar norms."""
+    resid = _ref_norm([sum(b * x for b, x in zip(row, vec)) for row in rows], True)
+    scale = 1e-9 * float(_ref_norm([b for row in rows for b in row], True))
+    return float(resid) > scale * float(_ref_norm(vec, True))
+
+
+def _ref_kept(vec):
+    """The pruning at the working precision: float(abs(v)) against the largest."""
+    mags = [float(abs(x)) for x in vec]
+    floor = presentation.COEFF_PRUNE_REL * max(mags)
+    return [x != 0 and m >= floor for x, m in zip(vec, mags)]
+
+
+def _ref_checked(rm, tau, dps):
+    """Every block's scalar-loop kernel vectors at dps, or the message the checks raise first.
+
+    The rank check of the blocks, their pivots and the pivot count are
+    those of ``_pivoted``; the vectors are :func:`_ref_vectors`', and the
+    margins and residuals mpmath scalars.
+    """
+    mus = range(1, rm.degree + 1)
+    index = core._block_data(rm).index
+    with mp.workdps(dps):
+        blocks, _, pivots, failures = presentation._pivoted(rm, index, mus, tau, dps)
+        out = []
+        for mu, rows, piv in zip(mus, blocks.tolist(), pivots.tolist()):
+            if mu in failures:
+                return failures[mu]
+            _, vectors = _ref_vectors([list(col) for col in zip(*rows)], tuple(piv), True)
+            free = [q for q in mus if q not in piv]
+            for k, (q, vec) in enumerate(zip(free, vectors), start=1):
+                margin = _ref_margin(vec, q)
+                if margin < core.RANK_CUTOFF:
+                    return (f"kernel vector (mu={mu}, k={k}) at tau={tau}: free-column margin "
+                            f"|v_q|/max|v| = {float(margin):.3g} < RANK_CUTOFF = 1e-08")
+                if _ref_loose(rows, vec):
+                    return "kernel vector fails annihilation at the requested tolerance"
+            out.append(vectors)
+    return out
+
+
+def _assert_decides_at_dps(rm, tau, dps):
+    """relations at dps against :func:`_ref_checked`, whose result it returns."""
+    expected = _ref_checked(rm, tau, dps)
+    if isinstance(expected, str):
+        with pytest.raises(RankDeficient) as exc:
+            relations(rm, tau, dps=dps)
+        assert str(exc.value) == expected
+        return expected
+    with mp.workdps(dps):
+        kept = [[(q, x._mpc_) for q, x, keep in zip(range(1, rm.degree + 1), vec, _ref_kept(vec))
+                 if keep] for vectors in expected for vec in vectors]
+    pres = relations(rm, tau, dps=dps)
+    assert [[(t.right, t.coeff._mpc_) for t in rel.terms] for rel in pres.relations] == kept
+    return expected
+
+
+@pytest.mark.parametrize("dps", [30, 40])
+@pytest.mark.parametrize("key", DECISION_KEYS, ids=str)
+def test_relations_check_and_prune_as_the_working_precision_does(key, dps):
+    rm = _member(key)
+    for tau in FAMILY_TAUS:
+        _assert_decides_at_dps(rm, tau, dps)
+
+
+@pytest.mark.parametrize(
+    "key, tau", sorted(((k, t) for k, t in FAMILY_RAISES if k not in DECISION_KEYS), key=str),
+    ids=str,
+)
+def test_the_other_family_raises_at_dps_40_as_the_working_precision_does(key, tau):
+    assert isinstance(_assert_decides_at_dps(_member(key), tau, 40), str)
+
+
+def _turns(n):
+    """n unit complex numbers at angles spread over the circle, at the working precision."""
+    return [mp.expjpi(mp.mpf(2 * m + 1) / n) for m in range(n)]
+
+
+def test_planted_coefficients_at_the_floor_and_tied_for_the_top_are_pruned_at_dps():
+    ulp = mp.mpf(2) ** -53
+    with mp.workdps(40):
+        rows = []
+        for turn, other in zip(_turns(24), _turns(24)[5:] + _turns(24)[:5]):
+            for j in range(-3, 4):
+                tops = (turn * (1 + j * ulp), other * (1 - j * ulp))  # tied to a few ulps
+                floors = [presentation.COEFF_PRUNE_REL * float(abs(x)) for x in tops]
+                rows.append([*tops, *(mp.mpc(f) for f in floors), mp.mpc(0),
+                             *(floors[0] * (1 + i * ulp) * other for i in range(-3, 4))])
+        # the same again at 2^-1030, where every copy is a subnormal double
+        rows += [[x * mp.mpf(2) ** -1030 for x in row] for row in rows]
+        vectors = np.array(rows, dtype=object)[None]
+        size = np.abs(vectors.astype(complex))
+        kept = presentation._kept(vectors, size)
+        expected = [_ref_kept(vec) for vec in rows]
+    assert kept[0].tolist() == expected
+    # the double magnitudes alone decide some of them otherwise
+    cheap = size >= presentation.COEFF_PRUNE_REL * size.max(axis=2, keepdims=True)
+    assert (cheap[0] != np.array(expected)).any()
+
+
+def _one_vector_blocks(block, vectors):
+    """_checks on a stack of copies of one block, each with one of the vectors (free column 2)."""
+    n, block = len(vectors), [[mp.mpc(b) for b in row] for row in block]
+    return presentation._checks(
+        np.array([block] * n, dtype=object), np.array([block] * n, dtype=complex),
+        np.array(vectors, dtype=object)[:, None], np.full((n, 1), 1))
+
+
+# At 2^-1040 the copies are subnormal doubles with a few bits; at 2^-520 the
+# squares in the residual's norm underflow.
+@pytest.mark.parametrize("margin_scale, resid_scale", [(0, 0), (-1040, -520)])
+def test_planted_margins_and_residuals_at_their_thresholds_are_decided_at_dps(
+    margin_scale, resid_scale
+):
+    # each vector is alone in its block, so no other vector's failure has
+    # the block checked again at dps
+    ulp = mp.mpf(2) ** -53
+    cutoff = mp.mpf(core.RANK_CUTOFF)
+    with mp.workdps(40):
+        # the block [0, 0, 1]: every vector below annihilates it exactly,
+        # and its free-column margin |v_2| / |v_1| sits at RANK_CUTOFF
+        scale = mp.mpf(2) ** margin_scale
+        vectors = [[scale * turn * (1 + j * ulp), scale * cutoff * other * (1 - i * ulp), 0 * turn]
+                   for turn, other in zip(_turns(16), _turns(16)[3:] + _turns(16)[:3])
+                   for j in range(-2, 3) for i in range(-2, 3)]
+        narrow, loose, margin, _ = _one_vector_blocks([[0, 0, 1]], vectors)
+        expected = [_ref_margin(vec, 2) < core.RANK_CUTOFF for vec in vectors]
+        assert narrow[:, 0].tolist() == expected and not loose.any()
+        # the margins a failure quotes are those at dps
+        assert [m for m, e in zip(margin[:, 0].tolist(), expected) if e] == [
+            float(_ref_margin(vec, 2)) for vec, e in zip(vectors, expected) if e]
+        cheap = [abs(complex(v[1])) / abs(complex(v[0])) < core.RANK_CUTOFF for v in vectors]
+        assert any(e and not c for e, c in zip(expected, cheap))
+
+        # the block [1, 1]: v = turn (1, -(1 - s)) leaves the residual s |turn|,
+        # which sits within a few parts in 10^8 of 1e-9 |B| |v|
+        vectors = []
+        for turn in _turns(16):
+            for shift in (-4e-8, -1e-8, -3e-9, 3e-9, 1e-8, 4e-8):
+                s = mp.mpf(1)
+                for _ in range(3):  # s = 1e-9 |B| |v / turn| (1 + shift)
+                    s = 1e-9 * mp.sqrt(2) * mp.sqrt(1 + (1 - s) ** 2) * (1 + shift)
+                vectors.append([turn * 2**resid_scale, -turn * 2**resid_scale * (1 - s)])
+        narrow, loose, _, _ = _one_vector_blocks([[1, 1]], vectors)
+        expected = [_ref_loose([[mp.mpc(1), mp.mpc(1)]], vec) for vec in vectors]
+        assert loose[:, 0].tolist() == expected and not narrow.any()
+        copies = np.array(vectors, dtype=complex)
+        cheap = np.abs(copies.sum(axis=1)) > 1e-9 * math.sqrt(2) * np.linalg.norm(copies, axis=1)
+        assert any(e and not c for e, c in zip(expected, cheap.tolist()))
+
+
+def test_relations_at_dps_take_few_mpmath_magnitudes(monkeypatch):
+    # the checks and the pruning read the double copies and take abs() at
+    # dps only near a threshold; taken at dps throughout, they made 2,607 calls
+    rm = validate((7, -2, 11, -3))
+    calls = []
+    original = mp.mpc.__abs__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(mp.mpc, "__abs__", counting)
+    relations(rm, 0.2 + 1.1j, dps=40)
+    assert 0 < len(calls) <= 300
