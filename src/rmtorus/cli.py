@@ -204,14 +204,14 @@ def _cmd_geom(parser, args) -> int:
     tau = _resolve_tau(parser, args)
     pres = presentation.relations(rm, tau, dps=_env_dps())
     matrix = geometry.omega_matrix(pres)
-    minors = geometry.minor_equations(matrix, cap=args.cap)
+    columns = geometry._minor_columns(matrix, args.cap)
     head = {
         "g": list(rm.g),
         "tau": _complex_json(tau),
         "cap": args.cap,
-        "count": len(minors),
+        "count": len(columns.rows),
     }
-    _emit(geometry._minor_chunks(head, minors), args.out)
+    _emit(geometry._minor_chunks(head, columns), args.out)
     return 0
 
 

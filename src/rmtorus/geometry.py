@@ -15,6 +15,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,23 +214,45 @@ def _row_scale(i: int, row) -> float:
         raise DomainError(f"row {i}: an entry's modulus exceeds the double range") from None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as quiet as Python's float arithmetic
-def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPoly, ...]:
-    """All c x c minors of the linear-form matrix as degree-c polynomials.
+class _MinorColumns(NamedTuple):
+    """The kept monomials of a sequence of minors, one entry per monomial in each array.
 
-    Row subsets are enumerated in lexicographic order.  Each minor is the
-    permutation expansion of its determinant, one row at a time: the partial
-    expansions of every row prefix are built once, a whole level of prefixes
-    per numpy pass, and the last row is added one row index at a time, so
-    only one slice of the terms is held at once.  Every term is
-    ``sign * (((1.0 * cf_0) * cf_1) * ...)`` and each monomial sums its
-    terms from 0 in lexicographic permutation order, in Python's complex
-    arithmetic to the bit.  Each minor's monomials are pruned relative to
-    its own largest coefficient; a minor whose largest coefficient is
-    negligible against the row-scale product (a Hadamard-style bound) is
-    emitted with no monomials rather than dropped.  Monomials are keyed by
-    64-bit integers, which bounds ``count * (c+1)**c``.  ``cap`` must be a
-    nonnegative ``int`` (``bool`` excluded).
+    ``rows`` holds every minor's row subset (1-based) and ``exponents`` the
+    distinct exponent tuples.  Monomial i belongs to minor ``minor[i]``, has
+    the exponents ``exponents[code[i]]`` and the coefficient
+    ``complex(re[i], im[i])``.  The monomials run in minor order, so each
+    minor's are one slice; a minor with no monomials has an empty slice.
+    Read as coordinates, the arrays are the sparse minors x monomials
+    coefficient matrix.
+    """
+
+    rows: list[tuple[int, ...]]
+    exponents: list[tuple[int, ...]]
+    minor: np.ndarray
+    code: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as quiet as Python's float arithmetic
+def _minor_columns(m: LinearFormMatrix, cap: int) -> _MinorColumns:
+    """The kept monomials of every c x c minor, as columns in lexicographic subset order.
+
+    Each minor is the permutation expansion of its determinant, one row at a
+    time: the partial expansions of every row prefix are built once, a whole
+    level of prefixes per numpy pass, and the last row is added one row
+    index at a time, so only one slice of the terms is held at once.  Every
+    term is ``sign * (((1.0 * cf_0) * cf_1) * ...)`` and each monomial sums
+    its terms from 0 in lexicographic permutation order, in Python's complex
+    arithmetic to the bit.  Each minor's monomials are pruned relative to its
+    own largest coefficient, and a minor whose largest coefficient is
+    negligible against the row-scale product (a Hadamard-style bound) keeps
+    none.  A last row's piece holds the subsets that end at it; each one's
+    lexicographic rank is looked up once, and a stable sort by rank puts the
+    pieces' monomials in subset order, ascending by exponent tuple within a
+    minor (``exponents`` ascends too).  Monomials are keyed by 64-bit
+    integers, which bounds ``count * (c+1)**c``.  Every check raises before
+    any expansion.
     """
     if not _is_int(cap) or cap < 0:
         raise DomainError(f"cap must be a nonnegative integer, got {cap!r}")
@@ -243,6 +266,8 @@ def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPol
     width = (c + 1) ** c
     if count * width >= 2**63:
         raise CombinatorialCap(f"{count} minors of {c} columns exceed 64-bit monomial keys")
+    if not count:  # fewer rows than columns
+        return _columns_of(())
     row_scales = [_row_scale(i, row) for i, row in enumerate(m.entries, 1)]
     rows = _sparse_rows(m)
     parity = np.zeros(1 << c, dtype=bool)
@@ -264,8 +289,11 @@ def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPol
             scales.append(scale[:below] * row_scales[r])
         prefixes, last, scale = longer, np.concatenate(ends), np.concatenate(scales)
         states = tuple(map(np.concatenate, zip(*pieces)))
-    digits = (c + 1) ** np.arange(c - 1, -1, -1)
-    found: dict[tuple[int, ...], tuple] = {}
+    subsets = list(itertools.combinations(range(n), c))
+    rank = {subset: i for i, subset in enumerate(subsets)}
+    # per last row: the kept monomials' minor ranks, codes and parts
+    empty = np.zeros(0, dtype=np.int64)
+    pieces = [(empty, empty, np.zeros(0), np.zeros(0))]
     for r in range(c - 1, n):
         prefix, _, code, odd, pr, pi = _cross(
             states, int(np.searchsorted(last, r)), rows[r], parity)
@@ -296,20 +324,40 @@ def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPol
         sizes = np.diff(np.r_[first, len(keys)])
         keep = np.repeat(live, sizes) & (mags > MINOR_PRUNE_REL * np.repeat(top, sizes))
         kept = np.flatnonzero(keep)
-        if not len(kept):
-            continue
-        codes, which = np.unique(code[kept], return_inverse=True)
-        exps = list(map(tuple, (codes[:, None] // digits % (c + 1)).tolist()))
-        monos = list(zip(map(exps.__getitem__, which.tolist()),
-                         map(complex, acc_re[kept].tolist(), acc_im[kept].tolist())))
-        owners = owner[kept]
-        bounds = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1], True]).tolist()
-        for a, b in zip(bounds, bounds[1:]):
-            found[prefixes[owners[a]] + (r,)] = tuple(monos[a:b])
-    return tuple(
-        MinorPoly(rows=tuple(i + 1 for i in subset), monomials=found.get(subset, ()))
-        for subset in itertools.combinations(range(n), c)
+        if len(kept):
+            ranks = [rank[prefixes[p] + (r,)] for p in owner[first].tolist()]
+            pieces.append((np.repeat(ranks, sizes)[kept], code[kept], acc_re[kept], acc_im[kept]))
+    minor, code, re, im = map(np.concatenate, zip(*pieces))
+    # a subset's monomials are one run of its last row's piece, ascending by code
+    order = np.argsort(minor, kind="stable")
+    codes, code = np.unique(code[order], return_inverse=True)
+    digits = (c + 1) ** np.arange(c - 1, -1, -1)
+    return _MinorColumns(
+        rows=[tuple(i + 1 for i in subset) for subset in subsets],
+        exponents=list(map(tuple, (codes[:, None] // digits % (c + 1)).tolist())),
+        minor=minor[order], code=code, re=re[order], im=im[order],
     )
+
+
+def _polys(columns: _MinorColumns) -> tuple[MinorPoly, ...]:
+    """The minors of ``columns`` as :class:`MinorPoly` values."""
+    monos = list(zip(map(columns.exponents.__getitem__, columns.code.tolist()),
+                     map(complex, columns.re.tolist(), columns.im.tolist())))
+    bounds = np.searchsorted(columns.minor, np.arange(len(columns.rows) + 1)).tolist()
+    return tuple(MinorPoly(rows=rows, monomials=tuple(monos[a:b]))
+                 for rows, a, b in zip(columns.rows, bounds, bounds[1:]))
+
+
+def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPoly, ...]:
+    """All c x c minors of the linear-form matrix as degree-c polynomials.
+
+    Row subsets come in lexicographic order and each minor's monomials
+    ascend by exponent tuple.  The expansion, its pruning and its limits are
+    those of ``_minor_columns``; a minor that keeps no monomials is still
+    emitted, so the count matches the binomial exactly.  ``cap`` must be a
+    nonnegative ``int`` (``bool`` excluded).
+    """
+    return _polys(_minor_columns(m, cap))
 
 
 def _norm(vec) -> float:
@@ -373,10 +421,15 @@ def graph_point_search(
     damped Gauss-Newton stage then polishes the pair.  Several restarts are
     tried and the best pair is returned with its normalized residual — the
     caller decides (e.g. via ``graph_member``) whether that residual counts
-    as a zero.
+    as a zero.  ``seed`` must be a nonnegative ``int``, and ``attempts``
+    and ``iterations`` positive ones (``bool`` excluded).
     """
     if not rels:
         raise DomainError("no relations to solve")
+    for name, value, least in (("seed", seed, 0), ("attempts", attempts, 1),
+                               ("iterations", iterations, 1)):
+        if not _is_int(value) or value < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     norms = [rel.coeff_norm() for rel in rels]
     best: GraphSearchResult | None = None
     for attempt in range(attempts):
@@ -447,62 +500,95 @@ def minors_json(minors) -> list:
     ]
 
 
-class _Templates(dict):
-    """The text of a monomial up to its real part, one per exponent tuple."""
-
-    def __missing__(self, exps: tuple[int, ...]) -> str:
-        text = self[exps] = (
-            f"        {{\n          \"exponents\": "
-            f"{_ints_text(exps, '          ')},\n          \"coeff\": {{\n"
-            f"            \"re\": "
-        )
-        return text
+#: The text of a monomial between its two parts, and after them.
+_IM_TEXT = ',\n            "im": '
+_END_TEXT = "\n          }\n        }"
 
 
-def _minor_texts(lead: str, minors, texts: list[str]) -> Iterator[str]:
+def _template(exps: tuple[int, ...]) -> str:
+    """The text of a monomial up to its real part."""
+    return (
+        f"        {{\n          \"exponents\": "
+        f"{_ints_text(exps, '          ')},\n          \"coeff\": {{\n"
+        f"            \"re\": "
+    )
+
+
+def _part_texts(parts: np.ndarray) -> list[str]:
+    """Every float of ``parts`` as :mod:`json` writes it, each distinct magnitude formatted once.
+
+    A magnitude is a part's bit pattern with the sign bit cleared.
+    ``repr(-x)`` is ``"-" + repr(x)`` for every double but a NaN, ±0.0 and
+    ±inf included, so a negative part is written as ``"-"`` and its
+    magnitude's text; a NaN writes ``NaN`` whatever its sign.
+    """
+    mags, inverse = np.unique(parts.view(np.uint64) & np.uint64(2**63 - 1), return_inverse=True)
+    texts = list(map(_float_text, mags.view(float).tolist()))
+    table = np.array(texts + ["-" + text for text in texts], dtype=object)
+    negative = np.signbit(parts) & ~np.isnan(parts)
+    return table[inverse + len(texts) * negative].tolist()
+
+
+def _minor_texts(lead: str, rows, bounds: list[int], templates: list[str],
+                 re: list[str], im: list[str]) -> Iterator[str]:
     """The document's chunks: ``lead`` and the list's opening, one per minor, the close.
 
-    ``texts`` holds the real and imaginary part of every monomial, in order.
+    Minor k's monomials are ``bounds[k]:bounds[k + 1]`` of ``templates``
+    (each monomial's text up to its real part, a later one in its minor led
+    by the ``,\\n`` between them) and of the part texts ``re`` and ``im``.
     """
-    templates = _Templates()
     yield lead + "["
-    at, sep = 0, ""
-    for poly in minors:
+    sep = ""
+    for subset, a, b in zip(rows, bounds, bounds[1:]):
         opening = (f"{sep}\n    {{\n      \"rows\": "
-                   f"{_ints_text(poly.rows, '      ')},\n      \"monomials\": ")
+                   f"{_ints_text(subset, '      ')},\n      \"monomials\": ")
         sep = ","
-        monos = poly.monomials
-        if not monos:
+        if a == b:
             yield opening + "[]\n    }"
             continue
-        end = at + 2 * len(monos)
-        body = ",\n".join([
-            f'{templates[exps]}{x},\n            "im": {y}\n          }}\n        }}'
-            for (exps, _), x, y in zip(monos, texts[at:end:2], texts[at + 1:end:2])
-        ])
-        at = end
+        body = "".join(itertools.chain.from_iterable(zip(
+            templates[a:b], re[a:b], itertools.repeat(_IM_TEXT), im[a:b],
+            itertools.repeat(_END_TEXT))))
         yield f"{opening}[\n{body}\n      ]\n    }}"
     yield "\n  ]\n}"
 
 
-def _minor_chunks(head: dict, minors) -> Iterator[str]:
+def _minor_chunks(head: dict, columns: _MinorColumns) -> Iterator[str]:
     """The text of :func:`minors_document` in chunks: the head, then one per minor.
 
-    A coefficient value recurs in several minors (on trace 4 only about a
-    quarter of the parts are distinct), so each distinct part is written
-    once and its text shared.  Parts are told apart by their bits, since a
-    float key would write ``-0.0`` as ``0.0``.  The head and every part are
-    written before this returns, so whatever raises does so before a caller
-    opens its file.
+    It reads the minors as columns and writes no per-monomial Python value
+    but the texts: one template per exponent tuple, and one text per
+    distinct magnitude of a coefficient part (on trace 4, 7-18% of the
+    parts).  The head and every text are written before this returns,
+    so whatever raises does so before a caller opens its file.
     """
-    minors = tuple(minors)
     lead = _head_text(head) + '  "minors": '
-    if not minors:
+    if not columns.rows:
         return iter([lead + "[]\n}"])
-    parts = np.array([cf for poly in minors for _, cf in poly.monomials], dtype=complex)
-    bits, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
-    texts = np.array(list(map(_float_text, bits.view(float).tolist())), dtype=object)
-    return _minor_texts(lead, minors, texts[inverse].tolist())
+    minor = columns.minor
+    later = np.diff(minor, prepend=-1) == 0
+    templates = [_template(exps) for exps in columns.exponents]
+    table = np.array(templates + [",\n" + text for text in templates], dtype=object)
+    texts = _part_texts(np.concatenate([columns.re, columns.im]))
+    bounds = np.searchsorted(minor, np.arange(len(columns.rows) + 1)).tolist()
+    return _minor_texts(lead, columns.rows, bounds,
+                        table[columns.code + len(templates) * later].tolist(),
+                        texts[:len(minor)], texts[len(minor):])
+
+
+def _columns_of(minors) -> _MinorColumns:
+    """:class:`MinorPoly` values gathered into columns, in their order."""
+    minors = tuple(minors)
+    codes: dict[tuple[int, ...], int] = {}
+    monos = [mono for poly in minors for mono in poly.monomials]
+    code = np.array([codes.setdefault(exps, len(codes)) for exps, _ in monos], dtype=np.int64)
+    parts = np.array([cf for _, cf in monos], dtype=complex)
+    return _MinorColumns(
+        rows=[poly.rows for poly in minors],
+        exponents=list(codes),
+        minor=np.repeat(np.arange(len(minors)), [len(poly.monomials) for poly in minors]),
+        code=code, re=parts.real, im=parts.imag,
+    )
 
 
 def minors_document(head: dict, minors) -> str:
@@ -510,11 +596,12 @@ def minors_document(head: dict, minors) -> str:
 
     With ``indent`` set, :mod:`json` falls back to its pure-Python encoder,
     which spends as long on a trace-4 payload as the expansion does.  The
-    minors have one fixed shape, so each minor's monomials are written in one
-    pass from a template per exponent tuple, with floats written by
-    ``_float_text`` as :mod:`json` writes them, once per distinct bit
-    pattern.  The ``head`` fields are written by
+    minors have one fixed shape, so they are gathered into columns and
+    written by the ``geom`` writer: each monomial from a template per
+    exponent tuple and the texts of its parts, floats written by
+    ``_float_text`` as :mod:`json` writes them, once per distinct magnitude.
+    The ``head`` fields are written by
     :func:`rmtorus.presentation._head_text`, as a presentation's are; every
     ``head`` key must be a ``str`` (another raises :class:`DomainError`).
     """
-    return "".join(_minor_chunks(head, minors))
+    return "".join(_minor_chunks(head, _columns_of(minors)))

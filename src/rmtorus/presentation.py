@@ -650,6 +650,7 @@ def monic_ordered(p: Presentation) -> Presentation:
     """
     rels: list[Relation] = []
     with _at(p.dps):
+        eps = _band()
         for rel in p.relations:
             swapped: list[tuple[tuple[int, int], complex]] = []
             for t in rel.terms:
@@ -658,12 +659,20 @@ def monic_ordered(p: Presentation) -> Presentation:
                 else:
                     word = (t.right, t.left)
                 swapped.append((word, t.coeff))
-            top = max(float(abs(coeff)) for _, coeff in swapped)
+            mags = [_magnitude(cf) for _, cf in swapped]
+            rough = max(mags)
+            # exact near the largest: a magnitude further below it cannot be it
+            mags = [float(abs(cf)) if not mag * (1 + 2 * eps) < rough else mag
+                    for mag, (_, cf) in zip(mags, swapped)]
+            top = max(mags)
             if top < 1e-250:
                 raise LeadingCoeffBelowThreshold(
                     f"relation (mu={rel.mu}, k={rel.k}) has no usable leading coefficient"
                 )
-            kept = [(w, cf) for w, cf in swapped if float(abs(cf)) >= COEFF_PRUNE_REL * top]
+            floor = COEFF_PRUNE_REL * top
+            kept = [(w, cf) for mag, (w, cf) in zip(mags, swapped)
+                    if (float(abs(cf)) if floor <= mag * (1 + eps) and mag <= floor * (1 + eps)
+                        else mag) >= floor]
             kept.sort(key=lambda item: item[0], reverse=True)
             lead_coeff = kept[0][1]
             terms = [RelationTerm(w[0], w[1], cf / lead_coeff) for w, cf in kept]

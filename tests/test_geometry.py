@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from rmtorus import cli, geometry
 from rmtorus.core import alpha, canonical_g
 from rmtorus.errors import CombinatorialCap, DomainError
 from rmtorus.geometry import (
@@ -23,7 +24,7 @@ from rmtorus.geometry import (
     multilinearize,
     omega_matrix,
 )
-from rmtorus.presentation import _complex_json, monic_ordered, relations
+from rmtorus.presentation import _complex_json, _float_text, monic_ordered, relations
 
 TAU = 2j
 TAUS = (2j, 0.3 + 1.5j, -0.2 + 0.9j)
@@ -241,6 +242,7 @@ def test_minor_expansion_edge_cases_match_reference():
         _random_matrix(rng, 8, 9, zero_row=4),
         _random_matrix(rng, 5, most_rows[5]),
         _random_matrix(rng, 6, most_rows[6], zero_row=11),
+        _random_matrix(rng, 5, 4),  # fewer rows than columns: no minors
     ]
     for matrix in cases:
         minors = minor_equations(matrix, cap=1000)
@@ -348,7 +350,7 @@ def test_minors_document_matches_json_dumps():
             assert same  # a bool: a diff of megabytes would not help
 
 
-def test_minors_document_writes_each_bit_pattern_as_json_does():
+def test_minors_document_writes_each_bit_pattern_as_json_does(monkeypatch):
     # one value in several minors, and 0.0 and -0.0 under the same exponents in
     # two minors: a cache keyed on float values would write both zeros alike
     nan, inf = float("nan"), float("inf")
@@ -361,20 +363,47 @@ def test_minors_document_writes_each_bit_pattern_as_json_does():
                                           ((1, 1), complex(-nan, inf)),
                                           ((2, 0), complex(-inf, 1e16)))),
         MinorPoly(rows=(2, 4), monomials=(((1, 1), complex(1e16, -1e16)), ((2, 0), shared))),
+        # x and -x in other minors share a magnitude; the sign goes in front of its text
+        MinorPoly(rows=(3, 4), monomials=(((0, 2), -shared), ((1, 1), complex(-0.0, -inf)),
+                                          ((2, 0), complex(-nan, -1e16)))),
     )
     head = {"count": len(minors)}
+    texts = []
+    monkeypatch.setattr(geometry, "_float_text", lambda x: texts.append(x) or _float_text(x))
     text = minors_document(head, minors)
     assert text == _document_reference(head, minors)
     written = json.loads(text)["minors"]
     zeros = [written[i]["monomials"][1]["coeff"] for i in (0, 1)]
     assert [math.copysign(1.0, z[part]) for z in zeros for part in ("re", "im")] == [1, -1, -1, 1]
-    assert text.count('"re": 0.1,') == 3 and text.count("NaN") == 3
+    assert text.count('"re": 0.1,') == 3 and text.count("NaN") == 4
+    assert text.count('"re": -0.1,') == 1 and text.count("-NaN") == 0
+    # one text per magnitude: 0.1, 2.5, 0.0, inf, 1e16 and the nan
+    assert len(texts) == 6 and all(math.copysign(1.0, x) == 1 for x in texts)
 
 
 def test_minor_chunks_raise_before_the_first_chunk():
     # the CLI opens its file only after the call returns
     with pytest.raises(DomainError, match="head keys must be strings"):
         _minor_chunks({1: 2}, ())
+
+
+def test_geom_builds_no_minor_poly_and_formats_each_magnitude_once(monkeypatch, tmp_path):
+    built, texts = [], []
+    init = MinorPoly.__init__
+    monkeypatch.setattr(MinorPoly, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    monkeypatch.setattr(geometry, "_float_text", lambda x: texts.append(x) or _float_text(x))
+    target = tmp_path / "minors.json"
+    argv = ["geom", "--trace", "4", "--tau", "0", "2", "--cap", "1000", "--out", str(target)]
+    assert cli.main(argv) == 0
+    assert built == []
+    parts = [mono["coeff"][part] for minor in json.loads(target.read_text())["minors"]
+             for mono in minor["monomials"] for part in ("re", "im")]
+    magnitudes = {abs(x).hex() for x in parts}
+    assert not any(map(math.isnan, parts))
+    assert sorted(x.hex() for x in texts) == sorted(magnitudes)
+    assert len(parts) == 63_004 and len(texts) == 4_657
+    MinorPoly(rows=(1,), monomials=())
+    assert len(built) == 1  # the count sees a MinorPoly when one is made
 
 
 @pytest.mark.parametrize("key", [1, 2.5, None, ("g",)])
@@ -410,6 +439,17 @@ def test_graph_member_guards():
         graph_member(rels, (0,) * 5, v_star)
     with pytest.raises(DomainError):
         graph_member(rels, u_star, (0,) * 5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("iterations", 0), ("attempts", 0), ("attempts", -1), ("seed", -1),
+    ("attempts", 1.5), ("iterations", True), ("seed", None), ("seed", 2.0),
+])
+def test_graph_point_search_rejects_counts_and_seeds_out_of_range(name, value):
+    # iterations=0 would return the zero vector as a zero, attempts=0 no result
+    biforms = multilinearize(relations(canonical_g(4), TAU))
+    with pytest.raises(DomainError, match=rf"{name} must be an integer >= "):
+        graph_point_search(biforms, 5, **{name: value})
 
 
 def test_example_system_admits_no_graph_point(rm6):

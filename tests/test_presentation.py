@@ -8,7 +8,7 @@ import pytest
 
 from rmtorus import core, groebner, presentation, validate
 from rmtorus.core import alpha, canonical_g, block_M, structure_constant_theta
-from rmtorus.errors import DomainError, OddLevel, RankDeficient
+from rmtorus.errors import DomainError, LeadingCoeffBelowThreshold, OddLevel, RankDeficient
 from rmtorus.modsym import averaged_relations
 from rmtorus.presentation import (
     hilbert_coeffs,
@@ -808,6 +808,79 @@ def test_planted_coefficients_at_the_floor_and_tied_for_the_top_are_pruned_at_dp
     # the double magnitudes alone decide some of them otherwise
     cheap = size >= presentation.COEFF_PRUNE_REL * size.max(axis=2, keepdims=True)
     assert (cheap[0] != np.array(expected)).any()
+
+
+def _monic_terms(p):
+    """monic_ordered(p)'s words and coefficient bits (the lead's 1 as 1), or its error text."""
+    try:
+        q = monic_ordered(p)
+    except LeadingCoeffBelowThreshold as exc:
+        return str(exc)
+    return [[((t.left, t.right), 1 if i == 0 else t.coeff._mpc_) for i, t in enumerate(rel.terms)]
+            for rel in q.relations]
+
+
+def _ref_monic_terms(p):
+    """monic_ordered on a raw presentation with float(abs(c)) of every term, as _monic_terms."""
+    out = []
+    with mp.workdps(p.dps):
+        for rel in p.relations:
+            swapped = [((t.right, t.left), t.coeff) for t in rel.terms]
+            top = max(float(abs(cf)) for _, cf in swapped)
+            if top < 1e-250:
+                return f"relation (mu={rel.mu}, k={rel.k}) has no usable leading coefficient"
+            kept = sorted(((w, cf) for w, cf in swapped
+                           if float(abs(cf)) >= presentation.COEFF_PRUNE_REL * top), reverse=True,
+                          key=lambda item: item[0])
+            out.append([(w, 1 if i == 0 else (cf / kept[0][1])._mpc_)
+                        for i, (w, cf) in enumerate(kept)])
+    return out
+
+
+def test_monic_ordered_takes_at_most_two_exact_magnitudes_per_relation(monkeypatch):
+    # float(abs(c)) twice per term, for the largest and for the floor, is 710 calls
+    p = relations(validate((7, -2, 11, -3)), 0.2 + 1.1j, dps=40)
+    calls = []
+    exact = mp.mpc.__abs__
+    monkeypatch.setattr(mp.mpc, "__abs__", lambda self: calls.append(self) or exact(self))
+    terms = _monic_terms(p)
+    monkeypatch.undo()
+    assert sum(map(len, terms)) == 355
+    assert len(calls) <= 2 * len(p.relations) == 154
+    assert terms == _ref_monic_terms(p)
+
+
+def _planted_presentation(rows):
+    """A raw dps-40 presentation of trace 3 with one relation per row of coefficients."""
+    rels = tuple(Relation(mu=1, k=k, terms=tuple(RelationTerm(j, j, cf) for j, cf in enumerate(row, 1)))
+                 for k, row in enumerate(rows, 1))
+    return Presentation(rm=canonical_g(3), tau=2j, normalization="raw", relations=rels, dps=40)
+
+
+def test_planted_monic_magnitudes_at_the_floor_the_top_and_the_lead_guard_decide_as_at_dps():
+    ulp = mp.mpf(2) ** -53
+    with mp.workdps(40):
+        rows = []
+        for turn, other in zip(_turns(24), _turns(24)[5:] + _turns(24)[:5]):
+            for j in range(-3, 4):
+                tops = (turn * (1 + j * ulp), other * (1 - j * ulp))  # tied to a few ulps
+                floor = presentation.COEFF_PRUNE_REL * max(float(abs(x)) for x in tops)
+                rows.append([*tops, *(floor * (1 + i * ulp) * other for i in range(-3, 4))])
+        # again with the largest magnitudes near 1.6e-249, just above the lead guard
+        rows += [[x * mp.mpf(2) ** -827 for x in row] for row in rows]
+        p = _planted_presentation(rows)
+        assert _monic_terms(p) == _ref_monic_terms(p)
+        # the magnitudes _magnitude gives alone decide some of them otherwise
+        def kept(mags):
+            return [m >= presentation.COEFF_PRUNE_REL * max(mags) for m in mags]
+        assert any(kept([float(abs(x)) for x in row]) != kept(list(map(presentation._magnitude, row)))
+                   for row in rows)
+        # a relation whose largest coefficient sits a few ulps from the lead guard
+        guards = [_planted_presentation([[1e-250 * (1 + j * ulp) * turn, 1e-260 * turn]])
+                  for turn in _turns(4) for j in range(-3, 4)]
+        errors = [_monic_terms(q) for q in guards]
+        assert errors == [_ref_monic_terms(q) for q in guards]
+        assert {type(e) for e in errors} == {str, list}
 
 
 def _one_vector_blocks(block, vectors):
