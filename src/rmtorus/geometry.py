@@ -11,6 +11,7 @@ including a seeded alternating-least-squares search for such pairs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -40,6 +41,10 @@ __all__ = [
 
 #: Relative threshold below which expanded minor coefficients are discarded.
 MINOR_PRUNE_REL = 1e-12
+
+#: How many sparsity patterns keep their expansion plan (:func:`_plan`).  A
+#: walk in tau along one trace reads one pattern.
+_PLANS = 4
 
 #: Default cap on the number of minors.  It admits the canonical traces 3 and
 #: 4 (252 and 924 minors; about 8 MB of ``geom`` JSON at trace 4) and stops
@@ -162,48 +167,28 @@ def omega_matrix(p: Presentation) -> LinearFormMatrix:
 _PADDED_INT_PRODUCT = math.isnan((1 * complex(0.0, math.inf)).real)
 
 
-def _sparse_rows(m: LinearFormMatrix) -> list[tuple[np.ndarray, ...]]:
-    """Per row, its nonzero entries in column order as arrays (bit, above, re, im, step).
+def _pattern(m: LinearFormMatrix) -> tuple[tuple, np.ndarray]:
+    """The sparsity pattern of ``m`` and the scalars of its nonzero entries, in pattern order.
 
-    ``bit`` marks the column in a used-column mask and ``above`` every column
-    right of it, so the transpositions a column adds to the permutation are
-    the parity of ``used & above``.  ``re`` and ``im`` are the scalar's
-    parts.  ``step`` adds one to the variable's digit of the exponent code:
-    base c+1, variable 1 most significant, so the codes order like the
-    exponent tuples.
+    The pattern is (c, n, per row the ``(col, var)`` pairs of its nonzero
+    entries), all of the matrix that an expansion plan reads.  A row whose
+    length is not c, or an entry whose variable index is not an ``int`` in
+    1..c (``bool`` excluded), raises :class:`DomainError`.
     """
     c = m.n_vars
-    full = (1 << c) - 1
-    out = []
-    for row in m.entries:
-        cols = [(col, complex(cf), var) for col, (cf, var) in enumerate(row) if cf != 0]
-        out.append((
-            np.array([1 << col for col, _, _ in cols], dtype=np.int64),
-            np.array([full & ~((2 << col) - 1) for col, _, _ in cols], dtype=np.int64),
-            np.array([cf.real for _, cf, _ in cols], dtype=float),
-            np.array([cf.imag for _, cf, _ in cols], dtype=float),
-            np.array([(c + 1) ** (c - var) for _, _, var in cols], dtype=np.int64),
-        ))
-    return out
-
-
-def _cross(states, below: int, row, parity: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The states of the prefixes numbered below ``below``, extended by a row's entries.
-
-    ``states`` holds per state its prefix (nondecreasing), used-column mask,
-    exponent code, parity and scalar parts.  The new states come in
-    expansion order, parent first, then column.  The scalar is
-    ``scalar * cf`` as Python forms it, each part from separate products:
-    numpy's complex product fuses them and differs in the last bit.
-    """
-    prefix, used, code, odd, re, im = states
-    bit, above, cf_re, cf_im, step = row
-    parent, entry = np.nonzero((used[: np.searchsorted(prefix, below), None] & bit) == 0)
-    was = used[parent]
-    sr, si = re[parent], im[parent]
-    cr, ci = cf_re[entry], cf_im[entry]
-    return (prefix[parent], was | bit[entry], code[parent] + step[entry],
-            odd[parent] ^ parity[was & above[entry]], sr * cr - si * ci, sr * ci + si * cr)
+    rows, scalars = [], []
+    for i, row in enumerate(m.entries, 1):
+        if len(row) != c:
+            raise DomainError(f"row {i}: {len(row)} entries, expected {c}")
+        pairs = []
+        for col, (cf, var) in enumerate(row):
+            if not _is_int(var) or not 1 <= var <= c:
+                raise DomainError(f"row {i}: variable index {var!r} is not an integer in 1..{c}")
+            if cf != 0:
+                pairs.append((col, var))
+                scalars.append(complex(cf))
+        rows.append(tuple(pairs))
+    return (c, m.n_rows, tuple(rows)), np.array(scalars, dtype=complex)
 
 
 def _row_scale(i: int, row) -> float:
@@ -214,24 +199,249 @@ def _row_scale(i: int, row) -> float:
         raise DomainError(f"row {i}: an entry's modulus exceeds the double range") from None
 
 
+class _Layout:
+    """Every minor's row subset (1-based) and the exponent tuples, and the writer's texts."""
+
+    def __init__(self, rows, exponents) -> None:
+        self.rows = tuple(rows)
+        self.exponents = tuple(exponents)
+
+    @functools.cached_property
+    def openings(self) -> tuple[str, ...]:
+        """Each minor's text up to its monomials, a later one led by the comma between them."""
+        return tuple(
+            f"{',' if k else ''}\n    {{\n      \"rows\": "
+            f"{_ints_text(subset, '      ')},\n      \"monomials\": "
+            for k, subset in enumerate(self.rows)
+        )
+
+    @functools.cached_property
+    def templates(self) -> np.ndarray:
+        """Per exponent tuple its monomial's text up to the real part; then each led by ``,\\n``."""
+        texts = [_template(exps) for exps in self.exponents]
+        table = np.array(texts + [",\n" + text for text in texts], dtype=object)
+        table.flags.writeable = False
+        return table
+
+
 class _MinorColumns(NamedTuple):
     """The kept monomials of a sequence of minors, one entry per monomial in each array.
 
-    ``rows`` holds every minor's row subset (1-based) and ``exponents`` the
-    distinct exponent tuples.  Monomial i belongs to minor ``minor[i]``, has
-    the exponents ``exponents[code[i]]`` and the coefficient
-    ``complex(re[i], im[i])``.  The monomials run in minor order, so each
-    minor's are one slice; a minor with no monomials has an empty slice.
-    Read as coordinates, the arrays are the sparse minors x monomials
-    coefficient matrix.
+    ``layout`` holds every minor's row subset and the exponent tuples, which
+    :attr:`rows` and :attr:`exponents` hand out as new lists.  Monomial i
+    belongs to minor ``minor[i]``, has the exponents ``exponents[code[i]]``
+    and the coefficient ``complex(re[i], im[i])``.  The monomials run in
+    minor order, so each minor's are one slice; a minor with no monomials
+    has an empty slice.  Read as coordinates, the arrays are the sparse
+    minors x monomials coefficient matrix.
     """
 
-    rows: list[tuple[int, ...]]
-    exponents: list[tuple[int, ...]]
+    layout: _Layout
     minor: np.ndarray
     code: np.ndarray
     re: np.ndarray
     im: np.ndarray
+
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        return list(self.layout.rows)
+
+    @property
+    def exponents(self) -> list[tuple[int, ...]]:
+        return list(self.layout.exponents)
+
+
+def _mapped(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Read-only copies of ``arrays``, all in one anonymous memory map.
+
+    A plan lives as long as its cache entry.  Allocated in the malloc heap
+    among the temporaries of its build, its arrays would keep the freed
+    temporaries below them resident: in 20-s runs of the ``geom`` benchmark
+    at seed 4, peak RSS read 64.6 MB twice with the arrays in the heap and
+    58.6 MB twice with them mapped, the code otherwise the same.
+    """
+    import mmap  # here, not at import: only a plan build needs it
+
+    sizes = [-(-a.nbytes // 8) * 8 for a in arrays]  # each view 8-byte aligned
+    buffer = np.frombuffer(mmap.mmap(-1, max(sum(sizes), 1)), dtype=np.uint8)
+    out, start = [], 0
+    for array, size in zip(arrays, sizes):
+        view = buffer[start : start + array.nbytes].view(array.dtype).reshape(array.shape)
+        view[...] = array
+        view.flags.writeable = False
+        out.append(view)
+        start += size
+    return out
+
+
+#: States or terms per numpy pass of :meth:`_Plan.columns`; it bounds the
+#: temporaries of a pass to about 1 MB.
+_CHUNK = 1 << 14
+
+
+def _extended(re, im, cf_re, cf_im, parent, entry) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's product: its parent's times its entry's scalar, part by part."""
+    out_re, out_im = np.empty(len(parent)), np.empty(len(parent))
+    for lo in range(0, len(parent), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        sr, si = re[parent[part]], im[parent[part]]
+        cr, ci = cf_re[entry[part]], cf_im[entry[part]]
+        out_re[part] = sr * cr - si * ci
+        out_im[part] = sr * ci + si * cr
+    return out_re, out_im
+
+
+class _Plan:
+    """The value-free part of the expansion of every c x c minor of one sparsity pattern.
+
+    ``steps`` holds per row prefix length 1..c-1, and then for the last row,
+    the (parent, entry) of every partial expansion: the state it extends and
+    the nonzero entry (numbered in row, then column order) it multiplies in.
+    Each last-row term has its permutation's parity (``odd``) and its
+    monomial (``bucket``).  The monomials run per last row, ascending by
+    (prefix, exponent code); a run is one minor's, its ``first`` monomial,
+    the monomial its first term ``inserted``, its ``size``, its subset's
+    lexicographic ``rank`` and rows (``run_rows``, 0-based).  ``order`` is the
+    stable sort of the monomials by rank and ``code`` each monomial's index
+    in ``layout.exponents``, every exponent tuple the expansion reaches.
+    The arrays are read-only and share one memory map (:func:`_mapped`).
+    """
+
+    def __init__(self, pattern) -> None:
+        c, n, rows = pattern
+        width = (c + 1) ** c
+        full = (1 << c) - 1
+        entries = [(col, var) for row in rows for col, var in row]
+        start = np.cumsum([0] + [len(row) for row in rows]).tolist()
+        # an entry's column bit, every column right of it, and the step it
+        # adds to the exponent code (base c+1, variable 1 most significant,
+        # so the codes order like the exponent tuples)
+        bit = np.array([1 << col for col, _ in entries], dtype=np.int64)
+        above = np.array([full & ~((2 << col) - 1) for col, _ in entries], dtype=np.int64)
+        step = np.array([(c + 1) ** (c - var) for _, var in entries], dtype=np.int64)
+        small = np.min_scalar_type(max(len(entries) - 1, 0))
+        parity = np.zeros(1 << c, dtype=bool)
+        for i in range(c):
+            parity[1 << i : 2 << i] = ~parity[: 1 << i]
+        # the states of every row prefix of one length; prefixes in order of
+        # their last row, so those ending below a row, and their states, lead
+        prefixes, last = [()], np.array([-1])
+        prefix = used = code = np.zeros(1, dtype=np.int64)
+        odd = np.zeros(1, dtype=bool)
+
+        def extend(below: int, r: int):
+            """The states of the prefixes numbered below ``below``, extended by row r's entries."""
+            parent, entry = np.nonzero(
+                (used[: np.searchsorted(prefix, below), None] & bit[start[r] : start[r + 1]]) == 0)
+            entry += start[r]
+            was = used[parent]
+            return (parent.astype(np.int32), entry.astype(small), prefix[parent], was | bit[entry],
+                    code[parent] + step[entry], odd[parent] ^ parity[was & above[entry]])
+
+        steps = []
+        for length in range(1, c):
+            longer, ends, pieces = [], [], []
+            for r in range(length - 1, n - c + length):
+                below = int(np.searchsorted(last, r))
+                parent, entry, owner, *rest = extend(below, r)
+                pieces.append((parent, entry, owner + len(longer), *rest))
+                longer += [p + (r,) for p in prefixes[:below]]
+                ends.append(np.full(below, r))
+            prefixes, last = longer, np.concatenate(ends)
+            parent, entry, prefix, used, code, odd = map(np.concatenate, zip(*pieces))
+            steps += [parent, entry]
+        subsets = list(itertools.combinations(range(n), c))
+        rank = {subset: i for i, subset in enumerate(subsets)}
+        pieces, buckets = [], 0
+        for r in range(c - 1, n):
+            parent, entry, owner, _, code_r, odd_r = extend(int(np.searchsorted(last, r)), r)
+            if not len(parent):
+                continue
+            keys, inverse = np.unique(owner * width + code_r, return_inverse=True)
+            run_owner, keys = np.divmod(keys, width)
+            first = np.flatnonzero(np.r_[True, run_owner[1:] != run_owner[:-1]])
+            # a prefix's terms are one run too, in insertion order
+            inserted = inverse[np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])]
+            ranks = [rank[prefixes[p] + (r,)] for p in run_owner[first].tolist()]
+            pieces.append((parent, entry, odd_r, (inverse + buckets).astype(np.int32),
+                           first + buckets, inserted + buckets, ranks, keys))
+            buckets += len(keys)
+        if not pieces:  # no row subset has a permutation
+            empty = np.zeros(0, dtype=np.int32)
+            pieces.append((empty, empty.astype(small), np.zeros(0, dtype=bool), *[empty] * 5))
+        parent, entry, odd, bucket, first, inserted, ranks, keys = map(np.concatenate, zip(*pieces))
+        steps += [parent, entry]
+        size = np.diff(np.r_[first, buckets])
+        codes, index = np.unique(keys, return_inverse=True)
+        arrays = _mapped([
+            *steps, odd, bucket, *(a.astype(np.int32) for a in (first, inserted, size, ranks)),
+            np.array(subsets, dtype=np.int64).reshape(-1, c)[ranks].astype(
+                np.min_scalar_type(max(n - 1, 0))),
+            np.argsort(np.repeat(ranks, size), kind="stable").astype(np.int32),
+            index.astype(np.min_scalar_type(max(len(codes) - 1, 0))),
+        ])
+        self.steps = tuple(zip(arrays[: len(steps) : 2], arrays[1 : len(steps) : 2]))
+        (self.odd, self.bucket, self.first, self.inserted, self.size, self.rank, self.run_rows,
+         self.order, self.code) = arrays[len(steps) :]
+        digits = (c + 1) ** np.arange(c - 1, -1, -1)
+        self.layout = _Layout(
+            (tuple(i + 1 for i in subset) for subset in subsets),
+            map(tuple, (codes[:, None] // digits % (c + 1)).tolist()),
+        )
+
+    def columns(self, scalars: np.ndarray, row_scales: list[float]) -> _MinorColumns:
+        """The kept monomials of the minors whose nonzero entries are ``scalars``.
+
+        Every term is ``sign * (((1.0 * cf_0) * cf_1) * ...)``, its products
+        formed part by part as Python forms them (numpy's complex product
+        fuses them and differs in the last bit), and each monomial sums its
+        terms from 0 in lexicographic permutation order.  A minor's monomials
+        are pruned against its largest one, and a minor whose largest is
+        negligible against the product of its rows' scales keeps none.
+        """
+        cf_re, cf_im = scalars.real, scalars.imag
+        re, im = np.ones(1), np.zeros(1)
+        *levels, (parent, entry) = self.steps
+        for level in levels:
+            re, im = _extended(re, im, cf_re, cf_im, *level)
+        acc_re = np.zeros(len(self.order))
+        acc_im = np.zeros(len(self.order))
+        for lo in range(0, len(parent), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            pr, pi = _extended(re, im, cf_re, cf_im, parent[part], entry[part])
+            # sign * product as Python's int * complex forms it
+            sign = np.where(self.odd[part], -1.0, 1.0)
+            if _PADDED_INT_PRODUCT:
+                pr, pi = sign * pr - 0.0 * pi, sign * pi + 0.0 * pr
+            else:
+                pr, pi = sign * pr, sign * pi
+            # unbuffered, in term order: the reference's sequential sums
+            np.add.at(acc_re, self.bucket[part], pr)
+            np.add.at(acc_im, self.bucket[part], pi)
+        mags = np.hypot(acc_re, acc_im)
+        # Python's max() over insertion order skips a nan unless it comes first
+        top = np.fmax.reduceat(mags, self.first)
+        top[np.isnan(mags[self.inserted])] = np.nan
+        scales = np.array(row_scales)
+        subset_scale = np.ones(len(self.rank))
+        for column in self.run_rows.T:
+            subset_scale = subset_scale * scales[column]
+        live = ~(top <= MINOR_PRUNE_REL * np.maximum(subset_scale, 1e-300))
+        keep = np.repeat(live, self.size) & (mags > MINOR_PRUNE_REL * np.repeat(top, self.size))
+        # the stable sort by rank, restricted to the kept monomials
+        kept = self.order[keep[self.order]]
+        return _MinorColumns(
+            layout=self.layout,
+            minor=np.repeat(self.rank.astype(np.int64), self.size)[kept],
+            code=self.code[kept].astype(np.intp),
+            re=acc_re[kept], im=acc_im[kept],
+        )
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(pattern) -> _Plan:
+    """The expansion plan of a sparsity pattern, kept for the last ``_PLANS`` patterns."""
+    return _Plan(pattern)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as quiet as Python's float arithmetic
@@ -240,112 +450,44 @@ def _minor_columns(m: LinearFormMatrix, cap: int) -> _MinorColumns:
 
     Each minor is the permutation expansion of its determinant, one row at a
     time: the partial expansions of every row prefix are built once, a whole
-    level of prefixes per numpy pass, and the last row is added one row
-    index at a time, so only one slice of the terms is held at once.  Every
-    term is ``sign * (((1.0 * cf_0) * cf_1) * ...)`` and each monomial sums
-    its terms from 0 in lexicographic permutation order, in Python's complex
-    arithmetic to the bit.  Each minor's monomials are pruned relative to its
-    own largest coefficient, and a minor whose largest coefficient is
-    negligible against the row-scale product (a Hadamard-style bound) keeps
-    none.  A last row's piece holds the subsets that end at it; each one's
-    lexicographic rank is looked up once, and a stable sort by rank puts the
-    pieces' monomials in subset order, ascending by exponent tuple within a
-    minor (``exponents`` ascends too).  Monomials are keyed by 64-bit
-    integers, which bounds ``count * (c+1)**c``.  Every check raises before
-    any expansion.
+    level of prefixes per numpy pass.  Which entries each partial expansion
+    multiplies, its permutation's parity and the monomial each term adds
+    to depend on the sparsity pattern alone, so they are a :class:`_Plan`,
+    built once per pattern; a call gathers, multiplies, sums and prunes
+    (:meth:`_Plan.columns`), in Python's complex arithmetic to the bit.
+    Each minor's monomials ascend by exponent tuple (``exponents`` ascends
+    too and holds every exponent tuple of the expansion, kept or not).
+    Monomials are keyed by 64-bit integers, which bounds ``count * (c+1)**c``.
+    Every check raises before a plan is built or read.
     """
     if not _is_int(cap) or cap < 0:
         raise DomainError(f"cap must be a nonnegative integer, got {cap!r}")
     c = m.n_vars
+    if not _is_int(c) or c < 1:
+        raise DomainError(f"n_vars must be a positive integer, got {c!r}")
     n = m.n_rows
     count = math.comb(n, c)
     if count > cap:
         raise CombinatorialCap(
             f"binomial({n}, {c}) = {count} minors exceeds cap {cap}"
         )
-    width = (c + 1) ** c
-    if count * width >= 2**63:
+    if count * (c + 1) ** c >= 2**63:
         raise CombinatorialCap(f"{count} minors of {c} columns exceed 64-bit monomial keys")
+    pattern, scalars = _pattern(m)
     if not count:  # fewer rows than columns
         return _columns_of(())
     row_scales = [_row_scale(i, row) for i, row in enumerate(m.entries, 1)]
-    rows = _sparse_rows(m)
-    parity = np.zeros(1 << c, dtype=bool)
-    for i in range(c):
-        parity[1 << i : 2 << i] = ~parity[: 1 << i]
-    # the states of every row prefix of one length; prefixes in order of
-    # their last row, so those ending below a row, and their states, lead
-    prefixes, last, scale = [()], np.array([-1]), np.array([1.0])
-    states = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
-              np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool), np.ones(1), np.zeros(1))
-    for length in range(1, c):
-        longer, ends, scales, pieces = [], [], [], []
-        for r in range(length - 1, n - c + length):
-            below = int(np.searchsorted(last, r))
-            prefix, *rest = _cross(states, below, rows[r], parity)
-            pieces.append((prefix + len(longer), *rest))
-            longer += [p + (r,) for p in prefixes[:below]]
-            ends.append(np.full(below, r))
-            scales.append(scale[:below] * row_scales[r])
-        prefixes, last, scale = longer, np.concatenate(ends), np.concatenate(scales)
-        states = tuple(map(np.concatenate, zip(*pieces)))
-    subsets = list(itertools.combinations(range(n), c))
-    rank = {subset: i for i, subset in enumerate(subsets)}
-    # per last row: the kept monomials' minor ranks, codes and parts
-    empty = np.zeros(0, dtype=np.int64)
-    pieces = [(empty, empty, np.zeros(0), np.zeros(0))]
-    for r in range(c - 1, n):
-        prefix, _, code, odd, pr, pi = _cross(
-            states, int(np.searchsorted(last, r)), rows[r], parity)
-        if not len(prefix):
-            continue
-        # sign * product as Python's int * complex forms it
-        sign = np.where(odd, -1.0, 1.0)
-        if _PADDED_INT_PRODUCT:
-            tr, ti = sign * pr - 0.0 * pi, sign * pi + 0.0 * pr
-        else:
-            tr, ti = sign * pr, sign * pi
-        keys, inverse = np.unique(prefix * width + code, return_inverse=True)
-        acc_re = np.zeros(len(keys))
-        acc_im = np.zeros(len(keys))
-        # unbuffered, in term order: the reference's sequential sums
-        np.add.at(acc_re, inverse, tr)
-        np.add.at(acc_im, inverse, ti)
-        mags = np.hypot(acc_re, acc_im)
-        owner, code = np.divmod(keys, width)
-        # per prefix: its first monomial and the first one inserted
-        first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-        inserted = inverse[np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]])]
-        # Python's max() over insertion order skips a nan unless it comes first
-        top = np.fmax.reduceat(mags, first)
-        top[np.isnan(mags[inserted])] = np.nan
-        subset_scale = scale[owner[first]] * row_scales[r]
-        live = ~(top <= MINOR_PRUNE_REL * np.maximum(subset_scale, 1e-300))
-        sizes = np.diff(np.r_[first, len(keys)])
-        keep = np.repeat(live, sizes) & (mags > MINOR_PRUNE_REL * np.repeat(top, sizes))
-        kept = np.flatnonzero(keep)
-        if len(kept):
-            ranks = [rank[prefixes[p] + (r,)] for p in owner[first].tolist()]
-            pieces.append((np.repeat(ranks, sizes)[kept], code[kept], acc_re[kept], acc_im[kept]))
-    minor, code, re, im = map(np.concatenate, zip(*pieces))
-    # a subset's monomials are one run of its last row's piece, ascending by code
-    order = np.argsort(minor, kind="stable")
-    codes, code = np.unique(code[order], return_inverse=True)
-    digits = (c + 1) ** np.arange(c - 1, -1, -1)
-    return _MinorColumns(
-        rows=[tuple(i + 1 for i in subset) for subset in subsets],
-        exponents=list(map(tuple, (codes[:, None] // digits % (c + 1)).tolist())),
-        minor=minor[order], code=code, re=re[order], im=im[order],
-    )
+    return _plan(pattern).columns(scalars, row_scales)
 
 
 def _polys(columns: _MinorColumns) -> tuple[MinorPoly, ...]:
     """The minors of ``columns`` as :class:`MinorPoly` values."""
-    monos = list(zip(map(columns.exponents.__getitem__, columns.code.tolist()),
+    layout = columns.layout
+    monos = list(zip(map(layout.exponents.__getitem__, columns.code.tolist()),
                      map(complex, columns.re.tolist(), columns.im.tolist())))
-    bounds = np.searchsorted(columns.minor, np.arange(len(columns.rows) + 1)).tolist()
+    bounds = np.searchsorted(columns.minor, np.arange(len(layout.rows) + 1)).tolist()
     return tuple(MinorPoly(rows=rows, monomials=tuple(monos[a:b]))
-                 for rows, a, b in zip(columns.rows, bounds, bounds[1:]))
+                 for rows, a, b in zip(layout.rows, bounds, bounds[1:]))
 
 
 def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPoly, ...]:
@@ -355,7 +497,9 @@ def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPol
     ascend by exponent tuple.  The expansion, its pruning and its limits are
     those of ``_minor_columns``; a minor that keeps no monomials is still
     emitted, so the count matches the binomial exactly.  ``cap`` must be a
-    nonnegative ``int`` (``bool`` excluded).
+    nonnegative ``int`` and ``n_vars`` a positive one (``bool`` excluded),
+    and every row must hold ``n_vars`` entries whose variable indices are
+    ``int`` values in 1..``n_vars``; otherwise :class:`DomainError`.
     """
     return _polys(_minor_columns(m, cap))
 
@@ -514,35 +658,35 @@ def _template(exps: tuple[int, ...]) -> str:
     )
 
 
-def _part_texts(parts: np.ndarray) -> list[str]:
-    """Every float of ``parts`` as :mod:`json` writes it, each distinct magnitude formatted once.
+def _part_texts(re: np.ndarray, im: np.ndarray) -> tuple[list[str], list[str]]:
+    """Every float of ``re`` and of ``im`` as :mod:`json` writes it, each distinct magnitude once.
 
     A magnitude is a part's bit pattern with the sign bit cleared.
     ``repr(-x)`` is ``"-" + repr(x)`` for every double but a NaN, ±0.0 and
     ±inf included, so a negative part is written as ``"-"`` and its
-    magnitude's text; a NaN writes ``NaN`` whatever its sign.
+    magnitude's text; a NaN writes ``NaN`` whatever its sign.  The two
+    lists are made one after the other, so one part's object array is
+    held at a time.
     """
+    parts = np.concatenate([re, im])
     mags, inverse = np.unique(parts.view(np.uint64) & np.uint64(2**63 - 1), return_inverse=True)
     texts = list(map(_float_text, mags.view(float).tolist()))
     table = np.array(texts + ["-" + text for text in texts], dtype=object)
-    negative = np.signbit(parts) & ~np.isnan(parts)
-    return table[inverse + len(texts) * negative].tolist()
+    index = inverse + len(texts) * (np.signbit(parts) & ~np.isnan(parts))
+    return table[index[: len(re)]].tolist(), table[index[len(re) :]].tolist()
 
 
-def _minor_texts(lead: str, rows, bounds: list[int], templates: list[str],
+def _minor_texts(lead: str, openings, bounds: list[int], templates: list[str],
                  re: list[str], im: list[str]) -> Iterator[str]:
     """The document's chunks: ``lead`` and the list's opening, one per minor, the close.
 
-    Minor k's monomials are ``bounds[k]:bounds[k + 1]`` of ``templates``
-    (each monomial's text up to its real part, a later one in its minor led
-    by the ``,\\n`` between them) and of the part texts ``re`` and ``im``.
+    Minor k opens with ``openings[k]`` (:attr:`_Layout.openings`) and its
+    monomials are ``bounds[k]:bounds[k + 1]`` of ``templates`` (each
+    monomial's text up to its real part, a later one in its minor led by the
+    ``,\\n`` between them) and of the part texts ``re`` and ``im``.
     """
     yield lead + "["
-    sep = ""
-    for subset, a, b in zip(rows, bounds, bounds[1:]):
-        opening = (f"{sep}\n    {{\n      \"rows\": "
-                   f"{_ints_text(subset, '      ')},\n      \"monomials\": ")
-        sep = ","
+    for opening, a, b in zip(openings, bounds, bounds[1:]):
         if a == b:
             yield opening + "[]\n    }"
             continue
@@ -563,17 +707,16 @@ def _minor_chunks(head: dict, columns: _MinorColumns) -> Iterator[str]:
     so whatever raises does so before a caller opens its file.
     """
     lead = _head_text(head) + '  "minors": '
-    if not columns.rows:
+    layout = columns.layout
+    if not layout.rows:
         return iter([lead + "[]\n}"])
     minor = columns.minor
     later = np.diff(minor, prepend=-1) == 0
-    templates = [_template(exps) for exps in columns.exponents]
-    table = np.array(templates + [",\n" + text for text in templates], dtype=object)
-    texts = _part_texts(np.concatenate([columns.re, columns.im]))
-    bounds = np.searchsorted(minor, np.arange(len(columns.rows) + 1)).tolist()
-    return _minor_texts(lead, columns.rows, bounds,
-                        table[columns.code + len(templates) * later].tolist(),
-                        texts[:len(minor)], texts[len(minor):])
+    re, im = _part_texts(columns.re, columns.im)
+    bounds = np.searchsorted(minor, np.arange(len(layout.rows) + 1)).tolist()
+    return _minor_texts(lead, layout.openings, bounds,
+                        layout.templates[columns.code + len(layout.exponents) * later].tolist(),
+                        re, im)
 
 
 def _columns_of(minors) -> _MinorColumns:
@@ -584,8 +727,7 @@ def _columns_of(minors) -> _MinorColumns:
     code = np.array([codes.setdefault(exps, len(codes)) for exps, _ in monos], dtype=np.int64)
     parts = np.array([cf for _, cf in monos], dtype=complex)
     return _MinorColumns(
-        rows=[poly.rows for poly in minors],
-        exponents=list(codes),
+        layout=_Layout((poly.rows for poly in minors), codes),
         minor=np.repeat(np.arange(len(minors)), [len(poly.monomials) for poly in minors]),
         code=code, re=parts.real, im=parts.imag,
     )

@@ -492,11 +492,11 @@ class _Chain:
     Characteristics and phases propagate through the word exactly (rational
     arithmetic); only the final series and the shared square-root factor are
     floating point.  The kernel table of the target characteristics is built
-    once, here.
+    once, here.  Build a chain through :func:`_chain`, which keeps it.
     """
 
     def __init__(self, gamma: tuple[int, int, int, int], chars) -> None:
-        self.steps = _sl2_word(*gamma)
+        self.steps = tuple(_sl2_word(*gamma))
         exact = []
         for r, s in chars:
             r, s = Fraction(r), Fraction(s)
@@ -512,9 +512,10 @@ class _Chain:
                 else:  # total negation
                     r, s = -r, -s
             exact.append((const % 2, r, s))
-        self.exact = exact
+        self.exact = tuple(exact)
         self.table = _kernel_table([(r, s) for _, r, s in exact])
         self.phases = np.array([unit_phase(c) for c, _, _ in exact], dtype=complex)
+        self.phases.flags.writeable = False
 
     def root(self, u, sqrt):
         """Product of sqrt factors collected by the S steps, evaluated at u = w.
@@ -544,6 +545,17 @@ class _Chain:
         phases = [_unit_phase_mp(c) for c, _, _ in self.exact]
         roots = [self.root(w, mp.sqrt) for w in ws]
         return np.array([[p * root for p in phases] for root in roots], dtype=object) * thetas
+
+
+#: How many exact chains :func:`_chain` keeps.  A warm ``modular`` pass of
+#: the benchmark reads 12 (4 level-24 points and 8 geodesic-leg chains).
+_CHAINS = 64
+
+
+@functools.lru_cache(maxsize=_CHAINS)
+def _chain(gamma: tuple[int, int, int, int], chars: tuple) -> _Chain:
+    """The chain of ``gamma`` for the characteristics ``chars`` (a tuple of pairs), kept."""
+    return _Chain(gamma, chars)
 
 
 def _reduce(w):
@@ -620,11 +632,13 @@ class _LevelThetas:
 
     ``pulled`` evaluates at tau = A(sigma) for a cusp's matrix A through the
     exact chain of the level-point splitting; a chain depends on the cusp
-    alone, so it is built once per cusp and kept.  ``at`` evaluates at one
-    tau after reducing l tau to the fundamental domain, so the series runs
-    at Im >= sqrt(3)/2 however low tau is.  Both return one row per point
-    and one column per characteristic; with ``dps`` the caller sets the
-    mpmath working precision.  Nothing that depends on tau is kept.
+    alone, so it is looked up once per cusp and kept here.  ``at`` evaluates
+    at one tau after reducing l tau to the fundamental domain, so the series
+    runs at Im >= sqrt(3)/2 however low tau is.  Both return one row per
+    point and one column per characteristic; with ``dps`` the caller sets
+    the mpmath working precision.  Chains come from :func:`_chain`, so
+    handles of the same characteristics share them; besides a reduction
+    word's chain, nothing that depends on tau is kept.
 
     The relation blocks of level l all read from one instance,
     :func:`_level_thetas`, whose characteristics are the l level
@@ -633,14 +647,14 @@ class _LevelThetas:
 
     def __init__(self, level: int, chars) -> None:
         self.level = level
-        self.chars = list(chars)
+        self.chars = tuple(map(tuple, chars))
         self._cache: dict[Cusp, tuple[_PulledLevelPoint, _Chain]] = {}
 
     def pulled(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
         hit = self._cache.get(cusp)
         if hit is None:
             split = _PulledLevelPoint(self.level, cusp)
-            hit = self._cache[cusp] = (split, _Chain(split.gamma1, self.chars))
+            hit = self._cache[cusp] = (split, _chain(split.gamma1, self.chars))
         split, chain = hit
         if dps is None:
             return chain.eval_all(split.w(np.asarray(sigmas, dtype=complex)))
@@ -652,7 +666,7 @@ class _LevelThetas:
         if not point.imag > 0:
             raise DomainError(f"point {tau} is not in the upper half-plane")
         gamma, w = _reduce(self.level * point)
-        return _Chain(gamma, self.chars).eval_all([w], dps)
+        return _chain(gamma, self.chars).eval_all([w], dps)
 
 
 @functools.cache

@@ -291,6 +291,125 @@ def test_entry_modulus_past_double_range_is_a_domain_error():
         minor_equations(matrix)
 
 
+def _matrix(rows, n_vars=2):
+    return LinearFormMatrix(labels=tuple((i + 1, 1) for i in range(len(rows))),
+                            entries=tuple(rows), n_vars=n_vars)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((((1, 0), (1, 2)), ((2, 1), (1j, 2))), r"row 1: variable index 0 is not an integer in 1\.\.2"),
+    ((((1, 3), (1, 2)), ((2, 1), (1j, 2))), r"row 1: variable index 3 is not an integer in 1\.\.2"),
+    ((((0, 5), (1, 2)), ((2, 1), (1j, 2))), r"row 1: variable index 5 is not"),
+    ((((1, 1), (2, 2)), ((2, True), (1j, 2))), r"row 2: variable index True is not"),
+    ((((1, 1), (2, 2)), ((2, 1.0), (1j, 2))), r"row 2: variable index 1\.0 is not"),
+    ((((1, 1), (2, 2), (3, 1)), ((4, 2), (5, 1), (6, 2))), r"row 1: 3 entries, expected 2"),
+    ((((1, 1), (2, 2)), ((4, 2),)), r"row 2: 1 entries, expected 2"),
+])
+def test_rows_are_checked_before_any_expansion(rows, message):
+    # a zero entry's variable is checked too: the pattern reads every row
+    before = geometry._plan.cache_info()
+    with pytest.raises(DomainError, match=message):
+        minor_equations(_matrix(rows))
+    assert geometry._plan.cache_info() == before
+
+
+@pytest.mark.parametrize("n_vars", [0, -1, 2.0, True])
+def test_variable_count_must_be_a_positive_int(n_vars):
+    # 0 gave one empty minor, where the 0 x 0 determinant is 1
+    with pytest.raises(DomainError, match="n_vars must be a positive integer"):
+        minor_equations(_matrix([(), ()], n_vars))
+
+
+def _trace_matrix(trace, tau):
+    return omega_matrix(relations(canonical_g(trace), tau))
+
+
+def test_one_trace_reads_one_plan_at_every_tau():
+    geometry._plan.cache_clear()
+    for tau in TAUS:
+        minor_equations(_trace_matrix(3, tau))
+    info = geometry._plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(TAUS) - 1, 1)
+    assert info.maxsize == geometry._PLANS
+
+
+def test_a_new_pattern_misses_and_matches_the_reference():
+    matrix = _trace_matrix(3, 0.3 + 1.5j)
+    minor_equations(matrix)
+    before = geometry._plan.cache_info()
+    # the same shape with one nonzero entry of row 2 zeroed
+    row = list(matrix.entries[1])
+    col = next(j for j, (cf, _) in enumerate(row) if cf != 0)
+    row[col] = (complex(0.0), row[col][1])
+    zeroed = LinearFormMatrix(labels=matrix.labels, n_vars=matrix.n_vars,
+                              entries=(matrix.entries[0], tuple(row), *matrix.entries[2:]))
+    assert _bits(minor_equations(zeroed)) == _bits(_reference_minors(zeroed))
+    after = geometry._plan.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits)
+    assert _bits(minor_equations(matrix)) == _bits(_reference_minors(matrix))
+
+
+def _column_bits(columns):
+    return (columns.rows, columns.exponents, columns.minor.tolist(), columns.code.tolist(),
+            columns.re.view(np.uint64).tolist(), columns.im.view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("trace", [3, 4])
+def test_cold_and_warm_calls_give_the_same_bits(trace):
+    matrix = _trace_matrix(trace, -0.2 + 0.9j)
+    geometry._plan.cache_clear()
+    cold = geometry._minor_columns(matrix, 1000)
+    warm = geometry._minor_columns(matrix, 1000)
+    info = geometry._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert _column_bits(cold) == _column_bits(warm)
+    assert cold.minor.dtype == warm.minor.dtype == np.int64
+
+
+def test_refusals_leave_the_plan_cache_alone(rm5):
+    matrix = omega_matrix(relations(rm5, TAU))
+    minor_equations(matrix, cap=1000)
+    before = geometry._plan.cache_info()
+    with pytest.raises(CombinatorialCap):
+        minor_equations(matrix, cap=100)
+    for cap in (-1, True):
+        with pytest.raises(DomainError):
+            minor_equations(matrix, cap=cap)
+    huge = _matrix([[(complex(1.5e308, 1.5e308), 1), (1.0, 2)], [(1.0, 1), (2j, 2)]])
+    with pytest.raises(DomainError, match="row 1:"):
+        minor_equations(huge)
+    assert geometry._plan.cache_info() == before
+
+
+def test_mutating_returned_columns_leaves_the_plan_alone():
+    matrix = _trace_matrix(3, 2j)
+    first = geometry._minor_columns(matrix, 1000)
+    expected = _column_bits(first)
+    rows, exponents = first.rows, first.exponents
+    rows[0] = (0,)
+    rows.append((9, 9))
+    exponents.reverse()
+    first.minor[:] = 0
+    first.re[:] = 1.0
+    assert _column_bits(geometry._minor_columns(matrix, 1000)) == expected
+    plan = geometry._plan(geometry._pattern(matrix)[0])
+    with pytest.raises(ValueError, match="read-only"):
+        plan.order[0] = 1
+    with pytest.raises(TypeError):
+        plan.layout.rows[0] = (0,)
+
+
+def test_trace_4_plan_stays_inside_its_memory_budget():
+    # int32 state, parent and monomial indices, uint8 entry indices, per-run
+    # ranks and sizes: 1.34 MB on trace 4, 0.15 MB on trace 3
+    for trace, budget in ((3, 200_000), (4, 1_500_000)):
+        plan = geometry._plan(geometry._pattern(_trace_matrix(trace, 2j))[0])
+        arrays = [*itertools.chain.from_iterable(plan.steps),
+                  *(a for a in vars(plan).values() if isinstance(a, np.ndarray))]
+        assert len(arrays) == 2 * len(plan.steps) + 9
+        assert sum(a.nbytes for a in arrays) < budget
+
+
 def test_combinatorial_cap(rm5):
     matrix = omega_matrix(relations(rm5, TAU))
     with pytest.raises(CombinatorialCap):

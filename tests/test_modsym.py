@@ -380,6 +380,7 @@ def test_coefficient_handles_match_relation_values(rm6):
 def test_coefficient_handles_share_one_chain_per_cusp(rm6, monkeypatch):
     modsym._pivots.cache_clear()
     modsym._level_thetas.cache_clear()
+    modsym._chain.cache_clear()
     handles = coefficient_handles(rm6, 1, 1)
     built = []
     original = modsym._Chain.__init__
@@ -433,6 +434,37 @@ def test_relation_index_outside_the_free_columns(rm6):
             coefficient_handles(rm6, 1, k)
         with pytest.raises(DomainError, match="must be an integer"):
             relation_values(rm6, 1, k, 2j)
+
+
+def test_single_points_and_new_product_handles_reuse_their_chains(monkeypatch):
+    # relation_values and every new ThetaProductHandle read the exact chains
+    # through one bounded cache keyed on (gamma, characteristics); a kept
+    # chain gives the bits of a freshly built one
+    rm = canonical_g(4)
+    chars = (Fraction(1, 24), Fraction(5, 24), Fraction(7, 24), Fraction(11, 24))
+    tau, cusp, sigmas = 0.03 + 0.02j, Cusp(1, 5), [0.1 + 2j, -0.3 + 5j]
+    built = []
+    original = modsym._Chain.__init__
+
+    def counting(self, gamma, chars):
+        built.append(gamma)
+        original(self, gamma, chars)
+
+    def values():
+        handle = ThetaProductHandle(24, chars)
+        return (repr(relation_values(rm, 2, 1, tau)),
+                [v._mpc_ for v in relation_values(rm, 2, 1, tau, dps=30).values()],
+                repr(handle.value(tau)), repr(handle.pulled_value(cusp, sigmas).tolist()))
+
+    monkeypatch.setattr(modsym._Chain, "__init__", counting)
+    modsym._chain.cache_clear()
+    first = values()
+    # the level row's at the point (both precisions), the product's at the point and at the cusp
+    assert len(built) == 3
+    for _ in range(2):
+        assert values() == first
+    assert len(built) == 3
+    assert modsym._chain.cache_info().maxsize == modsym._CHAINS
 
 
 def test_relation_values_select_pivots_once_per_block_and_precision(monkeypatch):
@@ -537,6 +569,7 @@ def test_averaged_relations_build_one_chain_per_level_and_cusp(rm6, monkeypatch)
     # so a second run builds no chain and gives the same bits.
     modsym._pivots.cache_clear()
     modsym._level_thetas.cache_clear()
+    modsym._chain.cache_clear()
     built = []
     original = modsym._Chain.__init__
 
