@@ -47,7 +47,7 @@ from .geometry import (
     BiformRelation,
     GraphSearchResult,
     LinearFormMatrix,
-    MinorPoly,
+    MinorColumns,
     graph_member,
     graph_point_search,
     minor_equations,
@@ -151,7 +151,7 @@ __all__ = [
     "integrate_geodesic", "averaged_relations", "averaged_json",
     "coefficient_handles", "relation_values",
     # geometry
-    "BiformRelation", "LinearFormMatrix", "MinorPoly", "GraphSearchResult",
+    "BiformRelation", "LinearFormMatrix", "MinorColumns", "GraphSearchResult",
     "multilinearize", "omega_matrix", "minor_equations", "graph_member",
     "graph_point_search", "minors_json",
 ]

@@ -16,7 +16,6 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .theta import _is_int
 __all__ = [
     "BiformRelation",
     "LinearFormMatrix",
-    "MinorPoly",
+    "MinorColumns",
     "GraphSearchResult",
     "multilinearize",
     "omega_matrix",
@@ -81,33 +80,6 @@ class LinearFormMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class MinorPoly:
-    """A degree-c homogeneous polynomial from one c-subset of matrix rows.
-
-    ``monomials`` maps exponent multi-indices (length c, entries summing to c)
-    to complex coefficients; an identically-zero minor has no monomials but is
-    still emitted so the count matches the binomial exactly.
-    """
-
-    rows: tuple[int, ...]
-    monomials: tuple[tuple[tuple[int, ...], complex], ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def evaluate(self, x) -> complex:
-        total = complex(0.0)
-        for exps, cf in self.monomials:
-            term = cf
-            for xi, e in zip(x, exps):
-                if e:
-                    term *= xi**e
-            total += term
-        return total
 
 
 def _validated_terms(p: Presentation):
@@ -224,7 +196,8 @@ class _Layout:
         return table
 
 
-class _MinorColumns(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class MinorColumns:
     """The kept monomials of a sequence of minors, one entry per monomial in each array.
 
     ``layout`` holds every minor's row subset and the exponent tuples, which
@@ -233,7 +206,8 @@ class _MinorColumns(NamedTuple):
     and the coefficient ``complex(re[i], im[i])``.  The monomials run in
     minor order, so each minor's are one slice; a minor with no monomials
     has an empty slice.  Read as coordinates, the arrays are the sparse
-    minors x monomials coefficient matrix.
+    minors x monomials coefficient matrix.  ``len()`` is the number of
+    minors, those with no monomials included.
     """
 
     layout: _Layout
@@ -242,6 +216,9 @@ class _MinorColumns(NamedTuple):
     re: np.ndarray
     im: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.layout.rows)
+
     @property
     def rows(self) -> list[tuple[int, ...]]:
         return list(self.layout.rows)
@@ -249,6 +226,19 @@ class _MinorColumns(NamedTuple):
     @property
     def exponents(self) -> list[tuple[int, ...]]:
         return list(self.layout.exponents)
+
+    def evaluate(self, x) -> np.ndarray:
+        """Every minor's value at the point ``x``, as one complex array in minor order."""
+        x = np.asarray(x, dtype=complex)
+        exponents = np.array(self.layout.exponents, dtype=np.int64)
+        if len(exponents) and x.shape != exponents.shape[1:]:
+            raise DomainError(f"point of shape {x.shape}, expected ({exponents.shape[1]},)")
+        terms = self.re + 1j * self.im
+        for xi, column in zip(x, exponents.T):
+            terms = terms * xi ** column[self.code]
+        values = np.zeros(len(self), dtype=complex)
+        np.add.at(values, self.minor, terms)
+        return values
 
 
 def _mapped(arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -389,7 +379,7 @@ class _Plan:
             map(tuple, (codes[:, None] // digits % (c + 1)).tolist()),
         )
 
-    def columns(self, scalars: np.ndarray, row_scales: list[float]) -> _MinorColumns:
+    def columns(self, scalars: np.ndarray, row_scales: list[float]) -> MinorColumns:
         """The kept monomials of the minors whose nonzero entries are ``scalars``.
 
         Every term is ``sign * (((1.0 * cf_0) * cf_1) * ...)``, its products
@@ -430,7 +420,7 @@ class _Plan:
         keep = np.repeat(live, self.size) & (mags > MINOR_PRUNE_REL * np.repeat(top, self.size))
         # the stable sort by rank, restricted to the kept monomials
         kept = self.order[keep[self.order]]
-        return _MinorColumns(
+        return MinorColumns(
             layout=self.layout,
             minor=np.repeat(self.rank.astype(np.int64), self.size)[kept],
             code=self.code[kept].astype(np.intp),
@@ -445,7 +435,7 @@ def _plan(pattern) -> _Plan:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as quiet as Python's float arithmetic
-def _minor_columns(m: LinearFormMatrix, cap: int) -> _MinorColumns:
+def _minor_columns(m: LinearFormMatrix, cap: int) -> MinorColumns:
     """The kept monomials of every c x c minor, as columns in lexicographic subset order.
 
     Each minor is the permutation expansion of its determinant, one row at a
@@ -475,45 +465,57 @@ def _minor_columns(m: LinearFormMatrix, cap: int) -> _MinorColumns:
         raise CombinatorialCap(f"{count} minors of {c} columns exceed 64-bit monomial keys")
     pattern, scalars = _pattern(m)
     if not count:  # fewer rows than columns
-        return _columns_of(())
+        empty = np.zeros(0)
+        return MinorColumns(_Layout((), ()), empty.astype(np.int64), empty.astype(np.intp),
+                            empty, empty)
     row_scales = [_row_scale(i, row) for i, row in enumerate(m.entries, 1)]
     return _plan(pattern).columns(scalars, row_scales)
 
 
-def _polys(columns: _MinorColumns) -> tuple[MinorPoly, ...]:
-    """The minors of ``columns`` as :class:`MinorPoly` values."""
-    layout = columns.layout
-    monos = list(zip(map(layout.exponents.__getitem__, columns.code.tolist()),
-                     map(complex, columns.re.tolist(), columns.im.tolist())))
-    bounds = np.searchsorted(columns.minor, np.arange(len(layout.rows) + 1)).tolist()
-    return tuple(MinorPoly(rows=rows, monomials=tuple(monos[a:b]))
-                 for rows, a, b in zip(layout.rows, bounds, bounds[1:]))
-
-
-def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> tuple[MinorPoly, ...]:
-    """All c x c minors of the linear-form matrix as degree-c polynomials.
+def minor_equations(m: LinearFormMatrix, cap: int = MINOR_CAP) -> MinorColumns:
+    """All c x c minors of the linear-form matrix as degree-c polynomials, as columns.
 
     Row subsets come in lexicographic order and each minor's monomials
     ascend by exponent tuple.  The expansion, its pruning and its limits are
-    those of ``_minor_columns``; a minor that keeps no monomials is still
-    emitted, so the count matches the binomial exactly.  ``cap`` must be a
-    nonnegative ``int`` and ``n_vars`` a positive one (``bool`` excluded),
-    and every row must hold ``n_vars`` entries whose variable indices are
-    ``int`` values in 1..``n_vars``; otherwise :class:`DomainError`.
+    those of ``_minor_columns``; a minor that keeps no monomials still
+    counts, so ``len()`` of the result is the binomial exactly.  ``cap``
+    must be a nonnegative ``int`` and ``n_vars`` a positive one (``bool``
+    excluded), and every row must hold ``n_vars`` entries whose variable
+    indices are ``int`` values in 1..``n_vars``; otherwise
+    :class:`DomainError`.
     """
-    return _polys(_minor_columns(m, cap))
+    # ``geom`` calls ``_minor_columns``, not this: bench/run.py traces this
+    # function and reads its result as per-minor objects with ``.monomials``
+    return _minor_columns(m, cap)
 
 
 def _norm(vec) -> float:
     return float(np.linalg.norm(np.asarray(vec, dtype=complex)))
 
 
+def _largest_slot(rels) -> int:
+    """The largest slot index that a relation of ``rels`` reads, 0 if none."""
+    return max((max(s1, s2) for rel in rels for s1, s2, _ in rel.coefficients), default=0)
+
+
 def graph_member(rels, u, v, tol: float = 1e-6) -> bool:
-    """True iff every bilinear relation vanishes at (u, v) to relative tol."""
+    """True iff every bilinear relation vanishes at (u, v) to relative tol.
+
+    ``u`` and ``v`` must be nonzero finite points of one length, at least
+    the largest slot index of ``rels``; otherwise :class:`DomainError`.
+    """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise DomainError(f"u and v must be points of one length, got shapes "
+                          f"{u.shape} and {v.shape}")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise DomainError("projective points must be finite")
     if _norm(u) == 0.0 or _norm(v) == 0.0:
         raise DomainError("projective points must be nonzero")
+    slot = _largest_slot(rels)
+    if slot > len(u):
+        raise DomainError(f"a relation reads slot {slot} of points of length {len(u)}")
     return _als_residual(rels, [rel.coeff_norm() for rel in rels], u, v) < tol
 
 
@@ -565,13 +567,15 @@ def graph_point_search(
     damped Gauss-Newton stage then polishes the pair.  Several restarts are
     tried and the best pair is returned with its normalized residual — the
     caller decides (e.g. via ``graph_member``) whether that residual counts
-    as a zero.  ``seed`` must be a nonnegative ``int``, and ``attempts``
-    and ``iterations`` positive ones (``bool`` excluded).
+    as a zero.  ``seed`` must be a nonnegative ``int``, ``attempts`` and
+    ``iterations`` positive ones, and ``n_vars`` a positive one no smaller
+    than the largest slot index of ``rels`` (``bool`` excluded).
     """
     if not rels:
         raise DomainError("no relations to solve")
     for name, value, least in (("seed", seed, 0), ("attempts", attempts, 1),
-                               ("iterations", iterations, 1)):
+                               ("iterations", iterations, 1),
+                               ("n_vars", n_vars, max(1, _largest_slot(rels)))):
         if not _is_int(value) or value < least:
             raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     norms = [rel.coeff_norm() for rel in rels]
@@ -627,21 +631,20 @@ def graph_point_search(
     return best
 
 
-def minors_json(minors) -> list:
-    """JSON-ready list of minors: row subsets plus sparse monomial expansions."""
-    return [
-        {
-            "rows": list(poly.rows),
-            "monomials": [
-                {
-                    "exponents": list(exps),
-                    "coeff": _complex_json(cf),
-                }
-                for exps, cf in poly.monomials
-            ],
-        }
-        for poly in minors
+def minors_json(minors: MinorColumns) -> list:
+    """JSON-ready list of minors: row subsets plus sparse monomial expansions.
+
+    One dict per monomial, grouped per minor: the ``json.dumps`` reference
+    that the text of :func:`minors_document` is checked against.
+    """
+    exponents = minors.layout.exponents
+    monomials = [
+        {"exponents": list(exponents[k]), "coeff": _complex_json(complex(re, im))}
+        for k, re, im in zip(minors.code.tolist(), minors.re.tolist(), minors.im.tolist())
     ]
+    bounds = np.searchsorted(minors.minor, np.arange(len(minors) + 1)).tolist()
+    return [{"rows": list(rows), "monomials": monomials[a:b]}
+            for rows, a, b in zip(minors.layout.rows, bounds, bounds[1:])]
 
 
 #: The text of a monomial between its two parts, and after them.
@@ -697,7 +700,7 @@ def _minor_texts(lead: str, openings, bounds: list[int], templates: list[str],
     yield "\n  ]\n}"
 
 
-def _minor_chunks(head: dict, columns: _MinorColumns) -> Iterator[str]:
+def _minor_chunks(head: dict, columns: MinorColumns) -> Iterator[str]:
     """The text of :func:`minors_document` in chunks: the head, then one per minor.
 
     It reads the minors as columns and writes no per-monomial Python value
@@ -719,31 +722,16 @@ def _minor_chunks(head: dict, columns: _MinorColumns) -> Iterator[str]:
                         re, im)
 
 
-def _columns_of(minors) -> _MinorColumns:
-    """:class:`MinorPoly` values gathered into columns, in their order."""
-    minors = tuple(minors)
-    codes: dict[tuple[int, ...], int] = {}
-    monos = [mono for poly in minors for mono in poly.monomials]
-    code = np.array([codes.setdefault(exps, len(codes)) for exps, _ in monos], dtype=np.int64)
-    parts = np.array([cf for _, cf in monos], dtype=complex)
-    return _MinorColumns(
-        layout=_Layout((poly.rows for poly in minors), codes),
-        minor=np.repeat(np.arange(len(minors)), [len(poly.monomials) for poly in minors]),
-        code=code, re=parts.real, im=parts.imag,
-    )
-
-
-def minors_document(head: dict, minors) -> str:
+def minors_document(head: dict, minors: MinorColumns) -> str:
     """``json.dumps({**head, "minors": minors_json(minors)}, indent=2)``, written directly.
 
     With ``indent`` set, :mod:`json` falls back to its pure-Python encoder,
     which spends as long on a trace-4 payload as the expansion does.  The
-    minors have one fixed shape, so they are gathered into columns and
-    written by the ``geom`` writer: each monomial from a template per
-    exponent tuple and the texts of its parts, floats written by
-    ``_float_text`` as :mod:`json` writes them, once per distinct magnitude.
-    The ``head`` fields are written by
+    minors have one fixed shape, so this is the text of the ``geom`` writer:
+    each monomial from a template per exponent tuple and the texts of its
+    parts, floats written by ``_float_text`` as :mod:`json` writes them,
+    once per distinct magnitude.  The ``head`` fields are written by
     :func:`rmtorus.presentation._head_text`, as a presentation's are; every
     ``head`` key must be a ``str`` (another raises :class:`DomainError`).
     """
-    return "".join(_minor_chunks(head, _columns_of(minors)))
+    return "".join(_minor_chunks(head, minors))

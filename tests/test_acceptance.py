@@ -274,9 +274,8 @@ def test_criterion_9_minor_systems_and_graph_membership(rm5, rm6):
         matrix = omega_matrix(relations(rm, TAU))
         minors = minor_equations(matrix, cap=1000)
         assert len(minors) == count
-        for minor in minors:
-            for exps, _ in minor.monomials:
-                assert sum(exps) == c
+        exponents = minors.exponents
+        assert all(sum(exponents[k]) == c for k in minors.code.tolist())
 
     # scaling invariance of graph membership on the example system
     biforms = multilinearize(relations(rm6, TAU))

@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import json
 import math
@@ -14,7 +13,7 @@ from rmtorus.geometry import (
     MINOR_PRUNE_REL,
     BiformRelation,
     LinearFormMatrix,
-    MinorPoly,
+    MinorColumns,
     _minor_chunks,
     graph_member,
     graph_point_search,
@@ -64,6 +63,19 @@ def _expand_minor(rows, c: int) -> dict[tuple[int, ...], complex]:
     return acc
 
 
+def _columns(minors):
+    """The :class:`MinorColumns` of (rows, ((exponents, coeff), ...)) pairs, in their order."""
+    codes = {}
+    monos = [mono for _, monomials in minors for mono in monomials]
+    code = np.array([codes.setdefault(exps, len(codes)) for exps, _ in monos], dtype=np.int64)
+    parts = np.array([cf for _, cf in monos], dtype=complex)
+    return MinorColumns(
+        layout=geometry._Layout((rows for rows, _ in minors), codes),
+        minor=np.repeat(np.arange(len(minors)), [len(monomials) for _, monomials in minors]),
+        code=code, re=parts.real, im=parts.imag,
+    )
+
+
 def _reference_minors(matrix):
     """Every minor by the recursive reference, pruned as minor_equations prunes."""
     c = matrix.n_vars
@@ -78,13 +90,23 @@ def _reference_minors(matrix):
         else:
             monos = tuple(sorted((e, cf) for e, cf in acc.items()
                                  if abs(cf) > MINOR_PRUNE_REL * top))
-        out.append(MinorPoly(rows=tuple(i + 1 for i in subset), monomials=monos))
-    return out
+        out.append((tuple(i + 1 for i in subset), monos))
+    return _columns(out)
 
 
-def _bits(minors):
-    return [(m.rows, [(e, cf.real.hex(), cf.imag.hex()) for e, cf in m.monomials])
-            for m in minors]
+def _bits(columns):
+    """Every minor's rows, and per monomial its minor, exponents and coefficient bits."""
+    exponents = columns.exponents
+    return columns.rows, [
+        (m, exponents[k], re.hex(), im.hex())
+        for m, k, re, im in zip(columns.minor.tolist(), columns.code.tolist(),
+                                columns.re.tolist(), columns.im.tolist())
+    ]
+
+
+def _nonzero_rows(columns):
+    """The rows of each minor that has a monomial."""
+    return [columns.rows[k] for k in sorted(set(columns.minor.tolist()))]
 
 
 def _random_matrix(rng, c, n, zero_row=None):
@@ -178,13 +200,15 @@ def test_minor_counts_and_homogeneity(rm5, rm6):
     for rm, count, c in ((rm5, 252, 5), (rm6, 924, 6)):
         matrix = omega_matrix(relations(rm, TAU))
         minors = minor_equations(matrix, cap=1000)
+        assert isinstance(minors, MinorColumns)
         assert len(minors) == count
-        for minor in minors:
-            assert len(minor.rows) == c
-            assert minor.rows == tuple(sorted(minor.rows))
-            for exps, _ in minor.monomials:
-                assert len(exps) == matrix.n_vars
-                assert sum(exps) == c
+        for rows in minors.rows:
+            assert len(rows) == c
+            assert rows == tuple(sorted(rows))
+        # every monomial's exponents
+        exps = np.array(minors.exponents)[minors.code]
+        assert exps.shape == (len(minors.code), matrix.n_vars)
+        assert (exps.sum(axis=1) == c).all()
 
 
 def test_minor_evaluation_matches_dense_determinant(rm5, rm6):
@@ -194,9 +218,12 @@ def test_minor_evaluation_matches_dense_determinant(rm5, rm6):
         minors = minor_equations(matrix, cap=1000)
         u = rng.standard_normal(matrix.n_vars) + 1j * rng.standard_normal(matrix.n_vars)
         dense = _dense_omega(matrix, u)
-        for minor in minors[::17]:
-            direct = np.linalg.det(dense[[r - 1 for r in minor.rows], :])
-            assert abs(minor.evaluate(tuple(u)) - direct) <= 1e-9 * max(1e-12, abs(direct))
+        direct = np.linalg.det(np.stack([dense[[r - 1 for r in rows], :] for rows in minors.rows]))
+        values = minors.evaluate(tuple(u))
+        assert values.shape == (len(minors),)
+        assert (abs(values - direct) <= 1e-9 * np.maximum(1e-12, abs(direct))).all()
+        with pytest.raises(DomainError, match="point of shape"):
+            minors.evaluate(tuple(u)[1:])
 
 
 @pytest.mark.parametrize("trace", [3, 4])
@@ -215,7 +242,7 @@ def test_minor_expansion_of_random_sparse_matrices_matches_reference():
         assert len(minors) == math.comb(n, c)
         assert _bits(minors) == _bits(_reference_minors(matrix))
         if zero_row is not None:
-            assert all(m.is_zero for m in minors if zero_row + 1 in m.rows)
+            assert all(zero_row + 1 not in rows for rows in _nonzero_rows(minors))
 
 
 def _single_entry_rows(rng, c, n, rows, col):
@@ -249,8 +276,8 @@ def test_minor_expansion_edge_cases_match_reference():
         assert len(minors) == math.comb(matrix.n_rows, matrix.n_vars)
         assert _bits(minors) == _bits(_reference_minors(matrix))
     minors = minor_equations(blocked)
-    assert all(m.is_zero for m in minors if {4, 5} <= set(m.rows))
-    assert not all(m.is_zero for m in minors)
+    assert not any({4, 5} <= set(rows) for rows in _nonzero_rows(minors))
+    assert _nonzero_rows(minors)
 
 
 def test_minor_expansion_of_entries_with_special_parts_matches_reference():
@@ -275,9 +302,8 @@ def test_minor_expansion_of_entries_with_special_parts_matches_reference():
         minors = minor_equations(matrix)
         assert _bits(minors) == _bits(_reference_minors(matrix))
         # a nan or infinite coefficient never passes the pruning
-        coeffs = [cf for m in minors for _, cf in m.monomials]
-        assert all(map(cmath.isfinite, coeffs))
-        kept += len(coeffs)
+        assert np.isfinite(minors.re).all() and np.isfinite(minors.im).all()
+        kept += len(minors.re)
     assert kept > 0
 
 
@@ -443,20 +469,20 @@ def test_minors_document_matches_json_dumps():
             "flags": [True, 2], "pair": {"re": 1, "im": 2.0}, "swapped": {"im": 1.0, "re": 2.0},
             "rows": [], "none": None}
     nan, inf = float("nan"), float("inf")
-    cases = [
+    cases = [_columns(minors) for minors in (
         (),
-        (MinorPoly(rows=(1, 2, 3), monomials=()),),
+        (((1, 2, 3), ()),),
         (
-            MinorPoly(rows=(1, 2), monomials=(((0, 2), complex(-0.0, 1e-300)),
-                                              ((1, 1), complex(1e16, -0.0)),
-                                              ((2, 0), complex(-1.5, 0.1)))),
-            MinorPoly(rows=(1, 3), monomials=()),
-            MinorPoly(rows=(2, 3), monomials=(((1, 1), complex(nan, inf)),
-                                              ((2, 0), complex(-inf, 1.0)))),
+            ((1, 2), (((0, 2), complex(-0.0, 1e-300)),
+                      ((1, 1), complex(1e16, -0.0)),
+                      ((2, 0), complex(-1.5, 0.1)))),
+            ((1, 3), ()),
+            ((2, 3), (((1, 1), complex(nan, inf)),
+                      ((2, 0), complex(-inf, 1.0)))),
         ),
-        (MinorPoly(rows=(1, 2), monomials=(((1, 1), complex(0.5, -inf)),
-                                           ((2, 0), complex(-0.0, nan)))),),
-    ]
+        (((1, 2), (((1, 1), complex(0.5, -inf)),
+                   ((2, 0), complex(-0.0, nan)))),),
+    )]
     for minors in cases:
         for fields in (head, {}):
             assert minors_document(fields, minors) == _document_reference(fields, minors)
@@ -474,18 +500,18 @@ def test_minors_document_writes_each_bit_pattern_as_json_does(monkeypatch):
     # two minors: a cache keyed on float values would write both zeros alike
     nan, inf = float("nan"), float("inf")
     shared = complex(0.1, -2.5)
-    minors = (
-        MinorPoly(rows=(1, 2), monomials=(((0, 2), shared), ((1, 1), complex(0.0, -0.0)))),
-        MinorPoly(rows=(1, 3), monomials=(((0, 2), shared), ((1, 1), complex(-0.0, 0.0)))),
-        MinorPoly(rows=(1, 4), monomials=()),
-        MinorPoly(rows=(2, 3), monomials=(((0, 2), complex(nan, -nan)),
-                                          ((1, 1), complex(-nan, inf)),
-                                          ((2, 0), complex(-inf, 1e16)))),
-        MinorPoly(rows=(2, 4), monomials=(((1, 1), complex(1e16, -1e16)), ((2, 0), shared))),
+    minors = _columns((
+        ((1, 2), (((0, 2), shared), ((1, 1), complex(0.0, -0.0)))),
+        ((1, 3), (((0, 2), shared), ((1, 1), complex(-0.0, 0.0)))),
+        ((1, 4), ()),
+        ((2, 3), (((0, 2), complex(nan, -nan)),
+                  ((1, 1), complex(-nan, inf)),
+                  ((2, 0), complex(-inf, 1e16)))),
+        ((2, 4), (((1, 1), complex(1e16, -1e16)), ((2, 0), shared))),
         # x and -x in other minors share a magnitude; the sign goes in front of its text
-        MinorPoly(rows=(3, 4), monomials=(((0, 2), -shared), ((1, 1), complex(-0.0, -inf)),
-                                          ((2, 0), complex(-nan, -1e16)))),
-    )
+        ((3, 4), (((0, 2), -shared), ((1, 1), complex(-0.0, -inf)),
+                  ((2, 0), complex(-nan, -1e16)))),
+    ))
     head = {"count": len(minors)}
     texts = []
     monkeypatch.setattr(geometry, "_float_text", lambda x: texts.append(x) or _float_text(x))
@@ -503,33 +529,28 @@ def test_minors_document_writes_each_bit_pattern_as_json_does(monkeypatch):
 def test_minor_chunks_raise_before_the_first_chunk():
     # the CLI opens its file only after the call returns
     with pytest.raises(DomainError, match="head keys must be strings"):
-        _minor_chunks({1: 2}, ())
+        _minor_chunks({1: 2}, _columns(()))
 
 
-def test_geom_builds_no_minor_poly_and_formats_each_magnitude_once(monkeypatch, tmp_path):
-    built, texts = [], []
-    init = MinorPoly.__init__
-    monkeypatch.setattr(MinorPoly, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+def test_geom_formats_each_magnitude_once(monkeypatch, tmp_path):
+    texts = []
     monkeypatch.setattr(geometry, "_float_text", lambda x: texts.append(x) or _float_text(x))
     target = tmp_path / "minors.json"
     argv = ["geom", "--trace", "4", "--tau", "0", "2", "--cap", "1000", "--out", str(target)]
     assert cli.main(argv) == 0
-    assert built == []
     parts = [mono["coeff"][part] for minor in json.loads(target.read_text())["minors"]
              for mono in minor["monomials"] for part in ("re", "im")]
     magnitudes = {abs(x).hex() for x in parts}
     assert not any(map(math.isnan, parts))
     assert sorted(x.hex() for x in texts) == sorted(magnitudes)
     assert len(parts) == 63_004 and len(texts) == 4_657
-    MinorPoly(rows=(1,), monomials=())
-    assert len(built) == 1  # the count sees a MinorPoly when one is made
 
 
 @pytest.mark.parametrize("key", [1, 2.5, None, ("g",)])
 def test_minors_document_rejects_head_keys_that_are_not_strings(key):
     # json.dumps writes the key 1 as "1", where the template writer would write it bare
     with pytest.raises(DomainError, match="head keys must be strings"):
-        minors_document({key: 2}, ())
+        minors_document({key: 2}, _columns(()))
 
 
 def test_planted_zero_is_found_and_certified():
@@ -560,6 +581,35 @@ def test_graph_member_guards():
         graph_member(rels, u_star, (0,) * 5)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("u, v, message", [
+    # a nan row denominator was skipped and max(0.0, nan) kept 0.0: both were members
+    ((NAN,) * 5, (1,) * 5, "must be finite"),
+    ((INF, 1, 1, 1, 1), (1,) * 5, "must be finite"),
+    ((1,) * 5, (1, 1, complex(0, NAN), 1, 1), "must be finite"),
+    # a 6-entry u returned False, a 2-entry one raised IndexError
+    ((1,) * 6, (1,) * 5, "one length"),
+    ((1, 1), (1,) * 5, "one length"),
+    ((1,) * 5, ((1,) * 5,), "one length"),
+    ((1, 1), (1, 1), "reads slot 5 of points of length 2"),
+    ((1,) * 4, (1,) * 4, "reads slot 5 of points of length 4"),
+])
+def test_graph_member_refuses_points_it_cannot_read(u, v, message):
+    rels = multilinearize(relations(canonical_g(3), TAU))
+    with pytest.raises(DomainError, match=message):
+        graph_member(rels, u, v)
+
+
+@pytest.mark.parametrize("n_vars", [0, -1, 3, 5, 2.0, 6.0, True, None])
+def test_graph_point_search_checks_the_variable_count(n_vars):
+    # 0, 3 and 5 raised IndexError, 2.0 and True TypeError; the system reads slot 6
+    biforms = multilinearize(relations(canonical_g(4), TAU))
+    with pytest.raises(DomainError, match=r"n_vars must be an integer >= 6, got "):
+        graph_point_search(biforms, n_vars, attempts=1, iterations=1)
+
+
 @pytest.mark.parametrize("name, value", [
     ("iterations", 0), ("attempts", 0), ("attempts", -1), ("seed", -1),
     ("attempts", 1.5), ("iterations", True), ("seed", None), ("seed", 2.0),
@@ -568,7 +618,7 @@ def test_graph_point_search_rejects_counts_and_seeds_out_of_range(name, value):
     # iterations=0 would return the zero vector as a zero, attempts=0 no result
     biforms = multilinearize(relations(canonical_g(4), TAU))
     with pytest.raises(DomainError, match=rf"{name} must be an integer >= "):
-        graph_point_search(biforms, 5, **{name: value})
+        graph_point_search(biforms, 6, **{name: value})
 
 
 def test_example_system_admits_no_graph_point(rm6):
