@@ -17,8 +17,9 @@ Four layers, bottom up:
   real axis goes through an exact transformation chain (integer words in the
   generators acting on characteristics) so the series always runs at a
   comfortable height.  A quadrature panel is evaluated at all its nodes in
-  one batched theta-constant call and one stacked determinant; a single
-  point is first reduced to the fundamental domain.
+  one batched theta-constant call and one stacked determinant, for every
+  relation of an average at once; a single point is first reduced to the
+  fundamental domain.
 
 The final consumer is :func:`averaged_relations`, which integrates every
 modular-normalized presentation coefficient over the limiting symbol of the
@@ -407,14 +408,20 @@ _WG = np.array([
 
 @dataclass(frozen=True)
 class QuadratureControl:
-    """Relative tolerance and evaluation cap for one geodesic segment."""
+    """Relative tolerance (a finite positive real) and evaluation cap for one geodesic segment."""
 
     rel_tol: float = 1e-8
     max_evals: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+        tol = self.rel_tol
+        try:
+            ok = not isinstance(tol, bool) and math.isfinite(tol) and tol > 0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise DomainError(f"rel_tol must be a finite positive real, got {tol!r}")
+        object.__setattr__(self, "rel_tol", float(tol))
         if not _is_int(self.max_evals) or self.max_evals < 15:
             raise DomainError(f"max_evals must be an integer >= 15, got {self.max_evals!r}")
 
@@ -428,40 +435,57 @@ class IntegralResult:
     evaluations: int
 
 
-def _gk15_vec(f, a: float, b: float):
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = f(center + half * _XGK)
-    k15 = half * (_WGK @ vals)
-    g7 = half * (_WG @ vals[1::2])
-    return k15, float(np.max(np.abs(k15 - g7))), 15
+def _adaptive_vec(f, a: float, b: float, quad: QuadratureControl, groups=None):
+    """Values, per-group errors and evaluation count of the integral of f over [a, b].
 
+    ``f`` maps nodes to one row of values per node.  ``groups`` are triples
+    (first column, magnitude, name) of consecutive column groups sharing one
+    mesh (default: one group, magnitude 1, "integral").  A panel's error is
+    the largest |K15 - G7| per group; the next panel bisected has the largest
+    group error over that group's magnitude.  The mesh stops when every
+    group's error is within ``rel_tol`` of its own largest |value|; past
+    ``max_evals``, :class:`QuadratureFailure` names the group furthest off.
+    """
+    groups = groups or ((0, 1.0, "integral"),)
+    starts = np.array([g[0] for g in groups])
+    mags = np.array([float(g[1]) for g in groups])
 
-def _adaptive_vec(f, a: float, b: float, quad: QuadratureControl):
-    total, err0, n = _gk15_vec(f, a, b)
-    heap = [(-err0, 0, a, b, total, err0)]
-    tot_err = err0
-    count = n
+    def panel(lo: float, hi: float):
+        """The 15-point Kronrod values on [lo, hi] and one error per group."""
+        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = f(center + half * _XGK)
+        k15 = half * (_WGK @ vals)
+        g7 = half * (_WG @ vals[1::2])
+        return k15, np.maximum.reduceat(np.abs(k15 - g7), starts)
+
+    def priority(errs) -> float:
+        return -float(np.max(errs / mags))
+
+    total, tot_err = panel(a, b)
+    heap = [(priority(tot_err), 0, a, b, total, tot_err)]
+    count = 15
     seq = 1
-    while heap:
-        scale = float(np.max(np.abs(total))) + 1e-300
-        if tot_err <= quad.rel_tol * scale:
+    while True:
+        scale = np.maximum.reduceat(np.abs(total), starts) + 1e-300
+        done = tot_err <= quad.rel_tol * scale
+        if done.all():
             return total, tot_err, count
         if count >= quad.max_evals:
+            worst = int(np.argmax(np.where(done, -np.inf, tot_err / scale)))
             raise QuadratureFailure(
-                f"error {tot_err:.3e} still above {quad.rel_tol:.1e} x {scale:.3e} "
-                f"after {count} evaluations"
+                f"{groups[worst][2]}: error {tot_err[worst]:.3e} still above "
+                f"{quad.rel_tol:.1e} x {scale[worst]:.3e} after {count} evaluations"
             )
-        neg_err, _, aa, bb, val, er = heapq.heappop(heap)
+        _, _, aa, bb, val, er = heapq.heappop(heap)
         mid = 0.5 * (aa + bb)
-        left, le, n1 = _gk15_vec(f, aa, mid)
-        right, re, n2 = _gk15_vec(f, mid, bb)
+        left, le = panel(aa, mid)
+        right, re = panel(mid, bb)
         total = total - val + left + right
         tot_err = tot_err - er + le + re
-        count += n1 + n2
-        heapq.heappush(heap, (-le, seq, aa, mid, left, le))
-        heapq.heappush(heap, (-re, seq + 1, mid, bb, right, re))
+        count += 30
+        heapq.heappush(heap, (priority(le), seq, aa, mid, left, le))
+        heapq.heappush(heap, (priority(re), seq + 1, mid, bb, right, re))
         seq += 2
-    return total, tot_err, count
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +577,9 @@ _CHAINS = 64
 
 
 @functools.lru_cache(maxsize=_CHAINS)
-def _chain(gamma: tuple[int, int, int, int], chars: tuple) -> _Chain:
-    """The chain of ``gamma`` for the characteristics ``chars`` (a tuple of pairs), kept."""
-    return _Chain(gamma, chars)
+def _chain(gamma: tuple[int, int, int, int], thetas: _LevelThetas) -> _Chain:
+    """The chain of ``gamma`` for the characteristics of ``thetas``, which hashes them once."""
+    return _Chain(gamma, thetas.chars)
 
 
 def _reduce(w):
@@ -636,8 +660,9 @@ class _LevelThetas:
     at one tau after reducing l tau to the fundamental domain, so the series
     runs at Im >= sqrt(3)/2 however low tau is.  Both return one row per
     point and one column per characteristic; with ``dps`` the caller sets
-    the mpmath working precision.  Chains come from :func:`_chain`, so
-    handles of the same characteristics share them; besides a reduction
+    the mpmath working precision.  Chains come from :func:`_chain`, keyed on
+    the instance, which compares by its characteristics and hashes them once,
+    so handles of the same characteristics share them; besides a reduction
     word's chain, nothing that depends on tau is kept.
 
     The relation blocks of level l all read from one instance,
@@ -648,13 +673,20 @@ class _LevelThetas:
     def __init__(self, level: int, chars) -> None:
         self.level = level
         self.chars = tuple(map(tuple, chars))
+        self._hash = hash(self.chars)
         self._cache: dict[Cusp, tuple[_PulledLevelPoint, _Chain]] = {}
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _LevelThetas) and self.chars == other.chars
 
     def pulled(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
         hit = self._cache.get(cusp)
         if hit is None:
             split = _PulledLevelPoint(self.level, cusp)
-            hit = self._cache[cusp] = (split, _chain(split.gamma1, self.chars))
+            hit = self._cache[cusp] = (split, _chain(split.gamma1, self))
         split, chain = hit
         if dps is None:
             return chain.eval_all(split.w(np.asarray(sigmas, dtype=complex)))
@@ -666,7 +698,7 @@ class _LevelThetas:
         if not point.imag > 0:
             raise DomainError(f"point {tau} is not in the upper half-plane")
         gamma, w = _reduce(self.level * point)
-        return _chain(gamma, self.chars).eval_all([w], dps)
+        return _chain(gamma, self).eval_all([w], dps)
 
 
 @functools.cache
@@ -723,9 +755,11 @@ class _RelationVector:
 
     The coefficient on slot j is a Cramer determinant of the block over the
     pivot columns, with the free column swapped in for j (or the negated
-    pivot minor when j is the free column itself), read from the level row
-    through the block's :func:`rmtorus.core._block` index, and times column
-    0, theta[0](0, l tau), when a+d is odd.  Values come one row per point,
+    pivot minor when j is the free column itself), and times column 0,
+    theta[0](0, l tau), when a+d is odd.  ``minors`` holds, per slot, that
+    minor's entries as indices into the level row, taken from the block's
+    :func:`rmtorus.core._block` index, and ``signs`` the slot signs;
+    :func:`_coefficients` reads the values.  Values come one row per point,
     one column per slot; a whole quadrature panel takes one kernel call and
     one stacked determinant.
 
@@ -736,7 +770,7 @@ class _RelationVector:
     """
 
     def __init__(self, rm: RMData, mu: int, pivots, free_col: int, slots) -> None:
-        self.index = _block(rm, mu).index
+        index = _block(rm, mu).index
         t, columns = rm.trace, range(1, rm.degree + 1)
         pivots = tuple(pivots)
         if (
@@ -760,28 +794,31 @@ class _RelationVector:
         self.pivots = pivots
         self.free_col = free_col
         self.slots = tuple(slots)
-        # slot j's minor: the pivot columns with the free column in j's place
-        self._columns = [[free_col - 1 if p == j else p - 1 for p in pivots] for j in self.slots]
-        self._signs = np.array([-1 if j == free_col else 1 for j in self.slots])
+        # slot j's minor: the pivot columns with the free column in j's place,
+        # (slots, cols) into the block, then (slots, rows, cols) into the level row
+        cols = np.array(
+            [[free_col - 1 if p == j else p - 1 for p in pivots] for j in self.slots], dtype=int
+        ).reshape(len(self.slots), t)
+        self.minors = np.ascontiguousarray(np.moveaxis(index[:, cols], 1, 0))
+        self.signs = np.array([-1 if j == free_col else 1 for j in self.slots])
 
     def pulled_value(self, cusp: Cusp, sigmas, dps: int | None = None) -> np.ndarray:
         with _working_precision(dps):
             rows = _level_thetas(self.rm.level).pulled(cusp, sigmas, dps)
-            return self._coefficients(rows, dps)
+            return _coefficients(self.rm, rows, self.minors, self.signs, dps)
 
     def value(self, tau, dps: int | None = None) -> np.ndarray:
         with _working_precision(dps):
-            return self._coefficients(_level_thetas(self.rm.level).at(tau, dps), dps)[0]
+            rows = _level_thetas(self.rm.level).at(tau, dps)
+            return _coefficients(self.rm, rows, self.minors, self.signs, dps)[0]
 
-    def _coefficients(self, rows: np.ndarray, dps: int | None) -> np.ndarray:
-        """The slot values at each point, from the level rows there."""
-        blocks = rows[:, self.index]
-        # (points, rows, slots, cols) -> (points, slots, rows, cols)
-        minors = np.moveaxis(blocks[:, :, self._columns], 2, 1)
-        values = self._signs * _det(minors, dps)
-        if self.rm.trace % 2:
-            values = values * rows[:, :1]
-        return values
+
+def _coefficients(rm: RMData, rows: np.ndarray, minors: np.ndarray, signs, dps: int | None):
+    """Slot values at each point from the level rows: one gather, one stacked determinant."""
+    values = signs * _det(rows[:, minors], dps)
+    if rm.trace % 2:
+        values = values * rows[:, :1]
+    return values
 
 
 class CoefficientHandle(_RelationVector):
@@ -855,12 +892,15 @@ def is_cusp_numeric(f, cusps) -> bool:
     return True
 
 
-def _half_integral_vec(pulled, size: int, cusp: Cusp, point: complex, quad: QuadratureControl):
+def _half_integral_vec(
+    pulled, size: int, cusp: Cusp, point: complex, quad: QuadratureControl, groups=None
+):
     """Integrals from `point` to the cusp along the pulled vertical ray.
 
     ``pulled(cusp, sigmas)`` gives the integrand's ``size`` values at A(sigma)
     for the cusp's matrix A, one row per sigma: a scalar handle's
-    ``pulled_value`` (``size`` 1) or the slots of a relation vector.
+    ``pulled_value`` (``size`` 1) or the live slots of stacked relations,
+    whose column ``groups`` are those of :func:`_adaptive_vec`.
     """
     a, b, c, d = _cusp_matrix(cusp)
     sigma0 = (d * point - b) / (-c * point + a)
@@ -881,15 +921,15 @@ def _half_integral_vec(pulled, size: int, cusp: Cusp, point: complex, quad: Quad
         out[live] = values * factor[:, None]
         return out
 
-    return _adaptive_vec(integrand, 0.0, 1.0, quad)
+    return _adaptive_vec(integrand, 0.0, 1.0, quad, groups)
 
 
 def _geodesic_integral_vec(
-    pulled, size: int, cusp_from: Cusp, cusp_to: Cusp, quad: QuadratureControl
+    pulled, size: int, cusp_from: Cusp, cusp_to: Cusp, quad: QuadratureControl, groups=None
 ):
-    """Vector integral along the geodesic from cusp_from to cusp_to."""
+    """Vector integral along the geodesic from cusp_from to cusp_to, with per-group errors."""
     if cusp_from == cusp_to:
-        return np.zeros(size, dtype=complex), 0.0, 0
+        return np.zeros(size, dtype=complex), np.zeros(len(groups) if groups else 1), 0
     if cusp_from.is_infinity:
         apex = complex(cusp_to.value(), 1.0)
     elif cusp_to.is_infinity:
@@ -897,8 +937,8 @@ def _geodesic_integral_vec(
     else:
         x1, x2 = cusp_from.value(), cusp_to.value()
         apex = complex(0.5 * (x1 + x2), 0.5 * abs(x2 - x1))
-    v1, e1, n1 = _half_integral_vec(pulled, size, cusp_from, apex, quad)
-    v2, e2, n2 = _half_integral_vec(pulled, size, cusp_to, apex, quad)
+    v1, e1, n1 = _half_integral_vec(pulled, size, cusp_from, apex, quad, groups)
+    v2, e2, n2 = _half_integral_vec(pulled, size, cusp_to, apex, quad, groups)
     # int_from^to = int_from^apex + int_apex^to = -(int_apex^from) + int_apex^to
     return -v1 + v2, e1 + e2, n1 + n2
 
@@ -923,7 +963,7 @@ def integrate_geodesic(
                 f"integrand does not decay at cusp ({cusp.p}, {cusp.q})"
             )
     value, err, count = _geodesic_integral_vec(f.pulled_value, 1, cusp_from, cusp_to, quad)
-    return IntegralResult(value=complex(value[0]), error=float(err), evaluations=count)
+    return IntegralResult(value=complex(value[0]), error=float(err[0]), evaluations=count)
 
 
 # ---------------------------------------------------------------------------
@@ -948,11 +988,12 @@ def averaged_relations(rm: RMData, quad: QuadratureControl | None = None) -> Pre
     functions that vanish at the reference probes are identically zero by
     construction and are assigned 0 exactly (no quadrature).
 
-    Every relation reads its blocks from the level row of :func:`_level_thetas`.
-    The rows are kept by (cusp, node array) for this call alone, so a node set
-    that several relations reach (the probes, and the panels their bisections
-    share) is summed once; each relation still refines its own mesh, and
-    every value is the one it would compute alone.
+    All relations are integrated together, as one vector of their live slots
+    over one adaptive mesh per half-ray (one column group per relation, see
+    :func:`_adaptive_vec`): each panel reads one level row of
+    :func:`_level_thetas` and takes one stacked determinant, and the mesh is
+    refined until every relation's own error is within ``rel_tol`` of its own
+    largest value.  ``quadrature_error`` is the largest relation error.
     """
     if rm.level % 2 != 0:
         raise OddLevel(f"level {rm.level} is odd")
@@ -961,47 +1002,43 @@ def averaged_relations(rm: RMData, quad: QuadratureControl | None = None) -> Pre
     quad = quad or QuadratureControl()
     chain = limiting_symbol(rm.theta)
     level = _level_thetas(rm.level)
-    rows: dict[tuple[Cusp, bytes], np.ndarray] = {}
+    specs = [(mu, k) for mu in range(1, rm.degree + 1) for k in range(1, rm.degree - rm.trace + 1)]
+    vectors = [_relation(rm, mu, k) for mu, k in specs]
+    probes = _coefficients(rm, level.pulled(Cusp(1, 0), _ZERO_PROBES),
+                           np.concatenate([v.minors for v in vectors]),
+                           np.concatenate([v.signs for v in vectors]), None)
+    lives, minors, signs, groups = [], [], [], []
+    first = width = 0
+    for (mu, k), vector in zip(specs, vectors):
+        mags = np.max(np.abs(probes[:, first:first + len(vector.slots)]), axis=0)
+        first += len(vector.slots)
+        top = float(np.max(mags))
+        live = [i for i, m in enumerate(mags) if m > _ZERO_PROBE_REL * top]
+        if live:
+            groups.append((width, top, f"relation ({mu}, {k})"))
+            width += len(live)
+        lives.append([vector.slots[i] for i in live])
+        minors.append(vector.minors[live])
+        signs.append(vector.signs[live])
+    minors, signs = np.concatenate(minors), np.concatenate(signs)
 
-    def level_rows(cusp: Cusp, sigmas) -> np.ndarray:
-        key = (cusp, np.asarray(sigmas, dtype=complex).tobytes())
-        if key not in rows:
-            rows[key] = level.pulled(cusp, sigmas)
-        return rows[key]
+    def pulled(cusp: Cusp, sigmas) -> np.ndarray:
+        return _coefficients(rm, level.pulled(cusp, sigmas), minors, signs, None)
 
-    relations_out: list[Relation] = []
-    worst_error = 0.0
-    for mu in range(1, rm.degree + 1):
-        for k in range(1, rm.degree - rm.trace + 1):
-            vector = _relation(rm, mu, k)
-            probes = vector._coefficients(level_rows(Cusp(1, 0), _ZERO_PROBES), None)
-            top = float(np.max(np.abs(probes)))
-            live = [
-                j
-                for i, j in enumerate(vector.slots)
-                if float(np.max(np.abs(probes[:, i]))) > _ZERO_PROBE_REL * top
-            ]
-            live_vector = _RelationVector(rm, mu, vector.pivots, vector.free_col, live)
-
-            def pulled(cusp: Cusp, sigmas) -> np.ndarray:
-                return live_vector._coefficients(level_rows(cusp, sigmas), None)
-
-            totals = np.zeros(len(live), dtype=complex)
-            seg_err = 0.0
-            for frm, to in chain.segments:
-                vals, err, _ = _geodesic_integral_vec(pulled, len(live), frm, to, quad)
-                totals += vals
-                seg_err += err
-            worst_error = max(worst_error, chain.scale * seg_err)
-            terms = tuple(
-                RelationTerm(
-                    left=alpha(rm, mu, j),
-                    right=j,
-                    coeff=complex(chain.scale * totals[pos]),
-                )
-                for pos, j in enumerate(live)
-            )
-            relations_out.append(Relation(mu=mu, k=k, terms=terms))
+    totals = np.zeros(width, dtype=complex)
+    errors = np.zeros(len(groups))
+    for frm, to in chain.segments:
+        vals, errs, _ = _geodesic_integral_vec(pulled, width, frm, to, quad, groups)
+        totals += vals
+        errors += errs
+    coeffs = iter(chain.scale * totals)
+    relations_out = [
+        Relation(mu=mu, k=k, terms=tuple(
+            RelationTerm(left=alpha(rm, mu, j), right=j, coeff=complex(next(coeffs))) for j in live
+        ))
+        for (mu, k), live in zip(specs, lives)
+    ]
+    worst_error = float(np.max(chain.scale * errors))
     group = GroupSpec.bracket(rm.level * rm.level, rm.level)
     return Presentation(rm, None, "averaged", tuple(relations_out), group=group,
                         scale=chain.scale, quadrature_error=worst_error)

@@ -126,6 +126,13 @@ def test_average_reports_quadrature_error(capsys):
     assert len(payload["relations"]) == 12
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-8"])
+def test_average_refuses_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
+    code, out, err = _run(capsys, "average", "--trace", "4", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err == f"DomainError: rel_tol must be a finite positive real, got {float(tol)!r}\n"
+
+
 @pytest.mark.parametrize("trace", [4, 8])
 def test_average_writes_the_presentation_document(capsys, trace):
     code, out, err = _run(capsys, "average", "--trace", str(trace))

@@ -330,6 +330,51 @@ def test_geodesic_tolerance_stability():
     assert abs(loose - tight) < 2e-8
 
 
+def test_level_24_leg_keeps_its_value_error_and_evaluations():
+    # the shared-mesh routine with one group is the single-integrand one, bit for bit
+    result = integrate_geodesic(ThetaProductHandle(24, PLAIN_CHARS), C24, INF)
+    assert repr((result.value, result.error, result.evaluations)) == \
+        "((-0.041666666666666526+7.407659383883031e-17j), 5.143388768013012e-12, 330)"
+
+
+def test_shared_mesh_holds_each_group_to_its_own_scale():
+    # A smooth integrand of size 1 and one 1e-8 times smaller with a sharp
+    # peak, on one mesh.  Each group's error ends within rel_tol of its own
+    # scale, and the peak gets the mesh it gets alone; as one group, the peak
+    # rides on the smooth integrand's scale and misses by about 2%.
+    width, quad = 1e-3, QuadratureControl(rel_tol=1e-8)
+
+    def f(x):
+        return np.stack([np.exp(x), 1e-8 * width / ((x - 0.3) ** 2 + width ** 2)],
+                        axis=1).astype(complex)
+
+    exact = np.array([math.e - 1, 1e-8 * (math.atan(0.7 / width) + math.atan(0.3 / width))])
+    groups = ((0, 1.0, "smooth"), (1, 1e-8, "peak"))
+    values, errors, count = modsym._adaptive_vec(f, 0.0, 1.0, quad, groups)
+    assert errors.shape == (2,)
+    for g in range(2):
+        assert errors[g] <= quad.rel_tol * abs(values[g])
+        assert abs(values[g] - exact[g]) <= quad.rel_tol * exact[g]
+    alone = modsym._adaptive_vec(lambda x: f(x)[:, 1:], 0.0, 1.0, quad)
+    assert count == alone[2]
+    joint, _, joint_count = modsym._adaptive_vec(f, 0.0, 1.0, quad)
+    assert joint_count < count
+    assert abs(joint[1] - exact[1]) > 1e-2 * exact[1]
+    with pytest.raises(QuadratureFailure,
+                       match=r"^peak: error 1\.020e-07 still above 1\.0e-08 x 1\.058e-07 "
+                             r"after 105 evaluations$"):
+        modsym._adaptive_vec(f, 0.0, 1.0, QuadratureControl(max_evals=100), groups)
+
+
+def test_quadrature_control_takes_a_finite_positive_tolerance():
+    assert QuadratureControl(rel_tol=1).rel_tol == 1.0
+    assert type(QuadratureControl(rel_tol=F(1, 10**8)).rel_tol) is float
+    assert QuadratureControl(rel_tol=np.float32(1e-6)).rel_tol == float(np.float32(1e-6))
+    for tol in (math.inf, -math.inf, math.nan, 0, 0.0, -1e-8, True, False, "1e-8", None, 1e-8j):
+        with pytest.raises(DomainError, match="rel_tol must be a finite positive real"):
+            QuadratureControl(rel_tol=tol)
+
+
 def test_quadrature_control_takes_an_integer_budget():
     assert QuadratureControl(max_evals=15).max_evals == 15
     for max_evals in (15.5, 100.0, True, 14):
@@ -341,7 +386,7 @@ def test_geodesic_guards():
     plain = ThetaProductHandle(24, PLAIN_CHARS)
     with pytest.raises(NotCuspType):
         integrate_geodesic(plain, ZERO, INF)
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(QuadratureFailure, match=r"^integral: error .* after 105 evaluations$"):
         integrate_geodesic(plain, C24, INF,
                            quad=QuadratureControl(rel_tol=1e-13, max_evals=100))
     same = integrate_geodesic(plain, C24, C24)
@@ -467,6 +512,29 @@ def test_single_points_and_new_product_handles_reuse_their_chains(monkeypatch):
     assert modsym._chain.cache_info().maxsize == modsym._CHAINS
 
 
+def test_single_points_hash_no_characteristic(monkeypatch):
+    # A kept chain is looked up by the level row itself, whose hash was taken
+    # once, so a warm single-point call hashes none of its 24 characteristics.
+    level = modsym._level_thetas(24)
+    tau = 0.03 + 0.02j
+    first = repr(level.at(tau).tolist())
+    hashed = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    assert repr(level.at(tau).tolist()) == first
+    assert hashed == []
+    # equal characteristics are one key, whichever instance holds them
+    twin = modsym._LevelThetas(24, level.chars)
+    assert twin == level and hash(twin) == hash(level) and twin != modsym._level_thetas(12)
+    gamma = modsym._reduce(24 * tau)[0]
+    assert modsym._chain(gamma, twin) is modsym._chain(gamma, level)
+
+
 def test_relation_values_select_pivots_once_per_block_and_precision(monkeypatch):
     rm = canonical_g(4)
     calls = []
@@ -562,6 +630,23 @@ def test_averaged_presentation_reaches_the_groebner_and_geometry_layers(rm6):
     assert [len(linear_basis(state, n)) for n in (2, 3)] == [24, 72]
 
 
+def test_averaged_relations_do_not_depend_on_the_tolerance(rm6):
+    # At rel_tol 1e-8 and 1e-10 the supports are equal, each coefficient moves
+    # by less than the two reported errors times its relation's largest
+    # coefficient, and the graded dimensions are the same.
+    loose, tight = (averaged_relations(rm6, QuadratureControl(rel_tol=tol))
+                    for tol in (1e-8, 1e-10))
+    bound = loose.quadrature_error + tight.quadrature_error
+    assert [(r.mu, r.k, [t.right for t in r.terms]) for r in loose.relations] == \
+        [(r.mu, r.k, [t.right for t in r.terms]) for r in tight.relations]
+    for a, b in zip(loose.relations, tight.relations):
+        top = max(abs(t.coeff) for t in b.terms)
+        assert max(abs(s.coeff - t.coeff) for s, t in zip(a.terms, b.terms)) <= bound * top
+    for av in (loose, tight):
+        state = complete_to_degree(groebner_state(av, truncation_degree=3), 3)
+        assert [len(linear_basis(state, n)) for n in (2, 3)] == [24, 72]
+
+
 def test_averaged_relations_build_one_chain_per_level_and_cusp(rm6, monkeypatch):
     # The probe and live vectors of every relation of every block read the
     # level row, which has one exact chain per cusp: infinity for the probes,
@@ -618,31 +703,34 @@ def test_level_row_gathers_each_block_bit_for_bit(g, dps):
 
 
 def test_averaged_relations_sum_each_cusp_and_node_set_once(rm6, monkeypatch):
-    # Relations that reach the same nodes at the same cusp (the probes, the
-    # panels their bisections share) read one level row.  The rows last for
-    # one call only: a second call, and a call after one that raised, sum
-    # exactly as many rows as the first.
+    # All relations share one mesh per half-ray, so the probes and each panel
+    # are one kernel sum of the level row and one coefficient read of every
+    # live slot of every relation, and no node set is summed twice.  Nothing
+    # is kept between calls: a second call, and a call after one that raised,
+    # sum exactly as many rows as the first.
     sums, reads = [], []
-    kernel_sum, coefficients = modsym._kernel_sum, modsym._RelationVector._coefficients
+    kernel_sum, coefficients = modsym._kernel_sum, modsym._coefficients
 
     def counting_sum(table, taus, *args, **kwargs):
         sums.append((id(table), np.asarray(taus).tobytes()))
         return kernel_sum(table, taus, *args, **kwargs)
 
-    def counting_reads(self, rows, dps):
+    def counting_reads(rm, rows, minors, signs, dps):
         reads.append(len(rows))
-        return coefficients(self, rows, dps)
+        return coefficients(rm, rows, minors, signs, dps)
 
     monkeypatch.setattr(modsym, "_kernel_sum", counting_sum)
-    monkeypatch.setattr(modsym._RelationVector, "_coefficients", counting_reads)
+    monkeypatch.setattr(modsym, "_coefficients", counting_reads)
     first = averaged_relations(rm6)
     n_sums, n_reads = len(sums), len(reads)
-    assert len(set(sums)) == n_sums < n_reads // 5
+    assert n_reads == n_sums == len(set(sums))
     sums.clear()
     again = averaged_relations(rm6)
     assert len(sums) == n_sums
     assert repr(averaged_json(again)) == repr(averaged_json(first))
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(QuadratureFailure,
+                       match=r"^relation \(\d, \d\): error \S+ still above 1\.0e-08 x \S+ "
+                             r"after 15 evaluations$"):
         averaged_relations(rm6, quad=QuadratureControl(max_evals=15))
     sums.clear()
     assert repr(averaged_json(averaged_relations(rm6))) == repr(averaged_json(first))

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,21 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"rmtorus.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_import_brings_in_numpy_and_mpmath_and_nothing_else():
+    # In a fresh interpreter, the packages outside the standard library that
+    # importing rmtorus and its CLI adds are rmtorus, numpy and mpmath.
+    code = (
+        "import sys; before = set(sys.modules); import rmtorus, rmtorus.cli; "
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}; "
+        "print(' '.join(sorted(added - sys.stdlib_module_names)))"
+    )
+    src = str(Path(rmtorus.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["mpmath", "numpy", "rmtorus"]
 
 
 def test_tracer_boundaries_resolve():
